@@ -17,6 +17,11 @@ import numpy as np
 from .weights import EmpiricalWeights, MomentSummary, WeightSpec
 
 
+def default_k_n(n: int) -> float:
+    """The size threshold k_n = ceil(n^(1/3)) used unless a config sets one."""
+    return float(np.ceil(n ** (1.0 / 3.0)))
+
+
 @dataclass
 class VertexSetSummary:
     """(|V|, |V|_1, |V|_2, |V|_+): size and connectivity-weight norms."""
@@ -55,7 +60,7 @@ class BoundParams:
     def from_summary(n: int, ell: int, moments: MomentSummary, spec: WeightSpec,
                      k_n: float | None = None, **kw) -> "BoundParams":
         if k_n is None:
-            k_n = float(np.ceil(n ** (1.0 / 3.0)))
+            k_n = default_k_n(n)
         gamma_limit = {p: spec.gamma_limit(p) for p in (1, 2, 3)}
         return BoundParams(n=n, ell=ell, k_n=k_n, moments=moments,
                            gamma_limit=gamma_limit, **kw)
@@ -99,11 +104,6 @@ def eta_bound(p: BoundParams, vs: VertexSetSummary) -> float:
             * (1.0 / p.theta + (g2lim + 1.0) ** (ell - 1)
                * (p.G(2) / (p.theta * p.G(1)) + 1.0)))
     return main + tail
-
-
-def maincoup_bound(p: BoundParams, vs: VertexSetSummary) -> float:
-    """The headline coupling display; term for term the same sum as eta."""
-    return eta_bound(p, vs)
 
 
 def epsilon_v_bound(p: BoundParams, vs: VertexSetSummary) -> float:

@@ -19,7 +19,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .harness import ExperimentConfig, bounds_grid, clt_experiment, coupling_experiment
+from .harness import (_WEIGHTS_STREAM, ExperimentConfig, bounds_grid, clt_experiment,
+                      coupling_experiment)
 from .limit_trees import rde_fixed_point
 from .rng import format_seed
 from .weights import moments, sample_empirical_weights
@@ -86,7 +87,8 @@ def cmd_generate(cfg: ExperimentConfig, out_dir: str, check: bool) -> int:
     from .graph import sample_graph
 
     n = cfg.n_grid[0]
-    weights = sample_empirical_weights(cfg.weights, n, cfg.seed, stream=1_000_003 + n)
+    weights = sample_empirical_weights(cfg.weights, n, cfg.seed,
+                                       stream=_WEIGHTS_STREAM + n)
     graph = sample_graph(weights, cfg.seed, stream=0)
     summ = moments(weights, spec=cfg.weights)
     print(f"n {n}")

@@ -21,22 +21,22 @@ tree statistics stay exactly distributed as direct sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from collections import deque
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import default_k_n
 from .explore import Neighbourhood
 from .graph import WeightedGraph
+from .limit_trees import DEFAULT_NODE_BUDGET, grow_intermediate
 from .rng import stream_rng
 from .trees import RootedWeightedTree
-from .weights import EmpiricalWeights, WeightSpec
+from .weights import EmpiricalSizeBiased, WeightSpec, _as_discrete
 
 _COUPLE_TAG = 31
 _REPAIR_TAG = 32
 _LIMIT_TAG = 33
-_WEIGHT_TAG = 34
 
 BREAK_X_NEQ_Z = "XneqZ"
 BREAK_ACTIVE = "ActiveCollision"
@@ -45,6 +45,8 @@ BREAK_OVERFLOW = "SizeOverflow"
 BREAK_REPEAT = "TypeRepeat"
 BREAK_REDRAW = "WassersteinRedraw"
 BREAK_WEIGHT = "WeightMismatch"
+BREAK_REASONS = (BREAK_X_NEQ_Z, BREAK_ACTIVE, BREAK_COMPLETED, BREAK_OVERFLOW,
+                 BREAK_REPEAT, BREAK_REDRAW, BREAK_WEIGHT)
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,7 @@ class CouplingConfig:
 
     @staticmethod
     def default(n: int, depth: int, include_weights: bool = True) -> "CouplingConfig":
-        return CouplingConfig(k_n=float(np.ceil(n ** (1.0 / 3.0))), depth=depth,
+        return CouplingConfig(k_n=default_k_n(n), depth=depth,
                               include_weights=include_weights)
 
 
@@ -147,25 +149,6 @@ def couple_bernoulli_poisson(p_prime, u):
 
 
 # ---- stage 1: neighbourhood to intermediate tree -----------------------------------
-
-
-def _grow_intermediate(tree: RootedWeightedTree, frontier: list[int],
-                       weights: EmpiricalWeights, rng: np.random.Generator) -> None:
-    """Grow the given tree nodes to full depth with fresh intermediate law."""
-    W = weights.W
-    scale = weights.lambda_n / (weights.n * weights.theta)
-    cum = np.cumsum(W / weights.lambda_n)
-    queue = deque(frontier)
-    while queue:
-        node = queue.popleft()
-        if tree.node_depth[node] >= tree.depth:
-            continue
-        k = rng.poisson(W[tree.labels[node]] * scale if tree.labels[node] is not None
-                        else tree.type_w[node] * scale)
-        if k:
-            picks = np.searchsorted(cum, rng.random(k), side="left")
-            for j in picks:
-                queue.append(tree.add_child(node, W[j], label=int(j)))
 
 
 def couple_neighbourhood_to_intermediate(graph: WeightedGraph, root: int,
@@ -288,7 +271,8 @@ def couple_neighbourhood_to_intermediate(graph: WeightedGraph, root: int,
             break
 
     if not attached and detached_frontier:
-        _grow_intermediate(tree, detached_frontier, graph.weights, rng)
+        grow_intermediate(tree, detached_frontier, graph.weights.size_biased(), rng,
+                          DEFAULT_NODE_BUDGET)
 
     while len(levels) < depth + 1:
         levels.append([])
@@ -307,7 +291,7 @@ def couple_neighbourhood_to_intermediate(graph: WeightedGraph, root: int,
 # ---- stage 2: independence repair across roots --------------------------------------
 
 
-def repair_independence(outcomes: list[CouplingOutcome], weights: EmpiricalWeights,
+def repair_independence(outcomes: list[CouplingOutcome], law: EmpiricalSizeBiased,
                         rng: np.random.Generator | None = None,
                         seed: tuple[int, int] | None = None, stream: int = 0
                         ) -> list[CouplingOutcome]:
@@ -323,9 +307,6 @@ def repair_independence(outcomes: list[CouplingOutcome], weights: EmpiricalWeigh
         raise ValueError("roots must be pairwise distinct")
     if rng is None:
         rng = stream_rng(seed if seed is not None else (0, 0), stream, _REPAIR_TAG)
-    W = weights.W
-    scale = weights.lambda_n / (weights.n * weights.theta)
-    cum = np.cumsum(W / weights.lambda_n)
     seen: set[int] = set(int(r) for r in roots)
 
     depth = max((o.tree.depth for o in outcomes), default=0)
@@ -348,19 +329,17 @@ def repair_independence(outcomes: list[CouplingOutcome], weights: EmpiricalWeigh
                     kids = old.children[src]
                     kid_types = [(old.labels[c], c) for c in kids]
                 else:
-                    mean = W[new.labels[new_node]] * scale
-                    k = rng.poisson(mean)
-                    picks = np.searchsorted(cum, rng.random(k), side="left") if k else []
-                    kid_types = [(int(j), None) for j in picks]
+                    kid_types = [(int(j), None)
+                                 for j in law.offspring(new.labels[new_node], rng)]
                 for label, old_child in kid_types:
                     label = int(label)
                     if label in seen and old_child is not None:
                         if repeated[t] is None:
                             repeated[t] = r
-                        label = int(np.searchsorted(cum, rng.random(), side="left"))
+                        label = law.draw(rng)
                         old_child = None
                     seen.add(label)
-                    child = new.add_child(new_node, W[label], label=label)
+                    child = new.add_child(new_node, law.W[label], label=label)
                     new_frontier[t][child] = old_child
         frontier = new_frontier
 
@@ -379,21 +358,7 @@ def repair_independence(outcomes: list[CouplingOutcome], weights: EmpiricalWeigh
 # ---- stage 3: intermediate tree to limit tree ---------------------------------------
 
 
-def _empirical_biased_intervals(weights: EmpiricalWeights):
-    """CDF intervals of the size-biased empirical law, per vertex id."""
-    order = np.argsort(weights.W, kind="stable")
-    masses = weights.W[order] / weights.lambda_n
-    hi = np.cumsum(masses)
-    hi[-1] = 1.0
-    lo = np.concatenate(([0.0], hi[:-1]))
-    lo_by_vertex = np.empty(weights.n)
-    hi_by_vertex = np.empty(weights.n)
-    lo_by_vertex[order] = lo
-    hi_by_vertex[order] = hi
-    return lo_by_vertex, hi_by_vertex
-
-
-def couple_intermediate_to_limit(tree: RootedWeightedTree, weights: EmpiricalWeights,
+def couple_intermediate_to_limit(tree: RootedWeightedTree, law: EmpiricalSizeBiased,
                                  spec: WeightSpec,
                                  rng: np.random.Generator | None = None,
                                  seed: tuple[int, int] | None = None, stream: int = 0
@@ -409,8 +374,6 @@ def couple_intermediate_to_limit(tree: RootedWeightedTree, weights: EmpiricalWei
     if rng is None:
         rng = stream_rng(seed if seed is not None else (0, 0), stream, _LIMIT_TAG)
     biased = spec.size_biased()
-    lo_v, hi_v = _empirical_biased_intervals(weights)
-    gamma1 = weights.lambda_n / (weights.n * weights.theta)
 
     root_w = tree.type_w[0]
     out = RootedWeightedTree(root_w, tree.depth, root_label=tree.labels[0])
@@ -427,7 +390,7 @@ def couple_intermediate_to_limit(tree: RootedWeightedTree, weights: EmpiricalWei
             count = int(rng.poisson(mean))
             matched_children: list[int | None] = [None] * count
         else:
-            lam_tilde = gamma1 * tree.type_w[src]
+            lam_tilde = law.scale * tree.type_w[src]
             n_tilde = len(tree.children[src])
             lo, hi = poisson_cdf_interval(n_tilde, lam_tilde)
             u = lo + rng.random() * max(hi - lo, 0.0)
@@ -438,7 +401,7 @@ def couple_intermediate_to_limit(tree: RootedWeightedTree, weights: EmpiricalWei
                                 for t in range(count)]
         for child_src in matched_children:
             if child_src is not None:
-                ilo, ihi = lo_v[tree.labels[child_src]], hi_v[tree.labels[child_src]]
+                ilo, ihi = law.interval(tree.labels[child_src])
                 u = ilo + rng.random() * (ihi - ilo)
                 what = float(biased.quantile(min(max(u, 1e-300), 1.0 - 1e-16)))
             else:
@@ -451,30 +414,12 @@ def couple_intermediate_to_limit(tree: RootedWeightedTree, weights: EmpiricalWei
 # ---- weight overlay and the full pipeline -------------------------------------------
 
 
-def tv_distance(a: WeightSpec, b: WeightSpec) -> float:
-    """Total-variation distance; exact for discrete pairs, 0 for equal specs."""
-    if a == b:
-        return 0.0
-    discrete = {"constant", "finite"}
-    if a.family in discrete and b.family in discrete:
-        from .weights import _as_discrete
-
-        va, pa = _as_discrete(a)
-        vb, pb = _as_discrete(b)
-        support = np.unique(np.concatenate((va, vb)))
-        fa = np.array([pa[va == s].sum() for s in support])
-        fb = np.array([pb[vb == s].sum() for s in support])
-        return float(0.5 * np.abs(fa - fb).sum())
-    raise ValueError("total variation only available for discrete spec pairs")
-
-
 def _tv_coupled_value(x: float, spec_n: WeightSpec, spec: WeightSpec,
                       rng: np.random.Generator) -> tuple[float, bool]:
     """Keep x with the maximal-coupling probability, else draw from the excess."""
+    x = float(x)
     if spec_n == spec:
         return x, True
-    from .weights import _as_discrete
-
     vn, pn = _as_discrete(spec_n)
     v, p = _as_discrete(spec)
     fn = float(pn[vn == x].sum())
@@ -509,11 +454,11 @@ def couple_full(graph: WeightedGraph, roots: list[int], cfg: CouplingConfig,
 
     stage1 = [couple_neighbourhood_to_intermediate(graph, r, cfg, rng=rng)
               for r in roots]
-    repaired = repair_independence(stage1, graph.weights, rng=rng)
+    law = graph.weights.size_biased()
+    repaired = repair_independence(stage1, law, rng=rng)
     final: list[CouplingOutcome] = []
     for out in repaired:
-        limit, ok3, lvl3 = couple_intermediate_to_limit(out.tree, graph.weights,
-                                                        spec, rng=rng)
+        limit, ok3, lvl3 = couple_intermediate_to_limit(out.tree, law, spec, rng=rng)
         res = CouplingOutcome(root=out.root, depth=out.depth,
                               neighbourhood=out.neighbourhood, tree=limit,
                               ok=out.ok, break_level=out.break_level,
@@ -562,7 +507,7 @@ def _overlay_weights(outcome: CouplingOutcome, graph: WeightedGraph,
         gv = mirror.get(node)
         if mu_v is not None:
             if gv is not None:
-                w, same = _shared_weight(graph.vertex_weight(gv), mu_v_n, mu_v, rng)
+                w, same = _tv_coupled_value(graph.vertex_weight(gv), mu_v_n, mu_v, rng)
                 if not same:
                     outcome.record_break(tree.node_depth[node], BREAK_WEIGHT)
                 tree.vertex_w[node] = w
@@ -571,16 +516,10 @@ def _overlay_weights(outcome: CouplingOutcome, graph: WeightedGraph,
         if node != 0 and mu_e is not None:
             gp = mirror.get(tree.parent[node])
             if gv is not None and gp is not None:
-                w, same = _shared_weight(graph.edge_weight(gp, gv), mu_e_n, mu_e, rng)
+                w, same = _tv_coupled_value(graph.edge_weight(gp, gv), mu_e_n, mu_e, rng)
                 if not same:
                     outcome.record_break(tree.node_depth[node], BREAK_WEIGHT)
                 tree.edge_w[node] = w
             else:
                 tree.edge_w[node] = float(mu_e.quantile(rng.random()))
 
-
-def _shared_weight(x: float, spec_n: WeightSpec, spec: WeightSpec,
-                   rng: np.random.Generator) -> tuple[float, bool]:
-    if spec_n == spec:
-        return float(x), True
-    return _tv_coupled_value(float(x), spec_n, spec, rng)

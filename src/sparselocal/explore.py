@@ -47,13 +47,6 @@ class Neighbourhood:
     def level_of(self) -> dict[int, int]:
         return {v: r for r, level in enumerate(self.levels) for v in level}
 
-    def edge_list_text(self) -> str:
-        """Plain edge-list dump for external inspection."""
-        lines = [f"# root {self.root} depth {self.depth}"]
-        lines += [f"{p} {c}" for p, c, _ in self.tree_edges]
-        lines += [f"{u} {v} extra" for u, v, _ in self.extra_edges]
-        return "\n".join(lines) + "\n"
-
     def ulam_map(self) -> dict[tuple[int, ...], int]:
         """Ulam-Harris address -> vertex id; defined for tree-shaped balls."""
         if self.extra_edges:
@@ -144,10 +137,3 @@ def to_rooted_tree(nb: Neighbourhood, weights: EmpiricalWeights,
             p = nb.parent[u]
             ids[u] = tree.add_child(ids[p], W[u], ew(p, u), vw(u), label=u)
     return tree
-
-
-def restricted_degree(graph: WeightedGraph, v: int, ignore: set[int]) -> set[int]:
-    """D_1^(U)(v): neighbours of v outside ``ignore``."""
-    if v in ignore:
-        raise ValueError("v must not be in the ignored set")
-    return {int(u) for u in graph.neighbors(v)} - set(ignore)

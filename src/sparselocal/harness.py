@@ -3,9 +3,10 @@
 Replicas are embarrassingly parallel and keyed by their stream id, so
 splitting a replica range across any number of workers reproduces the same
 pooled results bit for bit; aggregation is a deterministic fold in replica
-order.  Central-limit experiments condition on a single realized weight
-vector per n (weights are drawn once per (n, seed) and frozen across
-replicas).
+order.  A worker gets everything a replica needs with its task, so this
+holds under any process start method.  Central-limit experiments condition
+on a single realized weight vector per n (weights are drawn once per
+(n, seed) and frozen across replicas).
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtr
 
 from . import matching as app
-from .bounds import BoundParams, VertexSetSummary, epsilon_v_bound
-from .coupling import CouplingConfig, couple_full
+from .bounds import BoundParams, VertexSetSummary, default_k_n, epsilon_v_bound
+from .coupling import BREAK_REASONS, CouplingConfig, couple_full
 from .graph import sample_graph
 from .rng import format_seed, parse_seed
 from .weights import WeightSpec, moments, sample_empirical_weights
@@ -51,10 +53,13 @@ class ExperimentConfig:
             raise ValueError("n grid must be non-empty")
         if self.application not in ("edge-sum", "matching"):
             raise ValueError(f"unknown application {self.application!r}")
+        if self.application == "matching" and max(self.n_grid) > app.EXACT_SOLVER_LIMIT:
+            raise ValueError(f"matching is solved exactly, which needs every n <= "
+                             f"{app.EXACT_SOLVER_LIMIT}; got n = {max(self.n_grid)}")
 
     def k_n(self, n: int) -> float:
         if self.k_n_rule == "cbrt":
-            return float(np.ceil(n ** (1.0 / 3.0)))
+            return default_k_n(n)
         return float(self.k_n_rule)
 
     def canonical_json(self) -> str:
@@ -148,54 +153,31 @@ def estimate_variance(samples) -> VarianceEstimate:
 
 
 # ---- replica workers -------------------------------------------------------------------
-# The per-batch context is a module global set before the worker pool forks,
-# so replicas only receive their stream id; results are folded in replica
-# order, which makes pooled output independent of the worker count.
-
-_CTX: dict = {}
+# A replica receives its stream id; everything else is bound to the worker
+# function with functools.partial and travels with the task.  Results are
+# folded in replica order, which makes pooled output independent of the
+# worker count.
 
 
 class ReplicaFailure(RuntimeError):
     """A replica worker raised; the message carries the replica id."""
 
 
-def _set_context(**kw) -> None:
-    global _CTX
-    _CTX = kw
-
-
-def _clt_replica(stream: int) -> float:
-    c = _CTX
+def _clt_replica(weights, seed, application, mu_v, mu_e, stream: int) -> float:
     try:
-        graph = sample_graph(c["weights"], c["seed"], stream,
-                             mu_v=c["mu_v"], mu_e=c["mu_e"])
-        if c["application"] == "edge-sum":
+        graph = sample_graph(weights, seed, stream, mu_v=mu_v, mu_e=mu_e)
+        if application == "edge-sum":
             return app.dependent_edge_sum(graph)
-        if graph.n <= app.EXACT_SOLVER_LIMIT:
-            return app.max_weight_matching(graph).value
-        # tree-local diagnostic: lower recursion values over sampled roots
-        from .explore import explore, is_tree
-
-        total = 0.0
-        for v in range(min(graph.n, 50)):
-            nb = explore(graph, v, c["depth"])
-            if is_tree(nb):
-                total += app.matching_sandwich(nb, max(c["depth"], 1), graph).gL
-        return total
+        return app.max_weight_matching(graph).value
     except Exception as exc:
         raise ReplicaFailure(f"replica {stream}: {exc}") from exc
 
 
-def _coupling_replica(stream: int) -> list[tuple[int, bool, int | None, str | None]]:
-    c = _CTX
+def _coupling_replica(weights, seed, cfg, spec, mu_v, mu_e, roots,
+                      stream: int) -> list[tuple[int, bool, int | None, str | None]]:
     try:
-        graph = sample_graph(c["weights"], c["seed"], stream,
-                             mu_v=c["mu_v"], mu_e=c["mu_e"])
-        cfg = CouplingConfig(k_n=c["k_n"], depth=c["depth"],
-                             include_weights=c["mu_e"] is not None
-                             or c["mu_v"] is not None)
-        outcomes = couple_full(graph, list(c["roots"]), cfg, c["spec"],
-                               c["mu_e"], c["mu_v"])
+        graph = sample_graph(weights, seed, stream, mu_v=mu_v, mu_e=mu_e)
+        outcomes = couple_full(graph, list(roots), cfg, spec, mu_e, mu_v)
         return [(o.root, o.ok, o.break_level, o.break_reason) for o in outcomes]
     except Exception as exc:
         raise ReplicaFailure(f"replica {stream}: {exc}") from exc
@@ -220,9 +202,9 @@ def clt_experiment(cfg: ExperimentConfig) -> list[dict]:
     for n in cfg.n_grid:
         weights = sample_empirical_weights(cfg.weights, n, cfg.seed,
                                            stream=_WEIGHTS_STREAM + n)
-        _set_context(weights=weights, seed=cfg.seed, application=cfg.application,
-                     mu_v=cfg.vertex_weights, mu_e=cfg.edge_weights, depth=cfg.depth)
-        values = np.asarray(_map_replicas(_clt_replica, cfg.replicas, cfg.workers))
+        replica = partial(_clt_replica, weights, cfg.seed, cfg.application,
+                          cfg.vertex_weights, cfg.edge_weights)
+        values = np.asarray(_map_replicas(replica, cfg.replicas, cfg.workers))
         est = estimate_variance(values)
         scale = max(1.0, float(np.mean(values)) ** 2)
         degenerate = est.value <= 1e-12 * scale
@@ -234,8 +216,7 @@ def clt_experiment(cfg: ExperimentConfig) -> list[dict]:
             "n_over_sigma2": n / est.value if not degenerate else float("nan"),
             "ks": float("nan"),
             "degenerate": int(degenerate),
-            "mode": ("exact" if cfg.application == "edge-sum" or n <= app.EXACT_SOLVER_LIMIT
-                     else "tree-local-diagnostic"),
+            "mode": "exact",
             "seed": format_seed(cfg.seed),
             "config": chash,
         }
@@ -255,20 +236,20 @@ def coupling_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     rows = []
     outcome_rows = []
     chash = cfg.config_hash()
-    reasons_all = ("XneqZ", "ActiveCollision", "CompletedCollision", "SizeOverflow",
-                   "TypeRepeat", "WassersteinRedraw", "WeightMismatch")
     for n in cfg.n_grid:
         weights = sample_empirical_weights(cfg.weights, n, cfg.seed,
                                            stream=_WEIGHTS_STREAM + n)
         summ = moments(weights, spec=cfg.weights)
         roots = tuple(range(cfg.roots))
         for ell in range(1, cfg.depth + 1):
-            _set_context(weights=weights, seed=cfg.seed, depth=ell, k_n=cfg.k_n(n),
-                         spec=cfg.weights, mu_v=cfg.vertex_weights,
-                         mu_e=cfg.edge_weights, roots=roots)
-            results = _map_replicas(_coupling_replica, cfg.replicas, cfg.workers)
+            coupling = CouplingConfig(k_n=cfg.k_n(n), depth=ell,
+                                      include_weights=cfg.edge_weights is not None
+                                      or cfg.vertex_weights is not None)
+            replica = partial(_coupling_replica, weights, cfg.seed, coupling, cfg.weights,
+                              cfg.vertex_weights, cfg.edge_weights, roots)
+            results = _map_replicas(replica, cfg.replicas, cfg.workers)
             breaks = 0
-            hist = {r: 0 for r in reasons_all}
+            hist = {r: 0 for r in BREAK_REASONS}
             for t, per_root in enumerate(results):
                 replica_bad = False
                 for root, ok, lvl, reason in per_root:
@@ -278,7 +259,7 @@ def coupling_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
                         "break_reason": reason or "",
                     })
                     if not ok:
-                        if not replica_bad and reason in hist:
+                        if not replica_bad:
                             hist[reason] += 1
                         replica_bad = True
                 breaks += int(replica_bad)
@@ -291,7 +272,7 @@ def coupling_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
                 "rate": rate, "ci_low": max(rate - half, 0.0),
                 "ci_high": min(rate + half, 1.0), "bound": float(bound),
                 "violation": int(max(rate - half, 0.0) > bound),
-                **{f"reason_{r}": hist[r] for r in reasons_all},
+                **{f"reason_{r}": hist[r] for r in BREAK_REASONS},
                 "seed": format_seed(cfg.seed), "config": chash,
             })
     return rows, outcome_rows

@@ -21,13 +21,14 @@ oscillates between levels.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .rng import stream_rng
 from .trees import RootedWeightedTree
-from .weights import EmpiricalWeights, WeightSpec
+from .weights import EmpiricalSizeBiased, EmpiricalWeights, WeightSpec
 
 _LIMIT_TAG = 21
 _IMT_TAG = 22
@@ -85,25 +86,26 @@ def sample_intermediate_tree(weights: EmpiricalWeights, v: int, depth: int,
         raise ValueError("depth must be non-negative")
     if rng is None:
         rng = stream_rng(seed, stream, _IMT_TAG)
-    W = weights.W
-    lam = weights.lambda_n
-    scale = lam / (weights.n * weights.theta)
-    cum = np.cumsum(W / lam)
-    tree = RootedWeightedTree(W[v], depth, root_label=int(v))
-    frontier = [(0, float(W[v]) * scale)]
-    for d in range(depth):
-        nxt = []
-        for node, mean in frontier:
-            k = rng.poisson(mean)
-            if tree.node_count + k > max_nodes:
-                raise TreeBudgetExceeded(f"intermediate tree exceeded {max_nodes} nodes")
-            if k:
-                picks = np.searchsorted(cum, rng.random(k), side="left")
-                for j in picks:
-                    child = tree.add_child(node, W[j], label=int(j))
-                    nxt.append((child, float(W[j]) * scale))
-        frontier = nxt
+    tree = RootedWeightedTree(weights.W[v], depth, root_label=int(v))
+    grow_intermediate(tree, [0], weights.size_biased(), rng, max_nodes)
     return tree
+
+
+def grow_intermediate(tree: RootedWeightedTree, frontier: list[int],
+                      law: EmpiricalSizeBiased, rng: np.random.Generator,
+                      max_nodes: int) -> None:
+    """Grow the frontier nodes breadth first to the tree's depth with the
+    intermediate law: every node draws its children from ``law``."""
+    queue = deque(frontier)
+    while queue:
+        node = queue.popleft()
+        if tree.node_depth[node] >= tree.depth:
+            continue
+        picks = law.offspring(tree.labels[node], rng)
+        if tree.node_count + picks.size > max_nodes:
+            raise TreeBudgetExceeded(f"intermediate tree exceeded {max_nodes} nodes")
+        for j in picks:
+            queue.append(tree.add_child(node, law.W[j], label=int(j)))
 
 
 def graft(t: RootedWeightedTree, t2: RootedWeightedTree, w: float) -> RootedWeightedTree:

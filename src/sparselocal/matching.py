@@ -243,17 +243,6 @@ def dependent_edge_sum(graph: WeightedGraph) -> float:
     return float(np.sum(wu) + np.sum(wv))
 
 
-def dependent_edge_sum_by_degree(graph: WeightedGraph) -> float:
-    """The same sum written as sum_v deg(v) w_v."""
-    if graph.mu_v is None:
-        raise ValueError("dependent edge sum needs vertex weights")
-    deg = graph.degrees()
-    live = np.flatnonzero(deg)
-    if live.size == 0:
-        return 0.0
-    return float(np.sum(deg[live] * graph.vertex_weight(live)))
-
-
 def delta_N(graph: WeightedGraph, site) -> float:
     """Closed-form change of N when one site is resampled.
 

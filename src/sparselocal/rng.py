@@ -30,6 +30,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = np.uint64
+_BELOW_ONE = np.float64(1.0 - 2.0 ** -53)  # the largest double below 1
 
 
 def _mix(h):
@@ -67,14 +68,24 @@ class SiteRandom:
         Unordered pair sites must be canonicalized (a <= b) by the caller.
         The value is strictly inside (0,1) so it can feed quantile functions.
         """
-        h = self._hash_words(kind, a, b, flag)
-        return (np.asarray(h >> np.uint64(11), dtype=np.float64) + 0.5) * 2.0 ** -53
+        return _unit_interval(self._hash_words(kind, a, b, flag))
 
     def edge_uniform(self, kind: int, u, v, flag: int = PRIMARY):
         """Uniform for an unordered pair site; orders the endpoints itself."""
         u = np.asarray(u, dtype=np.uint64)
         v = np.asarray(v, dtype=np.uint64)
         return self.uniform(kind, np.minimum(u, v), np.maximum(u, v), flag)
+
+
+def _unit_interval(h):
+    """Map 64-bit hashes to the midpoints of 2^53 equal cells of (0,1).
+
+    Above 2^52 the midpoint (j + 0.5) 2^-53 is not representable and rounds
+    to even; for the top cell that is 1.0, so the result is capped at the
+    largest double below 1.
+    """
+    u = (np.asarray(h >> np.uint64(11), dtype=np.float64) + 0.5) * 2.0 ** -53
+    return np.minimum(u, _BELOW_ONE)
 
 
 def parse_seed(text: str) -> tuple[int, int]:

@@ -63,9 +63,6 @@ class RootedWeightedTree:
     def height(self) -> int:
         return max(self.node_depth)
 
-    def nodes_at_depth(self, d: int) -> list[int]:
-        return [i for i, nd in enumerate(self.node_depth) if nd == d]
-
     def address(self, node: int) -> tuple[int, ...]:
         """Ulam-Harris address (1-based child indices along the root path)."""
         path = []
@@ -88,9 +85,6 @@ class RootedWeightedTree:
             mapping[node] = out.add_child(p, self.type_w[node], self.edge_w[node],
                                           self.vertex_w[node], self.labels[node])
         return out
-
-    def total_type_weight(self) -> float:
-        return float(np.sum(self.type_w))
 
     def __repr__(self):
         return (f"RootedWeightedTree(nodes={self.node_count}, depth={self.depth}, "
@@ -116,10 +110,3 @@ def canonical_code(tree: RootedWeightedTree, with_types: bool = True) -> bytes:
         head = scalar(tree.type_w[node]) if with_types else b""
         code[node] = b"(" + head + scalar(tree.vertex_w[node]) + b"".join(blocks) + b")"
     return code[0]
-
-
-def code_hex(code: bytes) -> str:
-    """Short hex digest of a canonical code for debug dumps."""
-    import hashlib
-
-    return hashlib.sha256(code).hexdigest()[:16]

@@ -176,11 +176,6 @@ def exponential(rate: float = 1.0) -> WeightSpec:
     return WeightSpec("gamma", shape=1.0, scale=1.0 / rate)
 
 
-def size_biased(spec: WeightSpec) -> WeightSpec:
-    """The size-biased companion law; mean E[W^2]/E[W]."""
-    return spec.size_biased()
-
-
 @dataclass
 class EmpiricalWeights:
     """A realized connectivity-weight vector and the model constant theta."""
@@ -201,6 +196,54 @@ class EmpiricalWeights:
     @property
     def lambda_n(self) -> float:
         return float(self.W.sum())
+
+    def size_biased(self) -> "EmpiricalSizeBiased":
+        """The empirical size-biased law; mirrors :meth:`WeightSpec.size_biased`."""
+        lam = self.lambda_n
+        order = np.argsort(self.W, kind="stable")
+        upper = np.cumsum(self.W[order] / lam)
+        upper[-1] = 1.0
+        lo = np.empty(self.n)
+        hi = np.empty(self.n)
+        hi[order] = upper
+        lo[order[0]] = 0.0
+        lo[order[1:]] = upper[:-1]
+        return EmpiricalSizeBiased(W=self.W, scale=lam / (self.n * self.theta),
+                                   cum=np.cumsum(self.W / lam), lo=lo, hi=hi)
+
+
+@dataclass(frozen=True, eq=False)
+class EmpiricalSizeBiased:
+    """Vertex i with probability W_i / Lambda_n: the intermediate tree's type law.
+
+    An individual of type W_i has Poi(W_i * scale) children, with
+    scale = Lambda_n / (n theta).  ``cum`` is the cumulative table in vertex
+    order, which label draws invert; ``lo``/``hi`` give each vertex its CDF
+    interval in weight order, which the quantile coupling to the limiting
+    size-biased law needs.  The tables are O(n), so one is built per coupling
+    call and not kept across replicas.
+    """
+
+    W: np.ndarray
+    scale: float
+    cum: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def offspring(self, label: int, rng: np.random.Generator) -> np.ndarray:
+        """Labels of a type-W_label individual's children: Poisson count, i.i.d. labels."""
+        k = rng.poisson(self.W[label] * self.scale)
+        if not k:
+            return np.empty(0, dtype=np.int64)
+        return np.searchsorted(self.cum, rng.random(k), side="left")
+
+    def draw(self, rng: np.random.Generator) -> int:
+        """One label."""
+        return int(np.searchsorted(self.cum, rng.random(), side="left"))
+
+    def interval(self, label: int) -> tuple[float, float]:
+        """The CDF interval (lo, hi] of ``label`` in weight order."""
+        return self.lo[label], self.hi[label]
 
 
 @dataclass

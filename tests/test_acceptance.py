@@ -41,27 +41,12 @@ def report(num, name, ok, detail, elapsed, limit):
     assert elapsed < limit, line
 
 
-def brute_force_matching(n, edges):
-    best = 0.0
-
-    def rec(idx, used, acc):
-        nonlocal best
-        best = max(best, acc)
-        for i in range(idx, len(edges)):
-            u, v, w = edges[i]
-            if not (used >> u & 1) and not (used >> v & 1):
-                rec(i + 1, used | 1 << u | 1 << v, acc + w)
-
-    rec(0, 0, 0.0)
-    return best
-
-
 def random_edges(rng, n, p=0.5):
     return [(u, v, float(rng.exponential())) for u in range(n)
             for v in range(u + 1, n) if rng.random() < p]
 
 
-def test_criterion_01_exact_matching_oracle():
+def test_criterion_01_exact_matching_oracle(brute_force_matching):
     t0 = time.time()
     rng = np.random.default_rng(101)
     bad = 0

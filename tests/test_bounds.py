@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from sparselocal.bounds import (BoundParams, VertexSetSummary, clt_bound,
                                 degree_moment_bound, edge_in_ball_bound,
                                 epsilon_rho_sequences, epsilon_v_bound, eta_bound,
-                                maincoup_bound, mean_pweight_bound, mean_size_bound,
+                                mean_pweight_bound, mean_size_bound,
                                 not_tree_bound, path_bound, structural_bounds,
                                 vertex_in_ball_bound)
 from sparselocal.weights import EmpiricalWeights, MomentSummary, WeightSpec, moments
@@ -83,12 +83,6 @@ def test_eta_monotone_in_level():
         p = make_params(ell=ell)
         vals.append(eta_bound(p, vs))
     assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-
-def test_maincoup_equals_eta():
-    p = make_params(alpha=0.05, kappa={1: 0.01, 2: 0.02})
-    vs = VertexSetSummary(count=3, weight=4.0, weight_sq=7.0, weight_excess=0.1)
-    assert maincoup_bound(p, vs) == eta_bound(p, vs)
 
 
 def test_epsilon_v_reduces_to_eta_without_tv():

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import sparselocal
 from sparselocal.cli import main
 
 CONFIG = {
@@ -118,6 +121,30 @@ def test_workers_do_not_change_csv_bytes(config_path, tmp_path):
     assert a == b
 
 
+def test_workers_under_spawn_start_method(tmp_path):
+    # spawned workers inherit no module state: each task carries its replica context
+    cfg = dict(CONFIG, weights={"family": "constant", "c": 1.0}, replicas=12,
+               depth=1, n_grid=[150], edge_weights={"family": "gamma", "shape": 1.0,
+                                                    "scale": 1.0})
+    path = tmp_path / "spawn.json"
+    path.write_text(json.dumps(cfg))
+    script = ("import multiprocessing, sys\n"
+              "multiprocessing.set_start_method('spawn')\n"
+              "from sparselocal.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sparselocal.__file__)))
+    outputs = []
+    for command, name in (("couple", "coupling_outcomes.csv"), ("clt", "clt_edge-sum.csv")):
+        for workers in ("1", "2"):
+            out = str(tmp_path / f"{command}-w{workers}")
+            run = subprocess.run([sys.executable, "-c", script, command, "--config",
+                                  str(path), "--out-dir", out, "--workers", workers],
+                                 env=env, capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            outputs.append(open(os.path.join(out, name), "rb").read())
+    assert outputs[0] == outputs[1] and outputs[2] == outputs[3]
+
+
 def test_app_flag_overrides_config(tmp_path):
     cfg = dict(CONFIG, n_grid=[14], replicas=30,
                edge_weights={"family": "gamma", "shape": 1.0, "scale": 1.0})
@@ -127,6 +154,10 @@ def test_app_flag_overrides_config(tmp_path):
     assert main(["clt", "--config", str(path), "--out-dir", out,
                  "--app", "matching"]) == 0
     assert os.path.exists(os.path.join(out, "clt_matching.csv"))
+    # matching is solved exactly, so sizes beyond the exact solver are a config error
+    path.write_text(json.dumps(dict(cfg, n_grid=[14, 30])))
+    assert main(["clt", "--config", str(path), "--out-dir", out,
+                 "--app", "matching"]) == 2
 
 
 def test_env_seed_override(config_path, tmp_path, capsys, monkeypatch):

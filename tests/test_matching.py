@@ -5,29 +5,13 @@ from scipy.integrate import quad
 from sparselocal.explore import explore
 from sparselocal.graph import WeightedGraph, sample_graph
 from sparselocal.matching import (EXACT_SOLVER_LIMIT, Matching, delta_N,
-                                  dependent_edge_sum, dependent_edge_sum_by_degree,
-                                  envelope_bound, h_k, h_value, matching_sandwich,
-                                  matching_value, max_weight_matching)
+                                  dependent_edge_sum, envelope_bound, h_k, h_value,
+                                  matching_sandwich, matching_value, max_weight_matching)
 from sparselocal.trees import RootedWeightedTree
 from sparselocal.weights import EmpiricalWeights, WeightSpec, exponential, \
     sample_empirical_weights
 
 SEED = (1234, 5678)
-
-
-def brute_force_matching(n, edges):
-    best = 0.0
-
-    def rec(idx, used, acc):
-        nonlocal best
-        best = max(best, acc)
-        for i in range(idx, len(edges)):
-            u, v, w = edges[i]
-            if not (used >> u & 1) and not (used >> v & 1):
-                rec(i + 1, used | 1 << u | 1 << v, acc + w)
-
-    rec(0, 0, 0.0)
-    return best
 
 
 def random_instance(rng, n_max=8, p=0.5):
@@ -64,7 +48,7 @@ def test_matching_invariant():
         Matching(edges=[(0, 1), (1, 2)], value=2.0)
 
 
-def test_against_brute_force():
+def test_against_brute_force(brute_force_matching):
     rng = np.random.default_rng(5)
     for _ in range(150):
         n, edges = random_instance(rng)
@@ -354,6 +338,15 @@ def test_dependent_sum_single_edge():
                       mu_v=WeightSpec("gamma", shape=2.0, scale=1.0))
     assert dependent_edge_sum(g) == pytest.approx(
         g.vertex_weight(0) + g.vertex_weight(1))
+
+
+def dependent_edge_sum_by_degree(graph):
+    """N(G) written as sum_v deg(v) w_v: the oracle for dependent_edge_sum."""
+    deg = graph.degrees()
+    live = np.flatnonzero(deg)
+    if live.size == 0:
+        return 0.0
+    return float(np.sum(deg[live] * graph.vertex_weight(live)))
 
 
 def test_both_formulas_agree():

@@ -28,6 +28,18 @@ def test_site_uniform_deterministic_and_in_open_interval():
     assert 0.0 < u1 < 1.0
 
 
+def test_unit_interval_top_hash_stays_below_one():
+    # (2^53 - 1) + 0.5 rounds to 2^53, so the top hash would map to exactly 1.0
+    top = srng._unit_interval(np.uint64(2 ** 64 - 1))
+    assert top == 1.0 - 2.0 ** -53
+    assert 0.0 < top < 1.0
+    # every other hash keeps the midpoint conversion bit for bit
+    cells = np.array([0, 1, 2 ** 52, 2 ** 53 - 2], dtype=np.uint64)
+    u = srng._unit_interval(cells << np.uint64(11))
+    assert np.array_equal(u, (cells.astype(np.float64) + 0.5) * 2.0 ** -53)
+    assert np.all((0.0 < u) & (u < 1.0))
+
+
 def test_site_uniform_varies_with_every_key_part():
     s = SiteRandom((1, 2), 0)
     base = s.uniform(srng.KIND_EDGE_WEIGHT, 10, 20, srng.PRIMARY)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -5,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparselocal.trees import RootedWeightedTree, canonical_code, code_hex
+from sparselocal.trees import RootedWeightedTree, canonical_code
+
+
+def code_hex(code: bytes) -> str:
+    """Short hex digest of a canonical code for debug dumps."""
+    return hashlib.sha256(code).hexdigest()[:16]
 
 
 def tree_from_parents(parents, types=None, vws=None, ews=None):
