@@ -5,8 +5,8 @@ of graph functionals."""
 
 from .bounds import (BoundParams, VertexSetSummary, clt_bound, epsilon_rho_sequences,
                      epsilon_v_bound, eta_bound, structural_bounds)
-from .coupling import (CouplingConfig, CouplingOutcome, couple_bernoulli_poisson,
-                       couple_full, couple_intermediate_to_limit,
+from .coupling import (CouplingConfig, CouplingOutcome, couple_full,
+                       couple_intermediate_to_limit,
                        couple_neighbourhood_to_intermediate, repair_independence)
 from .explore import Neighbourhood, explore, is_tree, to_rooted_tree
 from .graph import (PerturbationSet, WeightedGraph, edge_probability, perturb,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundParams", "VertexSetSummary", "clt_bound", "epsilon_rho_sequences",
     "epsilon_v_bound", "eta_bound", "structural_bounds",
-    "CouplingConfig", "CouplingOutcome", "couple_bernoulli_poisson", "couple_full",
+    "CouplingConfig", "CouplingOutcome", "couple_full",
     "couple_intermediate_to_limit", "couple_neighbourhood_to_intermediate",
     "repair_independence",
     "Neighbourhood", "explore", "is_tree", "to_rooted_tree",

@@ -2,12 +2,13 @@
 
 The pipeline has three stages with per-stage break accounting:
 
-1. joint exploration: the ball around a root is explored while the
-   intermediate tree is emitted from Bernoulli/Poisson-coupled edge sites;
-   the coupling breaks at the first level where a coupled pair disagrees,
-   a Poisson child points back into the active set, a fresh Poisson copy
-   points into the completed set, or the explored connectivity weight
-   exceeds the size threshold k_n;
+1. joint exploration: the ball around a root is explored (``explore``) and
+   the intermediate tree is emitted alongside it from Bernoulli/Poisson-
+   coupled edge sites, of which only the realized neighbours' can be
+   nonzero; the coupling breaks at the first level where a coupled pair
+   disagrees, a Poisson child points back into the active set, a fresh
+   Poisson copy points into the completed set, or the explored
+   connectivity weight exceeds the size threshold k_n;
 2. independence repair across roots: a joint breadth-first pass replaces
    repeated vertex types by fresh subtrees so the trees are independent;
 3. redraw to the limit: per node, the empirical type is coupled to the
@@ -21,13 +22,14 @@ tree statistics stay exactly distributed as direct sampling.
 
 from __future__ import annotations
 
+import bisect
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .bounds import default_k_n
-from .explore import Neighbourhood
+from .explore import Neighbourhood, explore
 from .graph import WeightedGraph
 from .limit_trees import DEFAULT_NODE_BUDGET, grow_intermediate
 from .rng import stream_rng
@@ -86,30 +88,44 @@ class CouplingOutcome:
             self.break_reason = reason
 
 
-# ---- elementary Bernoulli/Poisson coupling ----------------------------------------
+# ---- Poisson quantiles --------------------------------------------------------------
+
+
+def _poisson_p0(lam: np.ndarray) -> np.ndarray:
+    """P(Poisson(lam) = 0), refusing lam where exp(-lam) underflows to 0."""
+    p0 = np.exp(-lam)
+    gone = (p0 == 0.0) & (lam > 0)
+    if np.any(gone):
+        raise ValueError(f"Poisson pmf underflows at lam={float(lam[gone][0])!r}")
+    return p0
 
 
 def poisson_icdf(lam, u):
-    """Inverse CDF of Poisson(lam) at u; vectorized, exact summation."""
+    """Inverse CDF of Poisson(lam) at u; vectorized, exact summation.
+
+    Each entry is summed up to its own cap lam + 40 sqrt(lam + 1) + 60; an
+    entry whose u the summed CDF has not reached by then raises ValueError,
+    as does a lam so large that exp(-lam) underflows.
+    """
     lam = np.asarray(lam, dtype=float)
     u = np.asarray(u, dtype=float)
     lam, u = np.broadcast_arrays(lam, u)
     out = np.zeros(lam.shape, dtype=np.int64)
-    pmf = np.exp(-lam)
+    pmf = _poisson_p0(lam)
     cdf = pmf.copy()
     unresolved = u > cdf
-    if lam.size == 0:
-        return out
-    top = float(np.max(lam))
-    kmax = int(top + 40.0 * np.sqrt(top + 1.0) + 60.0)
+    cap = np.floor(lam + 40.0 * np.sqrt(lam + 1.0) + 60.0)
     k = 0
-    while unresolved.any() and k < kmax:
+    while unresolved.any():
+        stuck = unresolved & (k >= cap)
+        if np.any(stuck):
+            raise ValueError(f"Poisson quantile unresolved after {k} terms at "
+                             f"lam={float(lam[stuck][0])!r}, u={float(u[stuck][0])!r}")
         k += 1
         pmf = pmf * lam / k
         cdf = cdf + pmf
         out[unresolved & (u <= cdf)] = k
         unresolved = u > cdf
-    out[unresolved] = kmax
     return out
 
 
@@ -119,7 +135,7 @@ def poisson_cdf_interval(k: int, lam: float) -> tuple[float, float]:
     Sharing the summation with the inverse guarantees that a uniform drawn
     inside this interval inverts back to k bit-for-bit.
     """
-    pmf = np.exp(-lam)
+    pmf = _poisson_p0(np.asarray(lam, dtype=float))
     cdf = pmf
     lo = 0.0
     for j in range(1, k + 1):
@@ -131,23 +147,6 @@ def poisson_cdf_interval(k: int, lam: float) -> tuple[float, float]:
     return lo, cdf
 
 
-def couple_bernoulli_poisson(p_prime, u):
-    """Comonotone (X, Z) from one shared uniform per site.
-
-    X = 1{u > 1 - min(p', 1)} is Bernoulli(min(p', 1)), Z the Poisson(p')
-    quantile at the same u.  Routing both through the intermediate
-    Poisson(min(p', 1)) quantile shows P(X != Z) <= p'^2 + p' 1{p' >= 1}.
-    """
-    p_prime = np.asarray(p_prime, dtype=float)
-    u = np.asarray(u, dtype=float)
-    pe = np.minimum(p_prime, 1.0)
-    x = (u > 1.0 - pe).astype(np.int64)
-    z = poisson_icdf(p_prime, u)
-    if x.ndim == 0:
-        return int(x), int(z)
-    return x, z
-
-
 # ---- stage 1: neighbourhood to intermediate tree -----------------------------------
 
 
@@ -155,136 +154,80 @@ def couple_neighbourhood_to_intermediate(graph: WeightedGraph, root: int,
                                          cfg: CouplingConfig,
                                          rng: np.random.Generator | None = None
                                          ) -> CouplingOutcome:
-    """Explore the ball and emit the coupled intermediate tree simultaneously.
+    """Explore the ball and emit the coupled intermediate tree alongside it.
 
-    The graph side is exactly the breadth-first exploration of the realized
-    ball.  The tree side consumes, for the currently explored vertex, the
-    coupled Poisson Z for unexplored and active types and fresh copies Z*
-    for completed types (and the diagonal), so it is distributed as the
-    intermediate tree no matter whether the coupling breaks.  Breaks are
-    data, not errors.
+    The graph side is the plain breadth-first exploration of the realized
+    ball.  The tree side visits the ball's vertices v_j in the same order
+    and, while the coupling holds, gives v_j the coupled Poisson Z for every
+    unexplored or active type and fresh copies Z* for the completed types
+    and the diagonal, so it is distributed as the intermediate tree whether
+    or not the coupling breaks.  Breaks are data, not errors.
+
+    Only the sites of v_j's realized, not yet completed neighbours are
+    evaluated.  At any other unexplored or active site X = 0, so the shared
+    uniform is aux (1 - p'_e) <= 1 - p'_e <= exp(-p'), which is P(Z = 0): its
+    Z is 0, agrees with X and names no child.  Hence the coupling breaks
+    with XneqZ when some neighbour site has Z != 1, else with
+    ActiveCollision when a neighbour of v_j is already active, else with
+    CompletedCollision when some Z* > 0.  On a break v_j's children are its
+    Z and Z* types in random order, and the unfinished part of the tree
+    grows on from fresh randomness.
     """
     if rng is None:
         rng = stream_rng(graph.seed, graph.stream, _COUPLE_TAG, root)
-    n, depth = graph.n, cfg.depth
+    nb = explore(graph, root, cfg.depth)
     W = graph.weights.W
-    theta = graph.theta
-    status = np.zeros(n, dtype=np.int8)  # 0 unexplored, 1 active, 2 completed
-    status[root] = 1
-
-    levels: list[list[int]] = [[root]]
-    tree_edges: list[tuple[int, int, int]] = []
-    extra_edges: list[tuple[int, int, int]] = []
-    parent: dict[int, int] = {}
-    children: dict[int, list[int]] = {root: []}
-    order = [root]
-
-    tree = RootedWeightedTree(W[root], depth, root_label=int(root))
-    outcome_break: tuple[int, str] | None = None
-    attached = True
-    detached_frontier: list[int] = []
-
-    current = [root]
-    tree_current = [0]
+    scale = graph.n * graph.theta
+    position = {v: i for i, v in enumerate(nb.order)}
+    tree = RootedWeightedTree(W[root], cfg.depth, root_label=int(root))
+    outcome = CouplingOutcome(root=root, depth=cfg.depth, neighbourhood=nb, tree=tree,
+                              ok=True)
+    completed: list[int] = []  # ascending
     weight_seen = float(W[root])
+    tree_level = [0]
+    detached: list[int] = []
 
-    for r in range(depth):
-        nxt: list[int] = []
+    for r in range(cfg.depth):
         tree_next: list[int] = []
-        for i, vj in enumerate(current):
-            nbrs = graph.neighbors(vj)
-            # graph side bookkeeping (identical to the plain exploration)
-            i_j: list[int] = []
-            for u in nbrs:
-                u = int(u)
-                if status[u] == 2:
-                    continue
-                if status[u] == 0:
-                    i_j.append(u)
-                elif u != vj:
-                    extra_edges.append((vj, u, r))
-            if attached:
-                tnode = tree_current[i]
-                # coupled sites: unexplored and active types except vj itself
-                mask = status <= 1
-                mask[vj] = False
-                us = np.flatnonzero(mask)
-                pprime = W[vj] * W[us] / (n * theta)
-                x_vec = np.zeros(us.size, dtype=np.int64)
-                if us.size and len(nbrs):
-                    pos = np.searchsorted(us, nbrs)
-                    hit = (pos < us.size) & (us[np.minimum(pos, us.size - 1)] == nbrs)
-                    x_vec[pos[hit]] = 1
-                aux = graph.coupling_uniform(vj, us)
-                pe = np.minimum(pprime, 1.0)
-                u_shared = np.where(x_vec == 1, 1.0 - pe + aux * pe, aux * (1.0 - pe))
-                z = poisson_icdf(pprime, u_shared)
-                # fresh copies for completed types and the diagonal
-                us_c = np.flatnonzero(status == 2)
-                us_c = np.append(us_c, vj)
-                zstar = poisson_icdf(W[vj] * W[us_c] / (n * theta),
-                                     graph.zstar_uniform(root, vj, us_c))
-
-                step_break = None
-                if np.any(x_vec != z):
-                    step_break = BREAK_X_NEQ_Z
-                elif np.any(z[status[us] == 1] > 0):
-                    step_break = BREAK_ACTIVE
-                elif np.any(zstar > 0):
-                    step_break = BREAK_COMPLETED
-
-                if step_break is None:
-                    for u in i_j:
-                        tree_next.append(tree.add_child(tnode, W[u], label=int(u)))
-                else:
-                    outcome_break = (r + 1, step_break)
-                    # children were generated regardless; relabel them randomly
-                    types = np.concatenate((np.repeat(us, z), np.repeat(us_c, zstar)))
-                    for u in rng.permutation(types):
-                        tree_next.append(tree.add_child(tnode, W[u], label=int(u)))
-                    attached = False
-                    detached_frontier = tree_current[i + 1:] + tree_next
-                    tree_next = []
-            # advance the graph exploration
-            for u in i_j:
-                status[u] = 1
-                parent[u] = vj
-                children[vj].append(u)
-                children[u] = []
-                tree_edges.append((vj, u, r + 1))
-                nxt.append(u)
-                order.append(u)
-                weight_seen += float(W[u])
-            status[vj] = 2
-
-        if attached and weight_seen > cfg.k_n:
-            outcome_break = (r + 1, BREAK_OVERFLOW)
-            attached = False
-            detached_frontier = tree_next
-            tree_next = []
-
-        levels.append(nxt)
-        current = nxt
-        tree_current = tree_next
-        if not nxt and attached and not tree_current:
-            levels.extend([[]] * (depth - r - 1))
+        for i, vj in enumerate(nb.levels[r]):
+            sites = np.array([u for u in graph.neighbors(vj).tolist()
+                              if position[u] > position[vj]], dtype=np.int64)
+            pprime = W[vj] * W[sites] / scale
+            pe = np.minimum(pprime, 1.0)
+            z = poisson_icdf(pprime, 1.0 - pe + graph.coupling_uniform(vj, sites) * pe)
+            stars = np.append(np.array(completed, dtype=np.int64), vj)
+            zstar = poisson_icdf(W[vj] * W[stars] / scale,
+                                 graph.zstar_uniform(root, vj, stars))
+            if np.any(z != 1):
+                reason = BREAK_X_NEQ_Z
+            elif sites.size > len(nb.children[vj]):
+                reason = BREAK_ACTIVE
+            elif np.any(zstar > 0):
+                reason = BREAK_COMPLETED
+            else:
+                tree_next.extend(tree.add_child(tree_level[i], W[u], label=u)
+                                 for u in nb.children[vj])
+                bisect.insort(completed, vj)
+                continue
+            types = np.concatenate((np.repeat(sites, z), np.repeat(stars, zstar)))
+            kids = [tree.add_child(tree_level[i], W[u], label=int(u))
+                    for u in rng.permutation(types)]
+            outcome.record_break(r + 1, reason)
+            detached = tree_level[i + 1:] + tree_next + kids
             break
+        if not outcome.ok:
+            break
+        for u in nb.levels[r + 1]:
+            weight_seen += float(W[u])
+        if weight_seen > cfg.k_n:
+            outcome.record_break(r + 1, BREAK_OVERFLOW)
+            detached = tree_next
+            break
+        tree_level = tree_next
 
-    if not attached and detached_frontier:
-        grow_intermediate(tree, detached_frontier, graph.weights.size_biased(), rng,
+    if detached:
+        grow_intermediate(tree, detached, graph.weights.size_biased(), rng,
                           DEFAULT_NODE_BUDGET)
-
-    while len(levels) < depth + 1:
-        levels.append([])
-
-    nb = Neighbourhood(root=root, depth=depth, levels=levels, tree_edges=tree_edges,
-                       extra_edges=extra_edges, parent=parent, children=children,
-                       order=order)
-    outcome = CouplingOutcome(root=root, depth=depth, neighbourhood=nb, tree=tree,
-                              ok=outcome_break is None)
-    if outcome_break is not None:
-        outcome.ok = True  # let record_break set the fields
-        outcome.record_break(*outcome_break)
     return outcome
 
 
@@ -345,10 +288,7 @@ def repair_independence(outcomes: list[CouplingOutcome], law: EmpiricalSizeBiase
 
     result = []
     for t, out in enumerate(outcomes):
-        new_out = CouplingOutcome(root=out.root, depth=out.depth,
-                                  neighbourhood=out.neighbourhood, tree=rebuilt[t],
-                                  ok=out.ok, break_level=out.break_level,
-                                  break_reason=out.break_reason, flags=set(out.flags))
+        new_out = replace(out, tree=rebuilt[t], flags=set(out.flags))
         if repeated[t] is not None:
             new_out.record_break(repeated[t], BREAK_REPEAT)
         result.append(new_out)
@@ -459,10 +399,7 @@ def couple_full(graph: WeightedGraph, roots: list[int], cfg: CouplingConfig,
     final: list[CouplingOutcome] = []
     for out in repaired:
         limit, ok3, lvl3 = couple_intermediate_to_limit(out.tree, law, spec, rng=rng)
-        res = CouplingOutcome(root=out.root, depth=out.depth,
-                              neighbourhood=out.neighbourhood, tree=limit,
-                              ok=out.ok, break_level=out.break_level,
-                              break_reason=out.break_reason, flags=set(out.flags))
+        res = replace(out, tree=limit, flags=set(out.flags))
         if not ok3:
             res.record_break(lvl3, BREAK_REDRAW)
         if cfg.include_weights:

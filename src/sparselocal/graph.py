@@ -154,10 +154,7 @@ class WeightedGraph:
         v_arr = np.asarray(v, dtype=np.int64)
         flag = np.where(self._flipped_vertex_mask(v_arr) ^ replacement,
                         srng.REPLACEMENT, srng.PRIMARY)
-        # evaluate both streams and select: keeps vectorization simple
-        u_pri = self._sites.uniform(srng.KIND_VERTEX_WEIGHT, v_arr, 0, srng.PRIMARY)
-        u_rep = self._sites.uniform(srng.KIND_VERTEX_WEIGHT, v_arr, 0, srng.REPLACEMENT)
-        out = spec.quantile(np.where(flag == srng.PRIMARY, u_pri, u_rep))
+        out = spec.quantile(self._sites.uniform(srng.KIND_VERTEX_WEIGHT, v_arr, 0, flag))
         return out if out.ndim else float(out)
 
     def edge_weight(self, u, v, replacement: bool = False):
@@ -166,9 +163,8 @@ class WeightedGraph:
         v_arr = np.asarray(v, dtype=np.int64)
         flag = np.where(self._flipped_edge_mask(u_arr, v_arr) ^ replacement,
                         srng.REPLACEMENT, srng.PRIMARY)
-        u_pri = self._sites.edge_uniform(srng.KIND_EDGE_WEIGHT, u_arr, v_arr, srng.PRIMARY)
-        u_rep = self._sites.edge_uniform(srng.KIND_EDGE_WEIGHT, u_arr, v_arr, srng.REPLACEMENT)
-        out = spec.quantile(np.where(flag == srng.PRIMARY, u_pri, u_rep))
+        out = spec.quantile(self._sites.edge_uniform(srng.KIND_EDGE_WEIGHT, u_arr, v_arr,
+                                                     flag))
         return out if out.ndim else float(out)
 
     def coupling_uniform(self, u, v):

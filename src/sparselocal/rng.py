@@ -62,15 +62,15 @@ class SiteRandom:
         h = _absorb(h, b)
         return _absorb(h, flag)
 
-    def uniform(self, kind: int, a, b=0, flag: int = PRIMARY):
-        """Uniform(0,1) for site (kind, a, b, flag); vectorizes over a or b.
+    def uniform(self, kind: int, a, b=0, flag=PRIMARY):
+        """Uniform(0,1) for site (kind, a, b, flag); broadcasts over a, b and flag.
 
         Unordered pair sites must be canonicalized (a <= b) by the caller.
         The value is strictly inside (0,1) so it can feed quantile functions.
         """
         return _unit_interval(self._hash_words(kind, a, b, flag))
 
-    def edge_uniform(self, kind: int, u, v, flag: int = PRIMARY):
+    def edge_uniform(self, kind: int, u, v, flag=PRIMARY):
         """Uniform for an unordered pair site; orders the endpoints itself."""
         u = np.asarray(u, dtype=np.uint64)
         v = np.asarray(v, dtype=np.uint64)

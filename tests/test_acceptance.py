@@ -16,8 +16,8 @@ from scipy import stats
 
 from sparselocal.bounds import BoundParams, VertexSetSummary, epsilon_v_bound, \
     degree_moment_bound, mean_pweight_bound, not_tree_bound, vertex_in_ball_bound
-from sparselocal.coupling import (CouplingConfig, couple_bernoulli_poisson,
-                                  couple_full, couple_neighbourhood_to_intermediate)
+from sparselocal.coupling import (CouplingConfig, couple_full,
+                                  couple_neighbourhood_to_intermediate)
 from sparselocal.explore import explore
 from sparselocal.graph import PerturbationSet, perturb, sample_graph
 from sparselocal.harness import ExperimentConfig, clt_experiment
@@ -201,7 +201,7 @@ def test_criterion_06_break_rate_dominated_by_epsilon():
            f"rate {worst[3]:.4f} vs bound {worst[4]:.3f}", time.time() - t0, 900)
 
 
-def test_criterion_07_bernoulli_poisson_coupling():
+def test_criterion_07_bernoulli_poisson_coupling(couple_bernoulli_poisson):
     t0 = time.time()
     rng = np.random.default_rng(107)
     draws = 1_000_000

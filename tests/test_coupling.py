@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from sparselocal.bounds import (BoundParams, VertexSetSummary,
                                 intermediate_coupling_bound, limit_redraw_bound,
                                 repeat_probability_bound)
 from sparselocal.coupling import (BREAK_REPEAT, BREAK_WEIGHT, CouplingConfig,
-                                  couple_bernoulli_poisson, couple_full,
-                                  couple_intermediate_to_limit,
+                                  couple_full, couple_intermediate_to_limit,
                                   couple_neighbourhood_to_intermediate,
-                                  poisson_icdf, repair_independence)
+                                  poisson_cdf_interval, poisson_icdf,
+                                  repair_independence)
 from sparselocal.explore import explore, is_tree, to_rooted_tree
 from sparselocal.graph import sample_graph
 from sparselocal.limit_trees import sample_intermediate_tree
@@ -39,14 +41,62 @@ def test_poisson_icdf_matches_scipy():
     assert np.array_equal(ours, ref.astype(np.int64))
 
 
-def test_couple_bernoulli_poisson_degenerate_cases():
+def test_poisson_refuses_underflow_and_saturation():
+    # exp(-800) underflows to 0; at lam = 2.5 the summed CDF never reaches
+    # the top uniform, where the quantile used to return its cap
+    with pytest.raises(ValueError, match="lam=800.0"):
+        poisson_icdf(800.0, 0.5)
+    with pytest.raises(ValueError, match="lam=800.0"):
+        poisson_cdf_interval(800, 800.0)
+    with pytest.raises(ValueError, match="lam=2.5, u=0.9999999999999999"):
+        poisson_icdf(2.5, 1.0 - 2.0 ** -53)
+    assert poisson_icdf(700.0, 0.5) == 700
+
+
+def test_poisson_icdf_entry_ignores_its_companions():
+    for lam, u in ((0.3, 1.0 - 2.0 ** -53), (0.3, 0.9), (4.0, 0.999), (1e-12, 0.5)):
+        alone = int(poisson_icdf(lam, u))
+        together = poisson_icdf([lam, 50.0], [u, 0.5])
+        assert together[0] == alone and together[1] == 50
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(1e-18, 1e2), st.sampled_from([1e-18, 1.0, 1e2])),
+       st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                 st.sampled_from([1.0 - 2.0 ** -53, 0.5, 2.0 ** -54])))
+def test_site_without_edge_has_no_poisson_child(p, aux):
+    # X = 0 puts the shared uniform at aux (1 - p'_e) <= P(Z = 0), which is
+    # why stage 1 evaluates only the realized neighbours' sites
+    assert poisson_icdf(p, aux * (1.0 - min(p, 1.0))) == 0
+
+
+def test_stage1_hashes_only_neighbour_sites():
+    n = 10_000
+    w = sample_empirical_weights(GAMMA, n, SEED)
+    hashed = []
+    for t in range(3):
+        g = sample_graph(w, SEED, t)
+
+        def counted(u, v, g=g):
+            hashed.append((g.degree(int(u)), np.size(v)))
+            return type(g).coupling_uniform(g, u, v)
+
+        g.coupling_uniform = counted
+        for root in (0, 1, 2):
+            couple_neighbourhood_to_intermediate(g, root, CouplingConfig(k_n=1e9, depth=2))
+    assert len(hashed) > 9
+    assert all(sites <= deg for deg, sites in hashed)
+    assert sum(sites for _, sites in hashed) > 0
+
+
+def test_couple_bernoulli_poisson_degenerate_cases(couple_bernoulli_poisson):
     assert couple_bernoulli_poisson(0.0, 0.73) == (0, 0)
     for u in (0.01, 0.42, 0.97):
         x, _ = couple_bernoulli_poisson(1.7, u)
         assert x == 1  # capped Bernoulli is always 1
 
 
-def test_couple_bernoulli_poisson_bound_and_marginals():
+def test_couple_bernoulli_poisson_bound_and_marginals(couple_bernoulli_poisson):
     p = 0.1
     rng = np.random.default_rng(7)
     u = rng.random(200_000)
