@@ -13,10 +13,12 @@ import argparse
 import csv
 import json
 import os
+import platform
 import sys
 import time
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .harness import (_WEIGHTS_STREAM, ExperimentConfig, bounds_grid, clt_experiment,
@@ -75,6 +77,10 @@ def _write_manifest(out_dir: str, cfg: ExperimentConfig, outputs: list[str]) -> 
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "outputs": sorted(os.path.basename(p) for p in outputs),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "workers": max(cfg.workers, 1),  # replicas run in-process below 2
     }
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w") as fh:

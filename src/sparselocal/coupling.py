@@ -152,7 +152,8 @@ def poisson_cdf_interval(k: int, lam: float) -> tuple[float, float]:
 
 def couple_neighbourhood_to_intermediate(graph: WeightedGraph, root: int,
                                          cfg: CouplingConfig,
-                                         rng: np.random.Generator | None = None
+                                         rng: np.random.Generator | None = None,
+                                         law: EmpiricalSizeBiased | None = None
                                          ) -> CouplingOutcome:
     """Explore the ball and emit the coupled intermediate tree alongside it.
 
@@ -171,7 +172,8 @@ def couple_neighbourhood_to_intermediate(graph: WeightedGraph, root: int,
     ActiveCollision when a neighbour of v_j is already active, else with
     CompletedCollision when some Z* > 0.  On a break v_j's children are its
     Z and Z* types in random order, and the unfinished part of the tree
-    grows on from fresh randomness.
+    grows on from fresh randomness with ``law``, the graph's empirical
+    size-biased law (built here when none is passed).
     """
     if rng is None:
         rng = stream_rng(graph.seed, graph.stream, _COUPLE_TAG, root)
@@ -226,8 +228,9 @@ def couple_neighbourhood_to_intermediate(graph: WeightedGraph, root: int,
         tree_level = tree_next
 
     if detached:
-        grow_intermediate(tree, detached, graph.weights.size_biased(), rng,
-                          DEFAULT_NODE_BUDGET)
+        if law is None:
+            law = graph.weights.size_biased()
+        grow_intermediate(tree, detached, law, rng, DEFAULT_NODE_BUDGET)
     return outcome
 
 
@@ -377,13 +380,15 @@ def _tv_coupled_value(x: float, spec_n: WeightSpec, spec: WeightSpec,
 def couple_full(graph: WeightedGraph, roots: list[int], cfg: CouplingConfig,
                 spec: WeightSpec, mu_e: WeightSpec | None, mu_v: WeightSpec | None,
                 rng: np.random.Generator | None = None,
-                mu_e_n: WeightSpec | None = None, mu_v_n: WeightSpec | None = None
-                ) -> list[CouplingOutcome]:
+                mu_e_n: WeightSpec | None = None, mu_v_n: WeightSpec | None = None,
+                law: EmpiricalSizeBiased | None = None) -> list[CouplingOutcome]:
     """Full pipeline: joint exploration, repair, limit redraw, weight overlay.
 
     mu_e_n/mu_v_n default to the limit laws mu_e/mu_v (no total-variation
     penalty); when they differ, shared sites keep the graph's weight with the
-    maximal-coupling probability and flag WeightMismatch otherwise.
+    maximal-coupling probability and flag WeightMismatch otherwise.  ``law``
+    is ``graph.weights.size_biased()``, built here when none is passed; a
+    caller that couples one graph at several depths builds it once.
     """
     if len(set(roots)) != len(roots):
         raise ValueError("roots must be pairwise distinct")
@@ -392,9 +397,10 @@ def couple_full(graph: WeightedGraph, roots: list[int], cfg: CouplingConfig,
     mu_e_n = mu_e_n if mu_e_n is not None else mu_e
     mu_v_n = mu_v_n if mu_v_n is not None else mu_v
 
-    stage1 = [couple_neighbourhood_to_intermediate(graph, r, cfg, rng=rng)
+    if law is None:
+        law = graph.weights.size_biased()
+    stage1 = [couple_neighbourhood_to_intermediate(graph, r, cfg, rng=rng, law=law)
               for r in roots]
-    law = graph.weights.size_biased()
     repaired = repair_independence(stage1, law, rng=rng)
     final: list[CouplingOutcome] = []
     for out in repaired:

@@ -90,18 +90,22 @@ class WeightedGraph:
         self.flipped_edges = flipped_edges
         self.flipped_vertices = flipped_vertices
         self._sites = SiteRandom(seed, stream)
-        order = np.argsort(edge_u * np.int64(weights.n) + edge_v, kind="stable")
-        self.edge_u = np.asarray(edge_u, dtype=np.int64)[order]
-        self.edge_v = np.asarray(edge_v, dtype=np.int64)[order]
+        keys = np.sort(np.asarray(edge_u, dtype=np.int64) * np.int64(weights.n)
+                       + np.asarray(edge_v, dtype=np.int64))
+        self.edge_u = keys // weights.n
+        self.edge_v = keys % weights.n
         self._build_adjacency()
 
     def _build_adjacency(self):
+        # one sort of the packed keys end*n + other orders the 2m endpoints by
+        # (end, other), so each row of indices comes out ascending
         ends = np.concatenate((self.edge_u, self.edge_v))
-        other = np.concatenate((self.edge_v, self.edge_u))
-        order = np.lexsort((other, ends))
+        keys = ends * np.int64(self.n)
+        keys += np.concatenate((self.edge_v, self.edge_u))
+        keys.sort()
         counts = np.bincount(ends, minlength=self.n)
         self.indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        self.indices = other[order]
+        self.indices = keys % self.n
 
     # ---- structure ------------------------------------------------------------
 

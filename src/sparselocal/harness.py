@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -173,23 +174,33 @@ def _clt_replica(weights, seed, application, mu_v, mu_e, stream: int) -> float:
         raise ReplicaFailure(f"replica {stream}: {exc}") from exc
 
 
-def _coupling_replica(weights, seed, cfg, spec, mu_v, mu_e, roots,
-                      stream: int) -> list[tuple[int, bool, int | None, str | None]]:
+def _coupling_replica(weights, seed, couplings, spec, mu_v, mu_e, roots, stream: int
+                      ) -> list[list[tuple[int, bool, int | None, str | None]]]:
+    """Per depth, one (root, ok, break level, reason) tuple per root.
+
+    The graph depends only on (seed, stream), so it is sampled once and,
+    with its empirical size-biased law, coupled at every depth.
+    """
     try:
         graph = sample_graph(weights, seed, stream, mu_v=mu_v, mu_e=mu_e)
-        outcomes = couple_full(graph, list(roots), cfg, spec, mu_e, mu_v)
-        return [(o.root, o.ok, o.break_level, o.break_reason) for o in outcomes]
+        law = weights.size_biased()
+        return [[(o.root, o.ok, o.break_level, o.break_reason)
+                 for o in couple_full(graph, list(roots), cfg, spec, mu_e, mu_v, law=law)]
+                for cfg in couplings]
     except Exception as exc:
         raise ReplicaFailure(f"replica {stream}: {exc}") from exc
 
 
-def _map_replicas(fn, n_replicas: int, workers: int):
+def _replica_pool(workers: int):
+    """One process pool for a whole command, or None to run in-process."""
+    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+
+
+def _map_replicas(fn, n_replicas: int, pool, workers: int):
     streams = range(n_replicas)
-    if workers <= 1:
+    if pool is None:
         return [fn(t) for t in streams]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, streams,
-                             chunksize=max(1, n_replicas // (4 * workers))))
+    return list(pool.map(fn, streams, chunksize=max(1, n_replicas // (4 * workers))))
 
 
 # ---- experiments ------------------------------------------------------------------------
@@ -199,31 +210,32 @@ def clt_experiment(cfg: ExperimentConfig) -> list[dict]:
     """Standardize f(G_n) over replicas, per n: sigma^2, KS to normal, trend."""
     rows = []
     chash = cfg.config_hash()
-    for n in cfg.n_grid:
-        weights = sample_empirical_weights(cfg.weights, n, cfg.seed,
-                                           stream=_WEIGHTS_STREAM + n)
-        replica = partial(_clt_replica, weights, cfg.seed, cfg.application,
-                          cfg.vertex_weights, cfg.edge_weights)
-        values = np.asarray(_map_replicas(replica, cfg.replicas, cfg.workers))
-        est = estimate_variance(values)
-        scale = max(1.0, float(np.mean(values)) ** 2)
-        degenerate = est.value <= 1e-12 * scale
-        row = {
-            "n": n,
-            "replicas": cfg.replicas,
-            "sigma2": est.value,
-            "sigma2_se": est.jackknife_se,
-            "n_over_sigma2": n / est.value if not degenerate else float("nan"),
-            "ks": float("nan"),
-            "degenerate": int(degenerate),
-            "mode": "exact",
-            "seed": format_seed(cfg.seed),
-            "config": chash,
-        }
-        if not degenerate:
-            z = (values - values.mean()) / np.sqrt(est.value)
-            row["ks"] = ks_to_normal(z).statistic
-        rows.append(row)
+    with _replica_pool(cfg.workers) as pool:
+        for n in cfg.n_grid:
+            weights = sample_empirical_weights(cfg.weights, n, cfg.seed,
+                                               stream=_WEIGHTS_STREAM + n)
+            replica = partial(_clt_replica, weights, cfg.seed, cfg.application,
+                              cfg.vertex_weights, cfg.edge_weights)
+            values = np.asarray(_map_replicas(replica, cfg.replicas, pool, cfg.workers))
+            est = estimate_variance(values)
+            scale = max(1.0, float(np.mean(values)) ** 2)
+            degenerate = est.value <= 1e-12 * scale
+            row = {
+                "n": n,
+                "replicas": cfg.replicas,
+                "sigma2": est.value,
+                "sigma2_se": est.jackknife_se,
+                "n_over_sigma2": n / est.value if not degenerate else float("nan"),
+                "ks": float("nan"),
+                "degenerate": int(degenerate),
+                "mode": "exact",
+                "seed": format_seed(cfg.seed),
+                "config": chash,
+            }
+            if not degenerate:
+                z = (values - values.mean()) / np.sqrt(est.value)
+                row["ks"] = ks_to_normal(z).statistic
+            rows.append(row)
     return rows
 
 
@@ -231,50 +243,54 @@ def coupling_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     """Empirical break rates of the full coupling against the failure bound.
 
     Returns (summary rows, per-replica outcome rows); a replica breaks when
-    any root's coupling fails, which is the union event of the bound.
+    any root's coupling fails, which is the union event of the bound.  Each
+    replica graph is coupled at every depth, and the rows are folded in
+    (n, ell, replica, root) order.
     """
     rows = []
     outcome_rows = []
     chash = cfg.config_hash()
-    for n in cfg.n_grid:
-        weights = sample_empirical_weights(cfg.weights, n, cfg.seed,
-                                           stream=_WEIGHTS_STREAM + n)
-        summ = moments(weights, spec=cfg.weights)
-        roots = tuple(range(cfg.roots))
-        for ell in range(1, cfg.depth + 1):
-            coupling = CouplingConfig(k_n=cfg.k_n(n), depth=ell,
-                                      include_weights=cfg.edge_weights is not None
-                                      or cfg.vertex_weights is not None)
-            replica = partial(_coupling_replica, weights, cfg.seed, coupling, cfg.weights,
+    roots = tuple(range(cfg.roots))
+    depths = range(1, cfg.depth + 1)
+    include_weights = cfg.edge_weights is not None or cfg.vertex_weights is not None
+    with _replica_pool(cfg.workers) as pool:
+        for n in cfg.n_grid:
+            weights = sample_empirical_weights(cfg.weights, n, cfg.seed,
+                                               stream=_WEIGHTS_STREAM + n)
+            summ = moments(weights, spec=cfg.weights)
+            couplings = [CouplingConfig(k_n=cfg.k_n(n), depth=ell,
+                                        include_weights=include_weights) for ell in depths]
+            replica = partial(_coupling_replica, weights, cfg.seed, couplings, cfg.weights,
                               cfg.vertex_weights, cfg.edge_weights, roots)
-            results = _map_replicas(replica, cfg.replicas, cfg.workers)
-            breaks = 0
-            hist = {r: 0 for r in BREAK_REASONS}
-            for t, per_root in enumerate(results):
-                replica_bad = False
-                for root, ok, lvl, reason in per_root:
-                    outcome_rows.append({
-                        "n": n, "ell": ell, "replica": t, "root": root, "ok": int(ok),
-                        "break_level": "" if lvl is None else lvl,
-                        "break_reason": reason or "",
-                    })
-                    if not ok:
-                        if not replica_bad:
-                            hist[reason] += 1
-                        replica_bad = True
-                breaks += int(replica_bad)
-            params = BoundParams.from_summary(n, ell, summ, cfg.weights, k_n=cfg.k_n(n))
-            bound = epsilon_v_bound(params, VertexSetSummary.of(weights, roots))
-            rate = breaks / cfg.replicas
-            half = float(3.0 * np.sqrt(max(rate * (1.0 - rate), 1e-12) / cfg.replicas))
-            rows.append({
-                "n": n, "ell": ell, "replicas": cfg.replicas, "breaks": breaks,
-                "rate": rate, "ci_low": max(rate - half, 0.0),
-                "ci_high": min(rate + half, 1.0), "bound": float(bound),
-                "violation": int(max(rate - half, 0.0) > bound),
-                **{f"reason_{r}": hist[r] for r in BREAK_REASONS},
-                "seed": format_seed(cfg.seed), "config": chash,
-            })
+            results = _map_replicas(replica, cfg.replicas, pool, cfg.workers)
+            for ell, per_replica in zip(depths, zip(*results)):
+                breaks = 0
+                hist = {r: 0 for r in BREAK_REASONS}
+                for t, per_root in enumerate(per_replica):
+                    replica_bad = False
+                    for root, ok, lvl, reason in per_root:
+                        outcome_rows.append({
+                            "n": n, "ell": ell, "replica": t, "root": root, "ok": int(ok),
+                            "break_level": "" if lvl is None else lvl,
+                            "break_reason": reason or "",
+                        })
+                        if not ok:
+                            if not replica_bad:
+                                hist[reason] += 1
+                            replica_bad = True
+                    breaks += int(replica_bad)
+                params = BoundParams.from_summary(n, ell, summ, cfg.weights, k_n=cfg.k_n(n))
+                bound = epsilon_v_bound(params, VertexSetSummary.of(weights, roots))
+                rate = breaks / cfg.replicas
+                half = float(3.0 * np.sqrt(max(rate * (1.0 - rate), 1e-12) / cfg.replicas))
+                rows.append({
+                    "n": n, "ell": ell, "replicas": cfg.replicas, "breaks": breaks,
+                    "rate": rate, "ci_low": max(rate - half, 0.0),
+                    "ci_high": min(rate + half, 1.0), "bound": float(bound),
+                    "violation": int(max(rate - half, 0.0) > bound),
+                    **{f"reason_{r}": hist[r] for r in BREAK_REASONS},
+                    "seed": format_seed(cfg.seed), "config": chash,
+                })
     return rows, outcome_rows
 
 

@@ -220,8 +220,9 @@ class EmpiricalSizeBiased:
     scale = Lambda_n / (n theta).  ``cum`` is the cumulative table in vertex
     order, which label draws invert; ``lo``/``hi`` give each vertex its CDF
     interval in weight order, which the quantile coupling to the limiting
-    size-biased law needs.  The tables are O(n), so one is built per coupling
-    call and not kept across replicas.
+    size-biased law needs.  The tables are O(n): one law is built per graph
+    replica, shared by the coupling at every depth and by stage 1's detached
+    growth, and freed with the replica's graph.
     """
 
     W: np.ndarray
@@ -308,9 +309,10 @@ def _wasserstein_weighted_sample(values: np.ndarray, masses: np.ndarray,
     lo = np.concatenate(([0.0], hi[:-1]))
     # split each segment at c = clip(F(s), lo, hi): Q <= s below c, Q >= s above
     c = np.clip(spec.cdf(s), lo, hi)
-    g_lo = spec.partial_quantile_integral(lo)
     g_c = spec.partial_quantile_integral(c)
     g_hi = spec.partial_quantile_integral(hi)
+    # lo is hi shifted by one place, so G(lo) is G(hi) shifted, bit for bit
+    g_lo = np.concatenate((spec.partial_quantile_integral(lo[:1]), g_hi[:-1]))
     below = s * (c - lo) - (g_c - g_lo)
     above = (g_hi - g_c) - s * (hi - c)
     return float((below + above).sum())

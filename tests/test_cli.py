@@ -1,9 +1,12 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+import scipy
 
 import sparselocal
 from sparselocal.cli import main
@@ -69,6 +72,13 @@ def test_bounds_writes_grid_and_manifest(config_path, tmp_path, capsys):
     manifest = json.load(open(os.path.join(out, "manifest.json")))
     assert manifest["outputs"] == ["bounds_grid.csv"]
     assert manifest["seed"] == "c0ffee".rjust(32, "0")
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    assert manifest["scipy"] == scipy.__version__
+    assert manifest["workers"] == 1  # no workers key: replicas run in-process
+    assert main(["bounds", "--config", config_path, "--out-dir", out,
+                 "--workers", "2"]) == 0
+    assert json.load(open(os.path.join(out, "manifest.json")))["workers"] == 2
 
 
 def test_clt_writes_csv_with_trend(config_path, tmp_path):

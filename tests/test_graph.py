@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from sparselocal.graph import PerturbationSet, perturb, sample_graph
+from sparselocal.graph import PerturbationSet, WeightedGraph, perturb, sample_graph
 from sparselocal.weights import EmpiricalWeights, WeightSpec, sample_empirical_weights
 
 SEED = (314159, 271828)
@@ -102,6 +104,51 @@ def test_pairwise_edge_independence():
         b[t] = g.edge_indicator(2, 3)
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) <= 4 / np.sqrt(reps)
+
+
+# ---- adjacency arrays -------------------------------------------------------------------
+
+
+def _lexsort_csr(edge_u, edge_v, n):
+    """indptr and indices from a lexsort of the 2m endpoints by (end, other)."""
+    ends = np.concatenate((edge_u, edge_v))
+    other = np.concatenate((edge_v, edge_u))
+    order = np.lexsort((other, ends))
+    counts = np.bincount(ends, minlength=n)
+    return np.concatenate(([0], np.cumsum(counts))).astype(np.int64), other[order]
+
+
+def _assert_csr_matches_lexsort(g):
+    indptr, indices = _lexsort_csr(g.edge_u, g.edge_v, g.n)
+    assert g.indptr.dtype == indptr.dtype and g.indices.dtype == indices.dtype
+    assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
+
+
+@st.composite
+def _edge_lists(draw):
+    n = draw(st.integers(1, 40))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1]).map(lambda e: (min(e), max(e)))
+    return n, draw(st.lists(pair, unique=True, max_size=80))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_lists())
+@example((1, []))
+@example((7, []))
+@example((9, [(0, 8), (2, 8), (2, 5)]))  # isolated vertices 1, 3, 4, 6, 7
+def test_csr_matches_lexsort_oracle(case):
+    n, pairs = case
+    edge_u = np.array([u for u, _ in pairs], dtype=np.int64)
+    edge_v = np.array([v for _, v in pairs], dtype=np.int64)
+    _assert_csr_matches_lexsort(WeightedGraph(er_weights(n), SEED, 0, edge_u, edge_v))
+
+
+def test_csr_matches_lexsort_oracle_on_sampled_graphs():
+    w = sample_empirical_weights(WeightSpec("gamma", shape=2.0, scale=1.0), 5000, SEED)
+    for stream in range(3):
+        _assert_csr_matches_lexsort(sample_graph(w, SEED, stream))
+    _assert_csr_matches_lexsort(sample_graph(er_weights(1), SEED, 0))
 
 
 # ---- perturbation ---------------------------------------------------------------------

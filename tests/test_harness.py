@@ -7,8 +7,9 @@ from scipy.special import ndtr
 from sparselocal.harness import (ExperimentConfig, bounds_grid,
                                  clt_experiment, coupling_experiment,
                                  estimate_variance, ks_to_normal)
+from sparselocal.graph import sample_graph
 from sparselocal.rng import parse_seed
-from sparselocal.weights import WeightSpec
+from sparselocal.weights import EmpiricalWeights, WeightSpec
 
 SEED = parse_seed("feedface")
 
@@ -197,3 +198,67 @@ def test_replica_failure_carries_id():
                            replicas=3, seed=SEED, application="matching")
     with pytest.raises(ReplicaFailure, match=r"replica \d+:"):
         clt_experiment(cfg)
+
+
+# ---- work counts --------------------------------------------------------------------
+
+
+def test_one_process_pool_per_command(monkeypatch):
+    from sparselocal import harness
+
+    built = []
+
+    class CountingPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    clt = small_config(n_grid=[60, 90], replicas=8, workers=2)
+    assert clt_experiment(clt) == clt_experiment(dataclasses.replace(clt, workers=1))
+    assert built == [2]
+    couple = ExperimentConfig(weights=WeightSpec("constant", c=1.0), n_grid=[60, 90],
+                              replicas=6, seed=SEED, depth=2, workers=2)
+    assert (coupling_experiment(couple)
+            == coupling_experiment(dataclasses.replace(couple, workers=1)))
+    assert built == [2, 2]
+
+
+def test_coupling_samples_each_replica_graph_once(monkeypatch):
+    from sparselocal import harness
+
+    streams = []
+
+    def counted(weights, seed, stream, **kw):
+        streams.append((weights.n, stream))
+        return sample_graph(weights, seed, stream, **kw)
+
+    monkeypatch.setattr(harness, "sample_graph", counted)
+    cfg = ExperimentConfig(weights=WeightSpec("gamma", shape=2.0, scale=1.0),
+                           n_grid=[80, 120], replicas=5, seed=SEED, depth=3)
+    rows, outcomes = coupling_experiment(cfg)
+    assert streams == [(n, t) for n in (80, 120) for t in range(5)]
+    assert [(r["n"], r["ell"]) for r in rows] == [(n, ell) for n in (80, 120)
+                                                  for ell in (1, 2, 3)]
+    assert [(o["n"], o["ell"], o["replica"], o["root"]) for o in outcomes] == [
+        (n, ell, t, root) for n in (80, 120) for ell in (1, 2, 3) for t in range(5)
+        for root in range(cfg.roots)]
+
+
+def test_size_biased_law_built_once_per_replica_graph(monkeypatch):
+    from test_golden import COUPLE_GAMMA
+
+    built = []
+    original = EmpiricalWeights.size_biased
+
+    def counted(self):
+        built.append(self.n)
+        return original(self)
+
+    monkeypatch.setattr(EmpiricalWeights, "size_biased", counted)
+    cfg = ExperimentConfig.from_dict(COUPLE_GAMMA)
+    _, outcomes = coupling_experiment(cfg)
+    # stage 1 breaks, so its detached growth runs, and it reuses the replica's law
+    stage1 = {"XneqZ", "ActiveCollision", "CompletedCollision", "SizeOverflow"}
+    assert any(o["break_reason"] in stage1 for o in outcomes)
+    assert built == [n for n in cfg.n_grid for _ in range(cfg.replicas)]

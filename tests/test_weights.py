@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparselocal.graph import edge_probability
-from sparselocal.weights import (EmpiricalWeights, WeightSpec, exponential, moments,
+from sparselocal.weights import (EmpiricalWeights, WeightSpec,
+                                 _wasserstein_weighted_sample, exponential, moments,
                                  sample_empirical_weights, wasserstein_1d)
 
 SEED = (2024, 7)
@@ -160,6 +161,38 @@ def test_wasserstein_sample_vs_finite_spec_exact():
     sample = np.array([2.0, 1.0, 2.0, 2.0])
     # segments: [0,.25):|1-1|=0; [.25,.5):|2-1|=1; [.5,1):|2-2|=0
     assert wasserstein_1d(sample, spec) == pytest.approx(0.25)
+
+
+def _wasserstein_three_calls(values, masses, spec):
+    """The weighted-sample W1 with G evaluated on lo, c and hi separately."""
+    order = np.argsort(values)
+    s = np.asarray(values, dtype=float)[order]
+    m = np.asarray(masses, dtype=float)[order]
+    hi = np.cumsum(m)
+    hi[-1] = 1.0
+    lo = np.concatenate(([0.0], hi[:-1]))
+    c = np.clip(spec.cdf(s), lo, hi)
+    g_lo = spec.partial_quantile_integral(lo)
+    g_c = spec.partial_quantile_integral(c)
+    g_hi = spec.partial_quantile_integral(hi)
+    below = s * (c - lo) - (g_c - g_lo)
+    above = (g_hi - g_c) - s * (hi - c)
+    return float((below + above).sum())
+
+
+@pytest.mark.parametrize("spec", [WeightSpec("constant", c=2.0),
+                                  WeightSpec("finite", values=(0.5, 1.0, 3.0),
+                                             probs=(0.2, 0.5, 0.3)),
+                                  WeightSpec("gamma", shape=2.0, scale=1.0)],
+                         ids=["constant", "finite", "gamma"])
+def test_weighted_sample_w1_matches_three_call_form(spec):
+    # G(lo) is taken from G(hi) shifted by one place; the value is the same bit for bit
+    rng = np.random.default_rng(11)
+    for values in (rng.gamma(2.0, 1.0, size=997), spec.sample(rng, 500), np.array([1.5])):
+        for masses in (np.full(values.size, 1.0 / values.size), values / values.sum()):
+            for target in (spec, spec.size_biased()):
+                assert (_wasserstein_weighted_sample(values, masses, target)
+                        == _wasserstein_three_calls(values, masses, target))
 
 
 def test_wasserstein_unsupported_pair():
