@@ -70,7 +70,9 @@ def _write_csv(path: str, rows: list[dict]) -> None:
             writer.writerow(row)
 
 
-def _write_manifest(out_dir: str, cfg: ExperimentConfig, outputs: list[str]) -> str:
+def _write_manifest(out_dir: str, cfg: ExperimentConfig, outputs: list[str],
+                    workers: int = 1) -> str:
+    """``workers`` is the process count the command ran its replicas on."""
     manifest = {
         "config_hash": cfg.config_hash(),
         "seed": format_seed(cfg.seed),
@@ -80,7 +82,7 @@ def _write_manifest(out_dir: str, cfg: ExperimentConfig, outputs: list[str]) -> 
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "workers": max(cfg.workers, 1),  # replicas run in-process below 2
+        "workers": workers,
     }
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w") as fh:
@@ -115,7 +117,7 @@ def cmd_couple(cfg: ExperimentConfig, out_dir: str, check: bool) -> int:
     _write_csv(path, rows)
     detail = os.path.join(out_dir, "coupling_outcomes.csv")
     _write_csv(detail, outcome_rows)
-    _write_manifest(out_dir, cfg, [path, detail])
+    _write_manifest(out_dir, cfg, [path, detail], workers=max(cfg.workers, 1))
     print(f"wrote {path} ({len(rows)} rows) and {detail}")
     if check and any(r["violation"] for r in rows):
         print("check failed: empirical break rate exceeds the bound", file=sys.stderr)
@@ -132,7 +134,7 @@ def cmd_clt(cfg: ExperimentConfig, out_dir: str, check: bool) -> int:
                                   and (i == 0 or rows[i]["ks"] < prev + band))
     path = os.path.join(out_dir, f"clt_{cfg.application}.csv")
     _write_csv(path, rows)
-    _write_manifest(out_dir, cfg, [path])
+    _write_manifest(out_dir, cfg, [path], workers=max(cfg.workers, 1))
     print(f"wrote {path} ({len(rows)} rows)")
     if check and any(not r["trend_ok"] for r in rows):
         print("check failed: KS trend violated", file=sys.stderr)

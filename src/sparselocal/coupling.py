@@ -152,8 +152,7 @@ def poisson_cdf_interval(k: int, lam: float) -> tuple[float, float]:
 
 def couple_neighbourhood_to_intermediate(graph: WeightedGraph, root: int,
                                          cfg: CouplingConfig,
-                                         rng: np.random.Generator | None = None,
-                                         law: EmpiricalSizeBiased | None = None
+                                         rng: np.random.Generator | None = None
                                          ) -> CouplingOutcome:
     """Explore the ball and emit the coupled intermediate tree alongside it.
 
@@ -172,8 +171,8 @@ def couple_neighbourhood_to_intermediate(graph: WeightedGraph, root: int,
     ActiveCollision when a neighbour of v_j is already active, else with
     CompletedCollision when some Z* > 0.  On a break v_j's children are its
     Z and Z* types in random order, and the unfinished part of the tree
-    grows on from fresh randomness with ``law``, the graph's empirical
-    size-biased law (built here when none is passed).
+    grows on from fresh randomness with the graph's empirical size-biased
+    law.
     """
     if rng is None:
         rng = stream_rng(graph.seed, graph.stream, _COUPLE_TAG, root)
@@ -228,9 +227,7 @@ def couple_neighbourhood_to_intermediate(graph: WeightedGraph, root: int,
         tree_level = tree_next
 
     if detached:
-        if law is None:
-            law = graph.weights.size_biased()
-        grow_intermediate(tree, detached, law, rng, DEFAULT_NODE_BUDGET)
+        grow_intermediate(tree, detached, graph.size_biased, rng, DEFAULT_NODE_BUDGET)
     return outcome
 
 
@@ -380,15 +377,13 @@ def _tv_coupled_value(x: float, spec_n: WeightSpec, spec: WeightSpec,
 def couple_full(graph: WeightedGraph, roots: list[int], cfg: CouplingConfig,
                 spec: WeightSpec, mu_e: WeightSpec | None, mu_v: WeightSpec | None,
                 rng: np.random.Generator | None = None,
-                mu_e_n: WeightSpec | None = None, mu_v_n: WeightSpec | None = None,
-                law: EmpiricalSizeBiased | None = None) -> list[CouplingOutcome]:
+                mu_e_n: WeightSpec | None = None, mu_v_n: WeightSpec | None = None
+                ) -> list[CouplingOutcome]:
     """Full pipeline: joint exploration, repair, limit redraw, weight overlay.
 
     mu_e_n/mu_v_n default to the limit laws mu_e/mu_v (no total-variation
     penalty); when they differ, shared sites keep the graph's weight with the
-    maximal-coupling probability and flag WeightMismatch otherwise.  ``law``
-    is ``graph.weights.size_biased()``, built here when none is passed; a
-    caller that couples one graph at several depths builds it once.
+    maximal-coupling probability and flag WeightMismatch otherwise.
     """
     if len(set(roots)) != len(roots):
         raise ValueError("roots must be pairwise distinct")
@@ -397,10 +392,9 @@ def couple_full(graph: WeightedGraph, roots: list[int], cfg: CouplingConfig,
     mu_e_n = mu_e_n if mu_e_n is not None else mu_e
     mu_v_n = mu_v_n if mu_v_n is not None else mu_v
 
-    if law is None:
-        law = graph.weights.size_biased()
-    stage1 = [couple_neighbourhood_to_intermediate(graph, r, cfg, rng=rng, law=law)
+    stage1 = [couple_neighbourhood_to_intermediate(graph, r, cfg, rng=rng)
               for r in roots]
+    law = graph.size_biased
     repaired = repair_independence(stage1, law, rng=rng)
     final: list[CouplingOutcome] = []
     for out in repaired:

@@ -19,12 +19,13 @@ resampled graphs G^F and lazy weights on all possible edges need no storage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import rng as srng
 from .rng import SiteRandom, stream_rng
-from .weights import EmpiricalWeights, WeightSpec
+from .weights import EmpiricalSizeBiased, EmpiricalWeights, WeightSpec
 
 _GEN_TAG = 12
 
@@ -106,6 +107,15 @@ class WeightedGraph:
         counts = np.bincount(ends, minlength=self.n)
         self.indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
         self.indices = keys % self.n
+
+    @cached_property
+    def size_biased(self) -> EmpiricalSizeBiased:
+        """The empirical size-biased law of the weights, built on first use.
+
+        The coupling reads it at every depth and in stage 1's detached
+        growth; its O(n) tables are freed with the graph.
+        """
+        return self.weights.size_biased()
 
     # ---- structure ------------------------------------------------------------
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
@@ -178,29 +178,30 @@ def _coupling_replica(weights, seed, couplings, spec, mu_v, mu_e, roots, stream:
                       ) -> list[list[tuple[int, bool, int | None, str | None]]]:
     """Per depth, one (root, ok, break level, reason) tuple per root.
 
-    The graph depends only on (seed, stream), so it is sampled once and,
-    with its empirical size-biased law, coupled at every depth.
+    The graph depends only on (seed, stream), so it is sampled once and
+    coupled at every depth.
     """
     try:
         graph = sample_graph(weights, seed, stream, mu_v=mu_v, mu_e=mu_e)
-        law = weights.size_biased()
         return [[(o.root, o.ok, o.break_level, o.break_reason)
-                 for o in couple_full(graph, list(roots), cfg, spec, mu_e, mu_v, law=law)]
+                 for o in couple_full(graph, list(roots), cfg, spec, mu_e, mu_v)]
                 for cfg in couplings]
     except Exception as exc:
         raise ReplicaFailure(f"replica {stream}: {exc}") from exc
 
 
-def _replica_pool(workers: int):
-    """One process pool for a whole command, or None to run in-process."""
-    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+@contextmanager
+def _replica_map(workers: int, n_replicas: int):
+    """The map over replica streams for a whole command.
 
-
-def _map_replicas(fn, n_replicas: int, pool, workers: int):
-    streams = range(n_replicas)
-    if pool is None:
-        return [fn(t) for t in streams]
-    return list(pool.map(fn, streams, chunksize=max(1, n_replicas // (4 * workers))))
+    Below two workers it is the builtin ``map``; else one process pool
+    serves every grid point of the command.
+    """
+    if workers <= 1:
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield partial(pool.map, chunksize=max(1, n_replicas // (4 * workers)))
 
 
 # ---- experiments ------------------------------------------------------------------------
@@ -210,13 +211,13 @@ def clt_experiment(cfg: ExperimentConfig) -> list[dict]:
     """Standardize f(G_n) over replicas, per n: sigma^2, KS to normal, trend."""
     rows = []
     chash = cfg.config_hash()
-    with _replica_pool(cfg.workers) as pool:
+    with _replica_map(cfg.workers, cfg.replicas) as map_replicas:
         for n in cfg.n_grid:
             weights = sample_empirical_weights(cfg.weights, n, cfg.seed,
                                                stream=_WEIGHTS_STREAM + n)
             replica = partial(_clt_replica, weights, cfg.seed, cfg.application,
                               cfg.vertex_weights, cfg.edge_weights)
-            values = np.asarray(_map_replicas(replica, cfg.replicas, pool, cfg.workers))
+            values = np.asarray(list(map_replicas(replica, range(cfg.replicas))))
             est = estimate_variance(values)
             scale = max(1.0, float(np.mean(values)) ** 2)
             degenerate = est.value <= 1e-12 * scale
@@ -253,7 +254,7 @@ def coupling_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     roots = tuple(range(cfg.roots))
     depths = range(1, cfg.depth + 1)
     include_weights = cfg.edge_weights is not None or cfg.vertex_weights is not None
-    with _replica_pool(cfg.workers) as pool:
+    with _replica_map(cfg.workers, cfg.replicas) as map_replicas:
         for n in cfg.n_grid:
             weights = sample_empirical_weights(cfg.weights, n, cfg.seed,
                                                stream=_WEIGHTS_STREAM + n)
@@ -262,7 +263,7 @@ def coupling_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
                                         include_weights=include_weights) for ell in depths]
             replica = partial(_coupling_replica, weights, cfg.seed, couplings, cfg.weights,
                               cfg.vertex_weights, cfg.edge_weights, roots)
-            results = _map_replicas(replica, cfg.replicas, pool, cfg.workers)
+            results = list(map_replicas(replica, range(cfg.replicas)))
             for ell, per_replica in zip(depths, zip(*results)):
                 breaks = 0
                 hist = {r: 0 for r in BREAK_REASONS}

@@ -75,10 +75,11 @@ def test_bounds_writes_grid_and_manifest(config_path, tmp_path, capsys):
     assert manifest["python"] == platform.python_version()
     assert manifest["numpy"] == np.__version__
     assert manifest["scipy"] == scipy.__version__
-    assert manifest["workers"] == 1  # no workers key: replicas run in-process
+    assert manifest["workers"] == 1
+    # bounds runs no replicas, so it records one process whatever --workers says
     assert main(["bounds", "--config", config_path, "--out-dir", out,
                  "--workers", "2"]) == 0
-    assert json.load(open(os.path.join(out, "manifest.json")))["workers"] == 2
+    assert json.load(open(os.path.join(out, "manifest.json")))["workers"] == 1
 
 
 def test_clt_writes_csv_with_trend(config_path, tmp_path):
@@ -152,6 +153,8 @@ def test_workers_under_spawn_start_method(tmp_path):
                                  env=env, capture_output=True, text=True, timeout=120)
             assert run.returncode == 0, run.stderr
             outputs.append(open(os.path.join(out, name), "rb").read())
+            manifest = json.load(open(os.path.join(out, "manifest.json")))
+            assert manifest["workers"] == int(workers)
     assert outputs[0] == outputs[1] and outputs[2] == outputs[3]
 
 
