@@ -72,8 +72,10 @@ def _write_csv(path: str, rows: list[dict]) -> None:
 
 def _write_manifest(out_dir: str, cfg: ExperimentConfig, outputs: list[str],
                     workers: int = 1) -> str:
-    """``workers`` is the process count the command ran its replicas on."""
+    """``config`` is the hashed config body, with the command-line overrides
+    applied; ``workers`` is the process count the command ran its replicas on."""
     manifest = {
+        "config": json.loads(cfg.canonical_json()),
         "config_hash": cfg.config_hash(),
         "seed": format_seed(cfg.seed),
         "version": __version__,

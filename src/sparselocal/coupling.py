@@ -171,8 +171,8 @@ def couple_neighbourhood_to_intermediate(graph: WeightedGraph, root: int,
     ActiveCollision when a neighbour of v_j is already active, else with
     CompletedCollision when some Z* > 0.  On a break v_j's children are its
     Z and Z* types in random order, and the unfinished part of the tree
-    grows on from fresh randomness with the graph's empirical size-biased
-    law.
+    grows on from fresh randomness with the empirical size-biased law of
+    the graph's weights.
     """
     if rng is None:
         rng = stream_rng(graph.seed, graph.stream, _COUPLE_TAG, root)
@@ -227,7 +227,8 @@ def couple_neighbourhood_to_intermediate(graph: WeightedGraph, root: int,
         tree_level = tree_next
 
     if detached:
-        grow_intermediate(tree, detached, graph.size_biased, rng, DEFAULT_NODE_BUDGET)
+        grow_intermediate(tree, detached, graph.weights.size_biased, rng,
+                          DEFAULT_NODE_BUDGET)
     return outcome
 
 
@@ -394,7 +395,7 @@ def couple_full(graph: WeightedGraph, roots: list[int], cfg: CouplingConfig,
 
     stage1 = [couple_neighbourhood_to_intermediate(graph, r, cfg, rng=rng)
               for r in roots]
-    law = graph.size_biased
+    law = graph.weights.size_biased
     repaired = repair_independence(stage1, law, rng=rng)
     final: list[CouplingOutcome] = []
     for out in repaired:

@@ -14,18 +14,20 @@ Everything that is not the realized edge set -- replacement indicators X',
 decorative vertex/edge weights w, w' and the coupling auxiliaries -- is a
 pure function of (seed, stream, site) through :mod:`sparselocal.rng`, so the
 resampled graphs G^F and lazy weights on all possible edges need no storage.
+Nor does a graph hold the empirical size-biased law the coupling draws types
+from: it depends on the weights alone, so it lives with the weights of one n
+(``graph.weights.size_biased``) and every replica graph of that n shares it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import rng as srng
 from .rng import SiteRandom, stream_rng
-from .weights import EmpiricalSizeBiased, EmpiricalWeights, WeightSpec
+from .weights import EmpiricalWeights, WeightSpec
 
 _GEN_TAG = 12
 
@@ -91,31 +93,30 @@ class WeightedGraph:
         self.flipped_edges = flipped_edges
         self.flipped_vertices = flipped_vertices
         self._sites = SiteRandom(seed, stream)
-        keys = np.sort(np.asarray(edge_u, dtype=np.int64) * np.int64(weights.n)
-                       + np.asarray(edge_v, dtype=np.int64))
-        self.edge_u = keys // weights.n
-        self.edge_v = keys % weights.n
+        n = np.int64(weights.n)
+        keys = np.asarray(edge_u, dtype=np.int64) * n
+        keys += np.asarray(edge_v, dtype=np.int64)
+        keys.sort()
+        self.edge_u, self.edge_v = np.divmod(keys, n)
+        del keys  # before the CSR build allocates its 2m keys
         self._build_adjacency()
 
     def _build_adjacency(self):
         # one sort of the packed keys end*n + other orders the 2m endpoints by
         # (end, other), so each row of indices comes out ascending
-        ends = np.concatenate((self.edge_u, self.edge_v))
-        keys = ends * np.int64(self.n)
-        keys += np.concatenate((self.edge_v, self.edge_u))
+        n = np.int64(self.n)
+        m = self.edge_u.size
+        keys = np.empty(2 * m, dtype=np.int64)
+        np.multiply(self.edge_u, n, out=keys[:m])
+        keys[:m] += self.edge_v
+        np.multiply(self.edge_v, n, out=keys[m:])
+        keys[m:] += self.edge_u
         keys.sort()
-        counts = np.bincount(ends, minlength=self.n)
-        self.indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        self.indices = keys % self.n
-
-    @cached_property
-    def size_biased(self) -> EmpiricalSizeBiased:
-        """The empirical size-biased law of the weights, built on first use.
-
-        The coupling reads it at every depth and in stage 1's detached
-        growth; its O(n) tables are freed with the graph.
-        """
-        return self.weights.size_biased()
+        counts = np.bincount(self.edge_u, minlength=self.n)
+        counts += np.bincount(self.edge_v, minlength=self.n)
+        self.indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.indptr[1:])
+        self.indices = np.remainder(keys, n, out=keys)
 
     # ---- structure ------------------------------------------------------------
 
@@ -294,6 +295,7 @@ def sample_graph(weights: EmpiricalWeights, seed: tuple[int, int], stream: int =
     if all_u:
         edge_u = np.concatenate(all_u)
         edge_v = np.concatenate(all_v)
+        del all_u, all_v
     else:
         edge_u = np.empty(0, dtype=np.int64)
         edge_v = np.empty(0, dtype=np.int64)

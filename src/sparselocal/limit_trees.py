@@ -87,7 +87,7 @@ def sample_intermediate_tree(weights: EmpiricalWeights, v: int, depth: int,
     if rng is None:
         rng = stream_rng(seed, stream, _IMT_TAG)
     tree = RootedWeightedTree(weights.W[v], depth, root_label=int(v))
-    grow_intermediate(tree, [0], weights.size_biased(), rng, max_nodes)
+    grow_intermediate(tree, [0], weights.size_biased, rng, max_nodes)
     return tree
 
 

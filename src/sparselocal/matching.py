@@ -238,9 +238,9 @@ def dependent_edge_sum(graph: WeightedGraph) -> float:
         raise ValueError("dependent edge sum needs vertex weights")
     if graph.num_edges == 0:
         return 0.0
-    wu = graph.vertex_weight(graph.edge_u)
-    wv = graph.vertex_weight(graph.edge_v)
-    return float(np.sum(wu) + np.sum(wv))
+    # one hash and quantile per vertex, gathered by endpoint
+    w = graph.vertex_weight(np.arange(graph.n))
+    return float(np.sum(w[graph.edge_u]) + np.sum(w[graph.edge_v]))
 
 
 def delta_N(graph: WeightedGraph, site) -> float:

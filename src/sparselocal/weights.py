@@ -19,6 +19,7 @@ and the 1-Wasserstein distances between the empirical laws and their limits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -197,8 +198,14 @@ class EmpiricalWeights:
     def lambda_n(self) -> float:
         return float(self.W.sum())
 
+    @cached_property
     def size_biased(self) -> "EmpiricalSizeBiased":
-        """The empirical size-biased law; mirrors :meth:`WeightSpec.size_biased`."""
+        """The empirical size-biased law, built on first use and kept with the weights.
+
+        Mirrors :meth:`WeightSpec.size_biased`.  The weights of one n are
+        frozen across replicas, so every replica graph of that n (at every
+        depth, and in stage 1's detached growth) reads this one law.
+        """
         lam = self.lambda_n
         order = np.argsort(self.W, kind="stable")
         upper = np.cumsum(self.W[order] / lam)
@@ -220,9 +227,11 @@ class EmpiricalSizeBiased:
     scale = Lambda_n / (n theta).  ``cum`` is the cumulative table in vertex
     order, which label draws invert; ``lo``/``hi`` give each vertex its CDF
     interval in weight order, which the quantile coupling to the limiting
-    size-biased law needs.  The tables are O(n): one law is built per graph
-    replica, shared by the coupling at every depth and by stage 1's detached
-    growth, and freed with the replica's graph.
+    size-biased law needs.  The tables are O(n) and depend on the weights
+    alone, so the law lives with the :class:`EmpiricalWeights` of one n
+    (:attr:`EmpiricalWeights.size_biased`), not with one graph: every replica
+    graph of that n shares it, at every depth and in stage 1's detached
+    growth.
     """
 
     W: np.ndarray
@@ -309,10 +318,14 @@ def _wasserstein_weighted_sample(values: np.ndarray, masses: np.ndarray,
     lo = np.concatenate(([0.0], hi[:-1]))
     # split each segment at c = clip(F(s), lo, hi): Q <= s below c, Q >= s above
     c = np.clip(spec.cdf(s), lo, hi)
-    g_c = spec.partial_quantile_integral(c)
     g_hi = spec.partial_quantile_integral(hi)
     # lo is hi shifted by one place, so G(lo) is G(hi) shifted, bit for bit
     g_lo = np.concatenate((spec.partial_quantile_integral(lo[:1]), g_hi[:-1]))
+    # c is clipped to lo or hi on all but a few segments, and there G(c) is
+    # G(lo) or G(hi) bit for bit; only the unclipped entries need G itself
+    g_c = np.where(c == hi, g_hi, g_lo)
+    inside = np.flatnonzero((c != lo) & (c != hi))
+    g_c[inside] = spec.partial_quantile_integral(c[inside])
     below = s * (c - lo) - (g_c - g_lo)
     above = (g_hi - g_c) - s * (hi - c)
     return float((below + above).sum())

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import platform
@@ -80,6 +81,21 @@ def test_bounds_writes_grid_and_manifest(config_path, tmp_path, capsys):
     assert main(["bounds", "--config", config_path, "--out-dir", out,
                  "--workers", "2"]) == 0
     assert json.load(open(os.path.join(out, "manifest.json")))["workers"] == 1
+
+
+def test_manifest_records_merged_config(config_path, tmp_path):
+    out = str(tmp_path / "outcfg")
+    assert main(["bounds", "--config", config_path, "--out-dir", out,
+                 "--replicas", "7", "--seed", "beef"]) == 0
+    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    config = manifest["config"]
+    assert config["replicas"] == 7  # the override, not the file's 40
+    assert config["n_grid"] == CONFIG["n_grid"]
+    assert config["weights"] == CONFIG["weights"]
+    assert config["vertex_weights"] == CONFIG["vertex_weights"]
+    assert manifest["seed"] == "beef".rjust(32, "0")
+    body = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(body.encode()).hexdigest()[:16] == manifest["config_hash"]
 
 
 def test_clt_writes_csv_with_trend(config_path, tmp_path):

@@ -247,7 +247,7 @@ def test_repair_single_root_unchanged():
     w = sample_empirical_weights(GAMMA, 300, SEED)
     g = sample_graph(w, SEED, 1)
     out = couple_neighbourhood_to_intermediate(g, 0, CouplingConfig.default(300, 2))
-    fixed = repair_independence([out], w.size_biased(), seed=SEED)
+    fixed = repair_independence([out], w.size_biased, seed=SEED)
     assert len(fixed) == 1
     assert BREAK_REPEAT not in fixed[0].flags
     assert canonical_code(fixed[0].tree) == canonical_code(out.tree)
@@ -258,7 +258,7 @@ def test_repair_root_only_trees_unchanged():
     g = sample_graph(w, SEED, 0)
     cfg = CouplingConfig(k_n=5, depth=2)
     outs = [couple_neighbourhood_to_intermediate(g, r, cfg) for r in (0, 1)]
-    fixed = repair_independence(outs, w.size_biased(), seed=SEED)
+    fixed = repair_independence(outs, w.size_biased, seed=SEED)
     for f in fixed:
         assert f.tree.node_count == 1 and BREAK_REPEAT not in f.flags
 
@@ -268,7 +268,7 @@ def test_repair_distinct_roots_required():
     g = sample_graph(w, SEED, 0)
     out = couple_neighbourhood_to_intermediate(g, 0, CouplingConfig.default(100, 1))
     with pytest.raises(ValueError):
-        repair_independence([out, out], w.size_biased(), seed=SEED)
+        repair_independence([out, out], w.size_biased, seed=SEED)
 
 
 def test_repair_detects_engineered_repeat():
@@ -282,7 +282,7 @@ def test_repair_detects_engineered_repeat():
         t.add_child(0, w.W[5], label=5)
         return CouplingOutcome(root=root, depth=2, neighbourhood=None, tree=t, ok=True)
 
-    fixed = repair_independence([fake_outcome(0), fake_outcome(1)], w.size_biased(),
+    fixed = repair_independence([fake_outcome(0), fake_outcome(1)], w.size_biased,
                                 seed=SEED)
     assert BREAK_REPEAT not in fixed[0].flags  # first occurrence kept
     assert BREAK_REPEAT in fixed[1].flags
@@ -293,7 +293,7 @@ def test_repair_detects_engineered_repeat():
 def test_repeat_rate_below_bound():
     n, reps, ell = 1000, 800, 2
     w = sample_empirical_weights(GAMMA, n, SEED)
-    law = w.size_biased()
+    law = w.size_biased
     summ = moments(w, GAMMA)
     cfg = CouplingConfig.default(n, ell)
     roots = [0, 1]
@@ -316,7 +316,7 @@ def test_repeat_rate_below_bound():
 
 def test_constant_law_never_redraws():
     w = sample_empirical_weights(WeightSpec("constant", c=1.5), 400, SEED)
-    law = w.size_biased()
+    law = w.size_biased
     rng = stream_rng(SEED, 0, 9)
     for t in range(150):
         it = sample_intermediate_tree(w, 3, 2, rng=rng)
@@ -328,7 +328,7 @@ def test_constant_law_never_redraws():
 
 def test_root_type_preserved():
     w = sample_empirical_weights(GAMMA, 300, SEED)
-    law = w.size_biased()
+    law = w.size_biased
     rng = stream_rng(SEED, 0, 10)
     for t in range(100):
         it = sample_intermediate_tree(w, 7, 2, rng=rng)
@@ -339,7 +339,7 @@ def test_root_type_preserved():
 def test_limit_redraw_rate_below_bound():
     n, reps, ell = 1000, 1000, 2
     w = sample_empirical_weights(GAMMA, n, SEED)
-    law = w.size_biased()
+    law = w.size_biased
     summ = moments(w, GAMMA)
     rng = stream_rng(SEED, 0, 11)
     fails = 0
@@ -360,7 +360,7 @@ def test_limit_tree_marginal_after_coupling():
 
     n, reps = 600, 2500
     w = sample_empirical_weights(GAMMA, n, SEED)
-    law = w.size_biased()
+    law = w.size_biased
     rng = stream_rng(SEED, 0, 12)
     coupled, direct = [], []
     for t in range(reps):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -149,6 +151,19 @@ def test_csr_matches_lexsort_oracle_on_sampled_graphs():
     for stream in range(3):
         _assert_csr_matches_lexsort(sample_graph(w, SEED, stream))
     _assert_csr_matches_lexsort(sample_graph(er_weights(1), SEED, 0))
+
+
+def test_sample_graph_peak_memory_is_bounded_by_graph_size():
+    # the build's temporaries stay below 1.6 times the arrays the graph keeps
+    w = sample_empirical_weights(WeightSpec("gamma", shape=2.0, scale=1.0), 100_000, SEED)
+    tracemalloc.start()
+    try:
+        g = sample_graph(w, SEED, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    resident = sum(a.nbytes for a in (g.edge_u, g.edge_v, g.indptr, g.indices))
+    assert peak / resident <= 2.6
 
 
 # ---- perturbation ---------------------------------------------------------------------

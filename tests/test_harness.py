@@ -9,7 +9,7 @@ from sparselocal.harness import (ExperimentConfig, bounds_grid,
                                  estimate_variance, ks_to_normal)
 from sparselocal.graph import sample_graph
 from sparselocal.rng import parse_seed
-from sparselocal.weights import EmpiricalWeights, WeightSpec
+from sparselocal.weights import WeightSpec
 
 SEED = parse_seed("feedface")
 
@@ -245,20 +245,23 @@ def test_coupling_samples_each_replica_graph_once(monkeypatch):
         for root in range(cfg.roots)]
 
 
-def test_size_biased_law_built_once_per_replica_graph(monkeypatch):
+def test_size_biased_law_built_once_per_n(monkeypatch):
     from test_golden import COUPLE_GAMMA
 
+    from sparselocal import weights as weights_module
+
     built = []
-    original = EmpiricalWeights.size_biased
+    original = weights_module.EmpiricalSizeBiased
 
-    def counted(self):
-        built.append(self.n)
-        return original(self)
+    def counted(**kw):
+        built.append(kw["W"].size)
+        return original(**kw)
 
-    monkeypatch.setattr(EmpiricalWeights, "size_biased", counted)
+    monkeypatch.setattr(weights_module, "EmpiricalSizeBiased", counted)
     cfg = ExperimentConfig.from_dict(COUPLE_GAMMA)
+    assert cfg.workers == 1
     _, outcomes = coupling_experiment(cfg)
-    # stage 1 breaks, so its detached growth runs, and it reuses the replica's law
+    # stage 1 breaks, so its detached growth runs, and it reuses the law of its n
     stage1 = {"XneqZ", "ActiveCollision", "CompletedCollision", "SizeOverflow"}
     assert any(o["break_reason"] in stage1 for o in outcomes)
-    assert built == [n for n in cfg.n_grid for _ in range(cfg.replicas)]
+    assert built == list(cfg.n_grid)

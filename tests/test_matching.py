@@ -357,6 +357,17 @@ def test_both_formulas_agree():
             dependent_edge_sum_by_degree(g), rel=1e-12, abs=1e-12)
 
 
+def test_dependent_sum_equals_per_edge_hashing():
+    # hashing each vertex once and gathering by endpoint keeps every bit
+    rng = np.random.default_rng(20)
+    for _ in range(20):
+        g = _desk_graph(rng, n=int(rng.integers(2, 51)))
+        if g.num_edges:
+            per_edge = float(np.sum(g.vertex_weight(g.edge_u))
+                             + np.sum(g.vertex_weight(g.edge_v)))
+            assert dependent_edge_sum(g) == per_edge
+
+
 def test_delta_n_trivial_cases():
     rng = np.random.default_rng(19)
     found_same = found_isolated = False

@@ -164,7 +164,7 @@ def test_wasserstein_sample_vs_finite_spec_exact():
 
 
 def _wasserstein_three_calls(values, masses, spec):
-    """The weighted-sample W1 with G evaluated on lo, c and hi separately."""
+    """The weighted-sample W1 with G evaluated on lo, c and hi at every point."""
     order = np.argsort(values)
     s = np.asarray(values, dtype=float)[order]
     m = np.asarray(masses, dtype=float)[order]
@@ -193,6 +193,57 @@ def test_weighted_sample_w1_matches_three_call_form(spec):
             for target in (spec, spec.size_biased()):
                 assert (_wasserstein_weighted_sample(values, masses, target)
                         == _wasserstein_three_calls(values, masses, target))
+
+
+_LAWS = st.one_of(
+    st.floats(0.1, 5.0).map(lambda c: WeightSpec("constant", c=c)),
+    st.lists(st.floats(0.1, 5.0), min_size=1, max_size=4, unique=True).flatmap(
+        lambda v: st.lists(st.floats(0.05, 1.0), min_size=len(v), max_size=len(v)).map(
+            lambda p: WeightSpec("finite", values=tuple(v),
+                                 probs=tuple(np.asarray(p) / np.sum(p))))),
+    st.tuples(st.floats(0.3, 5.0), st.floats(0.2, 3.0)).map(
+        lambda a: WeightSpec("gamma", shape=a[0], scale=a[1])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_LAWS, st.integers(1, 400), st.integers(0, 2**32 - 1), st.booleans(),
+       st.booleans(), st.booleans())
+def test_weighted_sample_w1_equals_all_points_form(spec, n, seed, from_law, biased_masses,
+                                                   biased_target):
+    # G(c) is evaluated only where c is not clipped to lo or hi; the value is
+    # the same bit for bit as with G evaluated at every point
+    rng = np.random.default_rng(seed)
+    values = spec.sample(rng, n) if from_law else rng.gamma(2.0, 1.0, size=n)
+    masses = values / values.sum() if biased_masses else np.full(n, 1.0 / n)
+    target = spec.size_biased() if biased_target else spec
+    assert (_wasserstein_weighted_sample(values, masses, target)
+            == _wasserstein_three_calls(values, masses, target))
+
+
+def test_weighted_sample_w1_evaluates_g_on_unclipped_points_only(monkeypatch):
+    spec = WeightSpec("gamma", shape=2.0, scale=1.0)
+    values = spec.sample(np.random.default_rng(5), 2000)
+    n = values.size
+    points = []
+    original = WeightSpec.partial_quantile_integral
+
+    def counted(self, u):
+        points.append(np.size(u))
+        return original(self, u)
+
+    monkeypatch.setattr(WeightSpec, "partial_quantile_integral", counted)
+    for masses, target in ((np.full(n, 1.0 / n), spec),
+                           (values / values.sum(), spec.size_biased())):
+        hi = np.cumsum(masses[np.argsort(values)])
+        hi[-1] = 1.0
+        lo = np.concatenate(([0.0], hi[:-1]))
+        c = np.clip(target.cdf(np.sort(values)), lo, hi)
+        unclipped = int(np.count_nonzero((c != lo) & (c != hi)))
+        assert unclipped < n // 10
+        points.clear()
+        _wasserstein_weighted_sample(values, masses, target)
+        assert sum(points) <= n + 1 + unclipped
 
 
 def test_wasserstein_unsupported_pair():
