@@ -221,6 +221,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out-dir", default="out")
     parser.add_argument("--check", action="store_true",
                         help="exit 3 when an acceptance-style violation is detected")
+    parser.add_argument("--debug", action="store_true",
+                        help="re-raise runtime errors with their traceback")
     args = parser.parse_args(argv)
 
     try:
@@ -242,6 +244,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handlers[args.command](cfg, args.out_dir, args.check)
     except Exception as exc:  # worker/runtime failure
+        if args.debug:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

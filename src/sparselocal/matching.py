@@ -5,10 +5,15 @@ The edge-weight sum N(G) adds, over realized edges, the decorative weights
 of the two endpoints; its perturbation effects have exact closed forms.
 
 Maximum weight matching is solved exactly: on trees by the linear-time
-bottom-up recursion, on general graphs at desk scale (<= 24 vertices) by a
-memoized branch-and-bound over the remove-or-match recursion
+bottom-up recursion, on general graphs at desk scale (<= 24 vertices) one
+connected component at a time.  The edge weights come from one vectorised
+site hash; each component is relabelled in breadth-first order and solved by
+the memoized remove-or-match recursion over vertex bitmasks
 
-    M(G) = max( M(G - v), max_u w_{vu} + M(G - {v, u}) ).
+    M(G) = max( M(G - v), max_u w_{vu} + M(G - {v, u}) ),
+
+and M(G) is the right fold w_1 + (w_2 + (... + w_k)) over the matched edges
+in sorted order, the same sum the recursion on the whole graph returns.
 
 The finite-depth recursion h_k on a rooted tree brackets the matching
 increment h(G, v) = M(G) - M(G - v) between consecutive even and odd
@@ -59,25 +64,11 @@ class SandwichResult:
 
 
 class _ExactMatcher:
-    """Memoized branch-and-bound over vertex bitmasks (n <= 24)."""
+    """Memoized remove-or-match recursion over the vertex bitmasks of one
+    component, given as neighbour lists of (vertex, weight) on labels 0..k-1."""
 
-    def __init__(self, n: int, edges: list[tuple[int, int, float]]):
-        if n > EXACT_SOLVER_LIMIT:
-            raise ValueError(f"exact matching limited to {EXACT_SOLVER_LIMIT} vertices")
-        self.n = n
-        self.adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        seen = set()
-        for u, v, w in edges:
-            if u == v:
-                raise ValueError("self loops are not allowed")
-            if w < 0:
-                raise ValueError("matching requires nonnegative edge weights")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError("duplicate edge")
-            seen.add(key)
-            self.adj[u].append((v, float(w)))
-            self.adj[v].append((u, float(w)))
+    def __init__(self, adj: list[list[tuple[int, float]]]):
+        self.adj = adj
         self._memo: dict[int, float] = {}
 
     def value(self, mask: int) -> float:
@@ -98,6 +89,8 @@ class _ExactMatcher:
         return best
 
     def witness(self, mask: int) -> list[tuple[int, int]]:
+        """The matching ``value`` chose: the same comparisons, so its weights,
+        folded from the right in label order, give value(mask) bit for bit."""
         out = []
         while mask:
             v = (mask & -mask).bit_length() - 1
@@ -107,26 +100,75 @@ class _ExactMatcher:
             for u, w in self.adj[v]:
                 if mask >> u & 1:
                     cand = w + self.value(rest & ~(1 << u))
-                    if cand > best + 1e-12:
+                    if cand > best:
                         best = cand
                         pick = u
             if pick is None:
                 mask = rest
             else:
-                out.append((min(v, pick), max(v, pick)))
+                out.append((v, pick))
                 mask = rest & ~(1 << pick)
         return out
+
+
+def _exact_matching(n: int, edges: list[tuple[int, int, float]]) -> Matching:
+    """Exact maximum weight matching of an explicit graph on n <= 24 vertices.
+
+    Each connected component is relabelled in breadth-first order from its
+    lowest vertex and solved on its own; a component's bitmask recursion then
+    eliminates vertices along the search frontier and memoizes few states.
+    The value is the right fold w_1 + (w_2 + (... + w_k)) over the matched
+    edges sorted by endpoints, which is the sum the whole-graph recursion on
+    the original labels returns.  The two agree bit for bit unless two
+    matchings tie in weight (exactly or to rounding); on a tie either may be
+    the witness, and the values can then differ in the last bits.
+    """
+    if n > EXACT_SOLVER_LIMIT:
+        raise ValueError(f"exact matching limited to {EXACT_SOLVER_LIMIT} vertices")
+    adj: list[dict[int, float]] = [{} for _ in range(n)]
+    for u, v, w in edges:
+        if u == v:
+            raise ValueError("self loops are not allowed")
+        if w < 0:
+            raise ValueError("matching requires nonnegative edge weights")
+        if v in adj[u]:
+            raise ValueError("duplicate edge")
+        adj[u][v] = adj[v][u] = float(w)
+    seen = [False] * n
+    matched = []
+    for root in range(n):
+        if seen[root] or not adj[root]:
+            continue
+        seen[root] = True
+        order = [root]
+        for x in order:  # breadth first: order grows while it is read
+            for y in sorted(adj[x]):
+                if not seen[y]:
+                    seen[y] = True
+                    order.append(y)
+        label = {x: i for i, x in enumerate(order)}
+        solver = _ExactMatcher([[(label[y], w) for y, w in adj[x].items()] for x in order])
+        for a, b in solver.witness((1 << len(order)) - 1):
+            u, v = sorted((order[a], order[b]))
+            matched.append((u, v, adj[u][v]))
+    matched.sort()
+    total = 0.0
+    for _, _, w in reversed(matched):
+        total = w + total
+    return Matching(edges=[(u, v) for u, v, _ in matched], value=total)
+
+
+def _edge_list(graph: WeightedGraph) -> list[tuple[int, int, float]]:
+    """(u, v, w_uv) for every realized edge; the weights come from one hash call."""
+    w = graph.edge_weight(graph.edge_u, graph.edge_v)
+    return list(zip(graph.edge_u.tolist(), graph.edge_v.tolist(), w.tolist()))
 
 
 def matching_value(n: int, edges: list[tuple[int, int, float]],
                    exclude: frozenset[int] = frozenset()) -> float:
     """M(G - exclude) for an explicit edge list; exact."""
-    solver = _ExactMatcher(n, edges)
-    mask = 0
-    for v in range(n):
-        if v not in exclude:
-            mask |= 1 << v
-    return solver.value(mask)
+    kept = [e for e in edges if e[0] not in exclude and e[1] not in exclude]
+    return _exact_matching(n, kept).value
 
 
 def max_weight_matching(obj, edges: list[tuple[int, int, float]] | None = None) -> Matching:
@@ -135,21 +177,16 @@ def max_weight_matching(obj, edges: list[tuple[int, int, float]] | None = None) 
     Accepts a RootedWeightedTree (linear-time recursion), a WeightedGraph
     with an edge-weight law (desk-scale exact search), or an explicit
     (n, edges) pair.  Sizes beyond the exact-solver limit raise; there is no
-    heuristic fallback.
+    heuristic fallback.  On general graphs the witness and the value come
+    from the per-component search of ``_exact_matching``, which says how
+    weight ties are settled.
     """
     if isinstance(obj, RootedWeightedTree):
         value, matched = _tree_matching(obj)
         return Matching(edges=matched, value=value)
     if isinstance(obj, WeightedGraph):
-        edge_list = [(int(u), int(v), float(obj.edge_weight(int(u), int(v))))
-                     for u, v in zip(obj.edge_u, obj.edge_v)]
-        solver = _ExactMatcher(obj.n, edge_list)
-        full = (1 << obj.n) - 1
-        return Matching(edges=solver.witness(full), value=solver.value(full))
-    n = int(obj)
-    solver = _ExactMatcher(n, edges or [])
-    full = (1 << n) - 1
-    return Matching(edges=solver.witness(full), value=solver.value(full))
+        return _exact_matching(obj.n, _edge_list(obj))
+    return _exact_matching(int(obj), edges or [])
 
 
 def _tree_matching(tree: RootedWeightedTree) -> tuple[float, list[tuple[int, int]]]:
@@ -186,15 +223,10 @@ def h_value(obj, v: int, edges: list[tuple[int, int, float]] | None = None) -> f
     (n, edges) pair.
     """
     if isinstance(obj, WeightedGraph):
-        n = obj.n
-        edges = [(int(a), int(b), float(obj.edge_weight(int(a), int(b))))
-                 for a, b in zip(obj.edge_u, obj.edge_v)]
+        n, edges = obj.n, _edge_list(obj)
     else:
-        n = int(obj)
-        edges = edges or []
-    solver = _ExactMatcher(n, edges)
-    full = (1 << n) - 1
-    return solver.value(full) - solver.value(full & ~(1 << v))
+        n, edges = int(obj), edges or []
+    return _exact_matching(n, edges).value - matching_value(n, edges, frozenset({v}))
 
 
 def h_k(tree: RootedWeightedTree, k: int) -> float:

@@ -26,6 +26,64 @@ def brute_force_matching():
     return _brute_force_matching
 
 
+class WholeGraphMatcher:
+    """The remove-or-match recursion on the whole graph and its original labels.
+
+    It always removes the lowest remaining vertex, so its value is the right
+    fold of the matched weights in sorted edge order, maximised over all
+    matchings; the per-component solver must return the same bits.
+    """
+
+    def __init__(self, n, edges):
+        self.adj = [[] for _ in range(n)]
+        for u, v, w in edges:
+            self.adj[u].append((v, float(w)))
+            self.adj[v].append((u, float(w)))
+        self._memo = {}
+
+    def value(self, mask):
+        cached = self._memo.get(mask)
+        if cached is not None:
+            return cached
+        if mask == 0:
+            return 0.0
+        v = (mask & -mask).bit_length() - 1
+        best = self.value(mask & ~(1 << v))
+        for u, w in self.adj[v]:
+            if mask >> u & 1:
+                cand = w + self.value(mask & ~(1 << v) & ~(1 << u))
+                if cand > best:
+                    best = cand
+        self._memo[mask] = best
+        return best
+
+    def witness(self, mask):
+        out = []
+        while mask:
+            v = (mask & -mask).bit_length() - 1
+            rest = mask & ~(1 << v)
+            best = self.value(rest)
+            pick = None
+            for u, w in self.adj[v]:
+                if mask >> u & 1:
+                    cand = w + self.value(rest & ~(1 << u))
+                    if cand > best + 1e-12:
+                        best = cand
+                        pick = u
+            if pick is None:
+                mask = rest
+            else:
+                out.append((min(v, pick), max(v, pick)))
+                mask = rest & ~(1 << pick)
+        return out
+
+
+@pytest.fixture
+def whole_graph_matcher():
+    """The oracle of the per-component solver."""
+    return WholeGraphMatcher
+
+
 def _couple_bernoulli_poisson(p_prime, u):
     """Comonotone (X, Z) from one shared uniform per site.
 

@@ -199,3 +199,17 @@ def test_env_seed_override(config_path, tmp_path, capsys, monkeypatch):
     # explicit --seed wins over the environment
     main(["generate", "--config", config_path, "--out-dir", out, "--seed", "c0ffee"])
     assert capsys.readouterr().out == base
+
+
+def test_runtime_error_is_flattened_unless_debug(config_path, tmp_path, capsys, monkeypatch):
+    import sparselocal.cli as cli
+
+    def broken(cfg, out_dir, check):
+        raise RuntimeError("replica 3: boom")
+
+    monkeypatch.setattr(cli, "cmd_generate", broken)
+    out = str(tmp_path / "outd")
+    assert main(["generate", "--config", config_path, "--out-dir", out]) == 1
+    assert capsys.readouterr().err == "error: replica 3: boom\n"
+    with pytest.raises(RuntimeError, match="replica 3: boom"):
+        main(["generate", "--config", config_path, "--out-dir", out, "--debug"])

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from sparselocal import matching
 from sparselocal.explore import explore
 from sparselocal.graph import WeightedGraph, sample_graph
 from sparselocal.matching import (EXACT_SOLVER_LIMIT, Matching, delta_N,
                                   dependent_edge_sum, envelope_bound, h_k, h_value,
                                   matching_sandwich, matching_value, max_weight_matching)
+from sparselocal.rng import SiteRandom
 from sparselocal.trees import RootedWeightedTree
 from sparselocal.weights import EmpiricalWeights, WeightSpec, exponential, \
     sample_empirical_weights
@@ -100,6 +104,106 @@ def _h_of(n, edges, v, u):
     without_v = [e for e in edges if v not in e[:2]]
     return (matching_value(n, without_v, frozenset({v}))
             - matching_value(n, without_v, frozenset({v, u})))
+
+
+@st.composite
+def small_graphs(draw, dyadic):
+    """A graph on n <= 24 vertices with at most 30 edges, in random edge order.
+
+    Dyadic weights k/4 make every sum exact, so equal-weight matchings tie
+    exactly and often; otherwise the weights are Exp(1) draws, which tie with
+    probability zero.
+    """
+    n = draw(st.integers(0, EXACT_SOLVER_LIMIT))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30)) if pairs else []
+    if dyadic:
+        w = [k / 4 for k in draw(st.lists(st.integers(0, 32), min_size=len(chosen),
+                                          max_size=len(chosen)))]
+    else:
+        w = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).exponential(
+            size=len(chosen)).tolist()
+    return n, [(u, v, x) for (u, v), x in zip(chosen, w)]
+
+
+def _check_against_whole_graph(n, edges, oracle):
+    got = max_weight_matching(n, edges)
+    assert got.value == oracle(n, edges).value((1 << n) - 1)
+    # the witness is a matching on realized edges, listed in sorted order,
+    # whose weights folded from the right give the value bit for bit
+    weight = {(u, v): w for u, v, w in edges}
+    assert got.edges == sorted(got.edges)
+    total = 0.0
+    for e in reversed(got.edges):
+        total = weight[e] + total
+    assert total == got.value
+    return got
+
+
+_EXAMPLES = [
+    (0, []),
+    (7, []),  # no edges, every vertex isolated
+    (6, [(0, 3, 1.0), (1, 4, 2.0), (2, 5, 0.5)]),  # three components
+    (9, [(0, 1, 1.0), (1, 2, 1.0), (4, 6, 2.0), (6, 8, 2.0)]),  # ties, isolated 3, 5, 7
+    (24, [(i, i + 12, 1.0 + i / 4) for i in range(12)]),
+]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(graph=small_graphs(dyadic=True))
+@example(graph=_EXAMPLES[0])
+@example(graph=_EXAMPLES[1])
+@example(graph=_EXAMPLES[2])
+@example(graph=_EXAMPLES[3])
+@example(graph=_EXAMPLES[4])
+def test_per_component_solve_equals_whole_graph_on_exact_sums(whole_graph_matcher, graph):
+    _check_against_whole_graph(*graph, whole_graph_matcher)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(graph=small_graphs(dyadic=False))
+def test_per_component_solve_equals_whole_graph_on_generic_weights(whole_graph_matcher,
+                                                                   graph):
+    n, edges = graph
+    got = _check_against_whole_graph(n, edges, whole_graph_matcher)
+    # without ties the optimum is unique, so the witness is the oracle's too
+    assert got.edges == sorted(whole_graph_matcher(n, edges).witness((1 << n) - 1))
+
+
+def test_graph_edge_weights_take_one_hash_call(monkeypatch):
+    calls = []
+    uniform = SiteRandom.uniform
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return uniform(self, *args, **kwargs)
+
+    monkeypatch.setattr(SiteRandom, "uniform", counted)
+    rng = np.random.default_rng(22)
+    for _ in range(5):
+        g = _desk_graph(rng, n=16)
+        assert g.num_edges > 1
+        calls.clear()
+        max_weight_matching(g)
+        assert len(calls) == 1
+
+
+def test_disjoint_edges_are_solved_one_component_at_a_time(monkeypatch):
+    calls = []
+    value = matching._ExactMatcher.value
+
+    def counted(self, mask):
+        calls.append(mask)
+        return value(self, mask)
+
+    monkeypatch.setattr(matching._ExactMatcher, "value", counted)
+    n, edges = _EXAMPLES[4]
+    got = max_weight_matching(n, edges)
+    assert got.edges == [(i, i + 12) for i in range(12)]
+    assert got.value == sum(1.0 + i / 4 for i in range(12))
+    assert len(calls) <= 60
 
 
 def test_h_value_basic():
