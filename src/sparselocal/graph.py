@@ -221,7 +221,10 @@ def _bernoulli_positions(gen: np.random.Generator, total: int, p: float) -> np.n
     while True:
         expect = (total - pos) * p
         block = int(expect + 10.0 * np.sqrt(expect + 1.0) + 16)
-        gaps = gen.geometric(p, size=block)
+        # a gap past total ends the run either way; capping it keeps the
+        # cumulative sum inside int64 when p is tiny (geometric saturates
+        # at the int64 maximum below p ~ 1e-18)
+        gaps = np.minimum(gen.geometric(p, size=block), total + 1)
         positions = pos + np.cumsum(gaps)
         inside = positions < total
         out.append(positions[inside])

@@ -166,6 +166,7 @@ def test_sample_graph_peak_memory_is_bounded_by_graph_size():
     assert peak / resident <= 2.6
 
 
+
 # ---- perturbation ---------------------------------------------------------------------
 
 
@@ -268,6 +269,23 @@ def test_bernoulli_positions_law():
     assert abs(first_slot / reps - p) <= 4 * np.sqrt(p * (1 - p) / reps)
     assert _bernoulli_positions(gen, 7, 1.0).tolist() == list(range(7))
     assert _bernoulli_positions(gen, 7, 0.0).size == 0
+
+
+def test_bernoulli_positions_tiny_p_stays_in_range():
+    # below p ~ 1e-18 the geometric gaps saturate at the int64 maximum, and
+    # their uncapped cumulative sum wrapped to negative positions
+    from sparselocal.graph import _bernoulli_positions
+    from sparselocal.rng import stream_rng
+
+    gen = stream_rng(SEED, 0, 99)
+    for p in (1e-17, 1e-19, 1e-25, 1e-300):
+        for total in (1, 10, 10**11):
+            pos = _bernoulli_positions(gen, total, p)
+            assert np.all((0 <= pos) & (pos < total))
+    w = sample_empirical_weights(WeightSpec("gamma", shape=0.21875, scale=1.0), 62, SEED,
+                                 stream=19)
+    g = sample_graph(w, SEED, 19)
+    assert np.all((0 <= g.edge_u) & (g.edge_u < g.edge_v) & (g.edge_v < w.n))
 
 
 def test_expected_edge_count_general_weights():
