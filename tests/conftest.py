@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from sparselocal.coupling import poisson_icdf
+from sparselocal.graph import _GEN_TAG, WeightedGraph, _unrank_triangle
+from sparselocal.rng import stream_rng
 
 
 def _brute_force_matching(n, edges):
@@ -105,3 +107,86 @@ def _couple_bernoulli_poisson(p_prime, u):
 def couple_bernoulli_poisson():
     """The site coupling of one Bernoulli and one Poisson through a shared uniform."""
     return _couple_bernoulli_poisson
+
+
+def _bernoulli_positions(gen, total, p):
+    """Positions of successes of a Bernoulli(p) process on [0, total)."""
+    if total <= 0 or p <= 0:
+        return np.empty(0, dtype=np.int64)
+    if p >= 1.0:
+        return np.arange(total, dtype=np.int64)
+    out = []
+    pos = -1
+    while True:
+        expect = (total - pos) * p
+        block = int(expect + 10.0 * np.sqrt(expect + 1.0) + 16)
+        gaps = np.minimum(gen.geometric(p, size=block), total + 1)
+        positions = pos + np.cumsum(gaps)
+        inside = positions < total
+        out.append(positions[inside])
+        if not inside.all():
+            break
+        pos = int(positions[-1])
+    return np.concatenate(out).astype(np.int64)
+
+
+def _per_pair_sample_graph(weights, seed, stream=0, mu_v=None, mu_e=None):
+    """The bucketed skip sampler that partitions, maps and thins one bucket pair at a time.
+
+    It recomputes the power-of-two buckets on every call and draws, per
+    bucket pair, the geometric gaps and then one thinning uniform per
+    candidate.  ``graph.sample_graph`` must consume the same draws in the
+    same order and realize the same edges.
+    """
+    W = weights.W
+    n, theta = weights.n, weights.theta
+    gen = stream_rng(seed, stream, _GEN_TAG)
+    if n == 1:
+        return WeightedGraph(weights, seed, stream,
+                             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+                             mu_v=mu_v, mu_e=mu_e)
+
+    bucket = np.floor(np.log2(W)).astype(np.int64)
+    labels = np.unique(bucket)
+    members = {b: np.flatnonzero(bucket == b) for b in labels}
+    wmax = {b: float(W[members[b]].max()) for b in labels}
+
+    all_u, all_v = [], []
+    for ai, a in enumerate(labels):
+        ia = members[a]
+        for b in labels[ai:]:
+            ib = members[b]
+            pmax = min(wmax[a] * wmax[b] / (n * theta), 1.0)
+            if a == b:
+                m = ia.size
+                total = m * (m - 1) // 2
+            else:
+                total = ia.size * ib.size
+            pos = _bernoulli_positions(gen, total, pmax)
+            if pos.size == 0:
+                continue
+            if a == b:
+                i, j = _unrank_triangle(pos, ia.size)
+                cu, cv = ia[i], ia[j]
+            else:
+                cu = ia[pos // ib.size]
+                cv = ib[pos % ib.size]
+            accept = gen.random(pos.size) * pmax < np.minimum(
+                W[cu] * W[cv] / (n * theta), 1.0)
+            if np.any(accept):
+                all_u.append(np.minimum(cu[accept], cv[accept]))
+                all_v.append(np.maximum(cu[accept], cv[accept]))
+
+    if all_u:
+        edge_u = np.concatenate(all_u)
+        edge_v = np.concatenate(all_v)
+    else:
+        edge_u = np.empty(0, dtype=np.int64)
+        edge_v = np.empty(0, dtype=np.int64)
+    return WeightedGraph(weights, seed, stream, edge_u, edge_v, mu_v=mu_v, mu_e=mu_e)
+
+
+@pytest.fixture
+def per_pair_sample_graph():
+    """The oracle of the bucket-plan sampler."""
+    return _per_pair_sample_graph

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -165,6 +165,35 @@ def test_sample_graph_peak_memory_is_bounded_by_graph_size():
     resident = sum(a.nbytes for a in (g.edge_u, g.edge_v, g.indptr, g.indices))
     assert peak / resident <= 2.6
 
+
+
+_CONSTANT = WeightSpec("constant", c=5.0)
+_ONE_BUCKET = WeightSpec("finite", values=(2.0, 3.5), probs=(0.5, 0.5))  # all in [2, 4)
+_GAMMA = WeightSpec("gamma", shape=2.0, scale=1.0)
+
+_laws = st.one_of(
+    st.floats(0.05, 20.0).map(lambda c: WeightSpec("constant", c=c)),
+    st.tuples(st.floats(0.05, 50.0), st.floats(0.05, 50.0), st.floats(0.05, 0.95)).map(
+        lambda t: WeightSpec("finite", values=t[:2], probs=(t[2], 1.0 - t[2]))),
+    st.tuples(st.floats(0.2, 5.0), st.floats(0.1, 3.0)).map(
+        lambda t: WeightSpec("gamma", shape=t[0], scale=t[1])),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=_laws, n=st.integers(1, 3000), stream=st.integers(0, 2**31))
+@example(spec=_GAMMA, n=1, stream=0)
+@example(spec=_GAMMA, n=2, stream=3)
+@example(spec=_CONSTANT, n=4, stream=1)  # every bucket pair has pmax >= 1
+@example(spec=_ONE_BUCKET, n=500, stream=2)
+@example(spec=_GAMMA, n=30_000, stream=5)  # many flushes of the candidate batch
+def test_sample_graph_equals_per_pair_oracle(per_pair_sample_graph, spec, n, stream):
+    w = sample_empirical_weights(spec, n, SEED, stream=stream)
+    got = sample_graph(w, SEED, stream)
+    want = per_pair_sample_graph(w, SEED, stream)
+    for name in ("edge_u", "edge_v", "indptr", "indices"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 # ---- perturbation ---------------------------------------------------------------------
