@@ -8,7 +8,15 @@ Generation never touches all n^2 pairs: vertices are grouped into
 power-of-two weight buckets, candidate pairs inside a bucket pair are drawn
 by geometric skip sampling at the bucket's uniform probability bound, and
 each candidate is then thinned to its exact p_uv.  The expected cost is
-O(n + edges).
+O(n + edges).  The buckets depend on the weights alone, so their plan is
+built once per n (``weights.bucket_plan``).  A graph then spends per bucket
+pair just the two generator calls the stream needs, the geometric gaps and
+one thinning uniform per candidate (a long run takes a few more gap
+blocks).  Candidates of consecutive pairs are batched, then mapped to
+vertex pairs and thinned in one vectorised pass once the batch holds
+``_FLUSH`` candidates: the many tiny pairs of a small graph cost one pass,
+and the temporaries of a large graph are those of one batch, not of all
+candidates.
 
 Everything that is not the realized edge set -- replacement indicators X',
 decorative vertex/edge weights w, w' and the coupling auxiliaries -- is a
@@ -21,15 +29,17 @@ from: it depends on the weights alone, so it lives with the weights of one n
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng as srng
 from .rng import SiteRandom, stream_rng
-from .weights import EmpiricalWeights, WeightSpec
+from .weights import BucketPlan, EmpiricalWeights, WeightSpec
 
 _GEN_TAG = 12
+_FLUSH = 4096  # candidates mapped and thinned per vectorised pass
 
 
 def edge_probability(Wu: float, Wv: float, n: int, theta: float) -> float:
@@ -220,35 +230,34 @@ def _bernoulli_positions(gen: np.random.Generator, total: int, p: float) -> np.n
     pos = -1
     while True:
         expect = (total - pos) * p
-        block = int(expect + 10.0 * np.sqrt(expect + 1.0) + 16)
+        block = int(expect + 10.0 * math.sqrt(expect + 1.0) + 16)
         # a gap past total ends the run either way; capping it keeps the
         # cumulative sum inside int64 when p is tiny (geometric saturates
         # at the int64 maximum below p ~ 1e-18)
         gaps = np.minimum(gen.geometric(p, size=block), total + 1)
-        positions = pos + np.cumsum(gaps)
-        inside = positions < total
-        out.append(positions[inside])
-        if not inside.all():
+        gaps[0] += pos  # so the cumulative sum is pos + cumsum(gaps)
+        positions = gaps.cumsum()
+        inside = int(positions.searchsorted(total))  # the positions increase
+        out.append(positions[:inside])
+        if inside < block:
             break
         pos = int(positions[-1])
-    return np.concatenate(out).astype(np.int64)
+    return out[0] if len(out) == 1 else np.concatenate(out)
 
 
-def _unrank_triangle(L: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Map linear indices to pairs (i, j), i < j < m, in lexicographic order."""
-    L = L.astype(np.float64)
-    b = 2.0 * m - 1.0
-    i = np.floor((b - np.sqrt(b * b - 8.0 * L)) / 2.0).astype(np.int64)
-    offset = i * (2 * m - i - 1) // 2
-    # float sqrt can be off by one near boundaries
-    too_big = offset > L.astype(np.int64)
-    i = i - too_big.astype(np.int64)
-    offset = i * (2 * m - i - 1) // 2
-    next_off = (i + 1) * (2 * m - i - 2) // 2
-    too_small = L.astype(np.int64) >= next_off
-    i = i + too_small.astype(np.int64)
-    offset = i * (2 * m - i - 1) // 2
-    j = L.astype(np.int64) - offset + i + 1
+def _unrank_triangle(L: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:
+    """Map linear indices to pairs (i, j), i < j < m, in lexicographic order.
+
+    ``m`` is one size or one size per index.  Row i starts at
+    i (2m - i - 1) / 2; the float root can miss the row by one near its
+    boundaries, so it is corrected both ways.
+    """
+    L = np.asarray(L, dtype=np.int64)
+    b = 2 * np.asarray(m, dtype=np.int64) - 1
+    i = ((b - np.sqrt(b * b - 8.0 * L)) / 2.0).astype(np.int64)
+    i -= i * (b - i) // 2 > L
+    i += (i + 1) * (b - i - 1) // 2 <= L
+    j = L - i * (b - i) // 2 + i + 1
     return i, j
 
 
@@ -256,53 +265,69 @@ def sample_graph(weights: EmpiricalWeights, seed: tuple[int, int], stream: int =
                  mu_v: WeightSpec | None = None,
                  mu_e: WeightSpec | None = None) -> WeightedGraph:
     """Realize the edge set; expected O(n + edges) work, never n^2 memory."""
-    W = weights.W
-    n, theta = weights.n, weights.theta
+    plan = weights.bucket_plan
     gen = stream_rng(seed, stream, _GEN_TAG)
-    if n == 1:
-        return WeightedGraph(weights, seed, stream,
-                             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                             mu_v=mu_v, mu_e=mu_e)
-
-    bucket = np.floor(np.log2(W)).astype(np.int64)
-    labels = np.unique(bucket)
-    members = {b: np.flatnonzero(bucket == b) for b in labels}
-    wmax = {b: float(W[members[b]].max()) for b in labels}
-
-    all_u, all_v = [], []
-    for ai, a in enumerate(labels):
-        ia = members[a]
-        for b in labels[ai:]:
-            ib = members[b]
-            pmax = min(wmax[a] * wmax[b] / (n * theta), 1.0)
-            if a == b:
-                m = ia.size
-                total = m * (m - 1) // 2
-            else:
-                total = ia.size * ib.size
-            pos = _bernoulli_positions(gen, total, pmax)
-            if pos.size == 0:
-                continue
-            if a == b:
-                i, j = _unrank_triangle(pos, ia.size)
-                cu, cv = ia[i], ia[j]
-            else:
-                cu = ia[pos // ib.size]
-                cv = ib[pos % ib.size]
-            accept = gen.random(pos.size) * pmax < np.minimum(
-                W[cu] * W[cv] / (n * theta), 1.0)
-            if np.any(accept):
-                all_u.append(np.minimum(cu[accept], cv[accept]))
-                all_v.append(np.maximum(cu[accept], cv[accept]))
-
-    if all_u:
-        edge_u = np.concatenate(all_u)
-        edge_v = np.concatenate(all_v)
-        del all_u, all_v
-    else:
-        edge_u = np.empty(0, dtype=np.int64)
-        edge_v = np.empty(0, dtype=np.int64)
+    none = np.empty(0, dtype=np.int64)
+    edges = [(none, none)]  # so that the ends always concatenate
+    pairs, positions, uniforms = [], [], []
+    pending = 0
+    for k, (pmax, total) in enumerate(plan.draws):
+        pos = _bernoulli_positions(gen, total, pmax)
+        if pos.size:
+            pairs.append(k)
+            positions.append(pos)
+            uniforms.append(gen.random(pos.size))
+            pending += pos.size
+            if pending >= _FLUSH:
+                edges.append(_map_and_thin(weights, plan, pairs, positions, uniforms))
+                pending = 0
+    if pending:
+        edges.append(_map_and_thin(weights, plan, pairs, positions, uniforms))
+    edge_u, edge_v = (np.concatenate(ends) for ends in zip(*edges))
+    del edges
     return WeightedGraph(weights, seed, stream, edge_u, edge_v, mu_v=mu_v, mu_e=mu_e)
+
+
+def _map_and_thin(weights: EmpiricalWeights, plan: BucketPlan, pairs: list[int],
+                  positions: list[np.ndarray], uniforms: list[np.ndarray]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Map a batch of candidate positions to vertex pairs and keep each with p_uv / pmax.
+
+    ``positions[i]`` indexes the vertex pairs of bucket pair ``pairs[i]``:
+    the strict upper triangle in lexicographic order inside one bucket,
+    row-major across two; ``uniforms[i]`` are its thinning draws.  The three
+    lists are emptied once concatenated, which frees the per-pair arrays.
+    Returns the kept edges as (min, max) endpoints.
+    """
+    pair = np.repeat(np.asarray(pairs, dtype=np.int64), [p.size for p in positions])
+    pos = np.concatenate(positions, dtype=np.int64)
+    r = np.concatenate(uniforms, dtype=np.float64)
+    del pairs[:], positions[:], uniforms[:]
+    cu = plan.start_a[pair]
+    cv = plan.start_b[pair]
+    same = plan.same[pair]
+    if same.all():
+        i, j = _unrank_triangle(pos, plan.size_a[pair])
+        cu += i
+        cv += j
+    else:
+        cross = ~same
+        rows, cols = np.divmod(pos[cross], plan.size_b[pair[cross]])
+        cu[cross] += rows
+        cv[cross] += cols
+        if same.any():
+            i, j = _unrank_triangle(pos[same], plan.size_a[pair[same]])
+            cu[same] += i
+            cv[same] += j
+    del pos
+    cu = plan.order[cu]
+    cv = plan.order[cv]
+    W = weights.W
+    r *= plan.pmax[pair]
+    accept = r < np.minimum(W[cu] * W[cv] / (weights.n * weights.theta), 1.0)
+    cu = cu[accept]
+    cv = cv[accept]
+    return np.minimum(cu, cv), np.maximum(cu, cv)
 
 
 def perturb(graph: WeightedGraph, sites: PerturbationSet) -> WeightedGraph:

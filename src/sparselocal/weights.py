@@ -218,6 +218,64 @@ class EmpiricalWeights:
         return EmpiricalSizeBiased(W=self.W, scale=lam / (self.n * self.theta),
                                    cum=np.cumsum(self.W / lam), lo=lo, hi=hi)
 
+    @cached_property
+    def bucket_plan(self) -> "BucketPlan":
+        """The graph sampler's bucket pairs, built on first use and kept with the weights.
+
+        Vertices are grouped by floor(log2 W) into power-of-two buckets.  For
+        each pair of buckets a <= b that has a vertex pair, the plan keeps
+        where both buckets start in the vertex order, their sizes, whether
+        a == b, the probability bound pmax = min(wmax_a wmax_b / (n theta), 1)
+        and the number of vertex pairs.  All of it depends on the weights
+        alone, so every replica graph of one n reads this one plan and spends
+        per bucket pair only its generator draws.
+        """
+        bucket = np.floor(np.log2(self.W)).astype(np.int64)
+        order = np.argsort(bucket, kind="stable")
+        _, starts, sizes = np.unique(bucket[order], return_index=True, return_counts=True)
+        wmax = np.maximum.reduceat(self.W[order], starts).tolist()
+        starts, sizes = starts.tolist(), sizes.tolist()
+        norm = self.n * self.theta
+        rows = []  # (start_a, start_b, size_a, size_b, same, pmax, total)
+        for a in range(len(starts)):
+            for b in range(a, len(starts)):
+                total = (sizes[a] * (sizes[a] - 1) // 2 if a == b
+                         else sizes[a] * sizes[b])
+                if total:
+                    rows.append((starts[a], starts[b], sizes[a], sizes[b], a == b,
+                                 min(wmax[a] * wmax[b] / norm, 1.0), total))
+        cols = list(zip(*rows)) or [()] * 7
+        return BucketPlan(order=order,
+                          start_a=np.array(cols[0], dtype=np.int64),
+                          start_b=np.array(cols[1], dtype=np.int64),
+                          size_a=np.array(cols[2], dtype=np.int64),
+                          size_b=np.array(cols[3], dtype=np.int64),
+                          same=np.array(cols[4], dtype=bool),
+                          pmax=np.array(cols[5], dtype=np.float64),
+                          draws=[(p, t) for *_, p, t in rows])
+
+
+@dataclass(frozen=True, eq=False)
+class BucketPlan:
+    """Bucket pairs of one weight vector, in the order the graph sampler visits them.
+
+    ``order`` lists the vertices bucket by bucket, ascending inside each
+    bucket.  Pair k covers the vertices ``order[start_a[k]:][:size_a[k]]``
+    against ``order[start_b[k]:][:size_b[k]]`` (the strict upper triangle
+    when ``same[k]``).  ``draws[k]`` is its (pmax, total) as Python numbers,
+    which the per-pair loop hands to the generator; the arrays are gathered
+    per candidate when candidates are mapped and thinned.
+    """
+
+    order: np.ndarray
+    start_a: np.ndarray
+    start_b: np.ndarray
+    size_a: np.ndarray
+    size_b: np.ndarray
+    same: np.ndarray
+    pmax: np.ndarray
+    draws: list[tuple[float, int]]
+
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalSizeBiased:

@@ -278,6 +278,26 @@ def test_triangle_unranking_exhaustive():
         assert got == want
 
 
+def test_triangle_unranking_with_one_size_per_index():
+    from sparselocal.graph import _unrank_triangle
+
+    # indices near row boundaries of small and large triangles, interleaved
+    L, m = [], []
+    for size in (2, 3, 5, 11, 40, 1_000_003):
+        total = size * (size - 1) // 2
+        for idx in {0, 1 % total, total // 2, max(total - 2, 0), total - 1,
+                    size - 1, size - 2, 2 * size - 4}:
+            if 0 <= idx < total:
+                L.append(idx)
+                m.append(size)
+    order = np.random.default_rng(0).permutation(len(L))
+    L, m = np.array(L)[order], np.array(m)[order]
+    i, j = _unrank_triangle(L, m)
+    for a, b, idx, size in zip(i.tolist(), j.tolist(), L.tolist(), m.tolist()):
+        assert 0 <= a < b < size
+        assert a * (2 * size - a - 1) // 2 + (b - a - 1) == idx  # the lexicographic rank
+
+
 def test_bernoulli_positions_law():
     from sparselocal.graph import _bernoulli_positions
     from sparselocal.rng import stream_rng

@@ -265,3 +265,37 @@ def test_size_biased_law_built_once_per_n(monkeypatch):
     stage1 = {"XneqZ", "ActiveCollision", "CompletedCollision", "SizeOverflow"}
     assert any(o["break_reason"] in stage1 for o in outcomes)
     assert built == list(cfg.n_grid)
+
+
+def _count_bucket_plans(monkeypatch):
+    from sparselocal import weights as weights_module
+
+    built = []
+    original = weights_module.BucketPlan
+
+    def counted(**kw):
+        built.append(kw["order"].size)
+        return original(**kw)
+
+    monkeypatch.setattr(weights_module, "BucketPlan", counted)
+    return built
+
+
+def test_bucket_plan_built_once_per_n(monkeypatch):
+    built = _count_bucket_plans(monkeypatch)
+    cfg = small_config(weights=WeightSpec("gamma", shape=2.0, scale=1.0),
+                       n_grid=[60, 90], replicas=12)
+    assert cfg.workers == 1
+    clt_experiment(cfg)
+    assert built == [60, 90]
+
+
+def test_parent_process_builds_no_bucket_plan(monkeypatch):
+    # the weights travel to the workers with every task, so a plan built in
+    # the parent would be pickled with them; the workers build their own
+    built = _count_bucket_plans(monkeypatch)
+    cfg = small_config(n_grid=[60, 90], replicas=8, workers=2)
+    rows = clt_experiment(cfg)
+    assert built == []
+    assert rows == clt_experiment(dataclasses.replace(cfg, workers=1))
+    assert built == [60, 90]
