@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from sparselocal.limit_trees import (Population, TreeBudgetExceeded,
@@ -234,3 +236,19 @@ def test_population_w1_and_csv(tmp_path):
     path = tmp_path / "pop.csv"
     a.to_csv(path)
     assert np.array_equal(np.loadtxt(path), a.particles)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                max_size=50))
+@example([0.0])
+@example([5e-324, 2.2250738585072009e-308, 1e-310])  # subnormals
+@example([1.0, 2.0, 3.0, 1e15, 2.0 ** 53])  # integers
+@example([1e308, 1.7976931348623157e308])
+def test_population_csv_bytes_equal_savetxt(tmp_path, particles):
+    pop = Population(np.array(particles))
+    ours, theirs = tmp_path / "ours.csv", tmp_path / "savetxt.csv"
+    pop.to_csv(ours)
+    np.savetxt(theirs, pop.particles, fmt="%.17g")
+    assert ours.read_bytes() == theirs.read_bytes()
