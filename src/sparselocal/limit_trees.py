@@ -145,9 +145,15 @@ class Population:
         return np.sort(self.particles)
 
     def to_csv(self, path) -> None:
-        """One particle per line as %.17g: the bytes of ``np.savetxt``, in one write."""
+        """One particle per line as %.17g: the bytes of ``np.savetxt``, a block per write.
+
+        Blocks of 2^14 particles keep the formatted text from adding to the
+        peak memory of a large population.
+        """
         with open(path, "w") as fh:
-            fh.write("".join("%.17g\n" % x for x in self.particles.tolist()))
+            for start in range(0, self.size, 1 << 14):
+                block = self.particles[start:start + (1 << 14)].tolist()
+                fh.write("".join(["%.17g\n" % x for x in block]))
 
 
 def population_w1(a: Population, b: Population) -> float:

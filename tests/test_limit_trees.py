@@ -246,6 +246,7 @@ def test_population_w1_and_csv(tmp_path):
 @example([5e-324, 2.2250738585072009e-308, 1e-310])  # subnormals
 @example([1.0, 2.0, 3.0, 1e15, 2.0 ** 53])  # integers
 @example([1e308, 1.7976931348623157e308])
+@example(np.linspace(0.0, 7.0, (1 << 14) + 3).tolist())  # more than one write block
 def test_population_csv_bytes_equal_savetxt(tmp_path, particles):
     pop = Population(np.array(particles))
     ours, theirs = tmp_path / "ours.csv", tmp_path / "savetxt.csv"
