@@ -36,7 +36,7 @@ import numpy as np
 
 from . import rng as srng
 from .rng import SiteRandom, stream_rng
-from .weights import BucketPlan, EmpiricalWeights, WeightSpec
+from .weights import EmpiricalWeights, WeightSpec
 
 _GEN_TAG = 12
 _FLUSH = 4096  # candidates mapped and thinned per vectorised pass
@@ -279,18 +279,17 @@ def sample_graph(weights: EmpiricalWeights, seed: tuple[int, int], stream: int =
             uniforms.append(gen.random(pos.size))
             pending += pos.size
             if pending >= _FLUSH:
-                edges.append(_map_and_thin(weights, plan, pairs, positions, uniforms))
+                edges.append(_map_and_thin(weights, pairs, positions, uniforms))
                 pending = 0
     if pending:
-        edges.append(_map_and_thin(weights, plan, pairs, positions, uniforms))
+        edges.append(_map_and_thin(weights, pairs, positions, uniforms))
     edge_u, edge_v = (np.concatenate(ends) for ends in zip(*edges))
     del edges
     return WeightedGraph(weights, seed, stream, edge_u, edge_v, mu_v=mu_v, mu_e=mu_e)
 
 
-def _map_and_thin(weights: EmpiricalWeights, plan: BucketPlan, pairs: list[int],
-                  positions: list[np.ndarray], uniforms: list[np.ndarray]
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def _map_and_thin(weights: EmpiricalWeights, pairs: list[int], positions: list[np.ndarray],
+                  uniforms: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Map a batch of candidate positions to vertex pairs and keep each with p_uv / pmax.
 
     ``positions[i]`` indexes the vertex pairs of bucket pair ``pairs[i]``:
@@ -299,26 +298,21 @@ def _map_and_thin(weights: EmpiricalWeights, plan: BucketPlan, pairs: list[int],
     lists are emptied once concatenated, which frees the per-pair arrays.
     Returns the kept edges as (min, max) endpoints.
     """
-    pair = np.repeat(np.asarray(pairs, dtype=np.int64), [p.size for p in positions])
-    pos = np.concatenate(positions, dtype=np.int64)
-    r = np.concatenate(uniforms, dtype=np.float64)
+    plan = weights.bucket_plan
+    pair = np.repeat(pairs, [p.size for p in positions])
+    pos = np.concatenate(positions)
+    r = np.concatenate(uniforms)
     del pairs[:], positions[:], uniforms[:]
     cu = plan.start_a[pair]
     cv = plan.start_b[pair]
     same = plan.same[pair]
-    if same.all():
-        i, j = _unrank_triangle(pos, plan.size_a[pair])
-        cu += i
-        cv += j
-    else:
-        cross = ~same
-        rows, cols = np.divmod(pos[cross], plan.size_b[pair[cross]])
-        cu[cross] += rows
-        cv[cross] += cols
-        if same.any():
-            i, j = _unrank_triangle(pos[same], plan.size_a[pair[same]])
-            cu[same] += i
-            cv[same] += j
+    cross = ~same
+    rows, cols = np.divmod(pos[cross], plan.size_b[pair[cross]])
+    cu[cross] += rows
+    cv[cross] += cols
+    i, j = _unrank_triangle(pos[same], plan.size_a[pair[same]])
+    cu[same] += i
+    cv[same] += j
     del pos
     cu = plan.order[cu]
     cv = plan.order[cv]

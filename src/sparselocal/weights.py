@@ -233,26 +233,16 @@ class EmpiricalWeights:
         bucket = np.floor(np.log2(self.W)).astype(np.int64)
         order = np.argsort(bucket, kind="stable")
         _, starts, sizes = np.unique(bucket[order], return_index=True, return_counts=True)
-        wmax = np.maximum.reduceat(self.W[order], starts).tolist()
-        starts, sizes = starts.tolist(), sizes.tolist()
-        norm = self.n * self.theta
-        rows = []  # (start_a, start_b, size_a, size_b, same, pmax, total)
-        for a in range(len(starts)):
-            for b in range(a, len(starts)):
-                total = (sizes[a] * (sizes[a] - 1) // 2 if a == b
-                         else sizes[a] * sizes[b])
-                if total:
-                    rows.append((starts[a], starts[b], sizes[a], sizes[b], a == b,
-                                 min(wmax[a] * wmax[b] / norm, 1.0), total))
-        cols = list(zip(*rows)) or [()] * 7
-        return BucketPlan(order=order,
-                          start_a=np.array(cols[0], dtype=np.int64),
-                          start_b=np.array(cols[1], dtype=np.int64),
-                          size_a=np.array(cols[2], dtype=np.int64),
-                          size_b=np.array(cols[3], dtype=np.int64),
-                          same=np.array(cols[4], dtype=bool),
-                          pmax=np.array(cols[5], dtype=np.float64),
-                          draws=[(p, t) for *_, p, t in rows])
+        wmax = np.maximum.reduceat(self.W[order], starts)
+        a, b = np.triu_indices(starts.size)  # bucket pairs in lexicographic order
+        same = a == b
+        total = np.where(same, sizes[a] * (sizes[a] - 1) // 2, sizes[a] * sizes[b])
+        keep = total > 0  # a bucket of one vertex has no pair with itself
+        a, b, same, total = a[keep], b[keep], same[keep], total[keep]
+        pmax = np.minimum(wmax[a] * wmax[b] / (self.n * self.theta), 1.0)
+        return BucketPlan(order=order, start_a=starts[a], start_b=starts[b],
+                          size_a=sizes[a], size_b=sizes[b], same=same, pmax=pmax,
+                          draws=list(zip(pmax.tolist(), total.tolist())))
 
 
 @dataclass(frozen=True, eq=False)
