@@ -230,9 +230,13 @@ class EmpiricalWeights:
         alone, so every replica graph of one n reads this one plan and spends
         per bucket pair only its generator draws.
         """
-        bucket = np.floor(np.log2(self.W)).astype(np.int64)
+        # floor(log2 W) lies in [-1074, 1023] for a positive double, so int16
+        # holds it, and numpy's stable argsort of int16 is an O(n) radix sort
+        bucket = np.floor(np.log2(self.W)).astype(np.int16)
         order = np.argsort(bucket, kind="stable")
-        _, starts, sizes = np.unique(bucket[order], return_index=True, return_counts=True)
+        sizes = np.bincount(bucket - bucket.min())
+        sizes = sizes[sizes > 0]
+        starts = np.cumsum(sizes) - sizes
         wmax = np.maximum.reduceat(self.W[order], starts)
         a, b = np.triu_indices(starts.size)  # bucket pairs in lexicographic order
         same = a == b
