@@ -87,6 +87,30 @@ def test_size_biased_mean_identity():
         m.gamma[2] / m.gamma[1], rel=1e-12)
 
 
+@pytest.mark.parametrize("W, last", [
+    # the table in doubles ends at 1 - 2^-52: the top uniform fell past it
+    ([1.1, 1.1, 1.1, 1.0], 3),
+    # it passes 1 before the last entry, whose mass 1e-30 is below rounding
+    ([0.2, 0.3, 0.2, 1e-30], 2),
+], ids=["short", "past-one"])
+def test_empirical_size_biased_maps_the_top_uniform_to_the_last_label(W, last):
+    W = np.array(W)
+    assert np.cumsum(W / W.sum())[-1] != 1.0  # the plain cumulative sum misses 1
+    law = EmpiricalWeights(n=W.size, W=W, theta=1.0).size_biased
+    assert law.cum[-1] == 1.0 and np.all(np.diff(law.cum) >= 0)
+
+    class TopUniform:
+        def random(self, size=None):
+            top = 1.0 - 2.0 ** -53
+            return top if size is None else np.full(size, top)
+
+        def poisson(self, lam):
+            return 2
+
+    assert law.draw(TopUniform()) == last
+    assert law.offspring(0, TopUniform()).tolist() == [last] * 2
+
+
 def test_size_biased_families():
     assert WeightSpec("constant", c=2.0).size_biased() == WeightSpec("constant", c=2.0)
     fd = WeightSpec("finite", values=(1.0, 3.0), probs=(0.5, 0.5)).size_biased()
@@ -180,19 +204,64 @@ def _wasserstein_three_calls(values, masses, spec):
     return float((below + above).sum())
 
 
+def _forward_error_bound(values, masses, spec):
+    """A bound on |computed W1 - reference W1| from rounding alone.
+
+    Both forms evaluate, on the same doubles s_i, lo_i, c_i, hi_i and G
+    values, sums whose exact values are one real number.  In the standard
+    model fl(a op b) = (a op b)(1 + d), |d| <= u = 2^-53, a sum of signed
+    monomials in which each monomial passes through at most k roundings is
+    within gamma_k * (sum of the monomials' magnitudes) of its exact value,
+    gamma_k = k u / (1 - k u) (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., Lemma 3.1), whatever the order of the sums.  Here
+    the monomials are s_i lo_i, s_i c_i, s_i hi_i, G(lo_i), G(c_i) and
+    G(hi_i), each with a coefficient of magnitude at most 2 (a run end
+    G(hi_{i-1}) = G(lo_i) stands for the two step ends it replaces).  Each
+    passes at most 4 roundings before it enters a sum and at most n + 1 in
+    the sums, however the steps are grouped into them, so
+
+        |computed - exact| <= gamma_{n+6} M,
+        M = sum_i s_i (lo_i + 2 c_i + hi_i) + G(lo_i) + 2 G(c_i) + G(hi_i),
+
+    for each form.  The closed form for a point mass also drops the rounding
+    of G(u) = c u itself, at most u M.  So the two forms differ by at most
+    2 gamma_{n+7} M.
+    """
+    order = np.argsort(values)
+    s = np.asarray(values, dtype=float)[order]
+    hi = np.cumsum(np.asarray(masses, dtype=float)[order])
+    hi[-1] = 1.0
+    lo = np.concatenate(([0.0], hi[:-1]))
+    c = np.clip(spec.cdf(s), lo, hi)
+    g = spec.partial_quantile_integral
+    m = float((s * (lo + 2.0 * c + hi) + g(lo) + 2.0 * g(c) + g(hi)).sum())
+    k = s.size + 7
+    u = 2.0 ** -53
+    return 2.0 * k * u / (1.0 - k * u) * m
+
+
+def _w1(values, masses, spec):
+    """The weighted-sample W1 on unsorted values, as the reference takes them."""
+    order = np.argsort(values)
+    return _wasserstein_weighted_sample(np.asarray(values, dtype=float)[order],
+                                        np.asarray(masses, dtype=float)[order], spec)
+
+
 @pytest.mark.parametrize("spec", [WeightSpec("constant", c=2.0),
                                   WeightSpec("finite", values=(0.5, 1.0, 3.0),
                                              probs=(0.2, 0.5, 0.3)),
                                   WeightSpec("gamma", shape=2.0, scale=1.0)],
                          ids=["constant", "finite", "gamma"])
 def test_weighted_sample_w1_matches_three_call_form(spec):
-    # G(lo) is taken from G(hi) shifted by one place; the value is the same bit for bit
+    # G runs only at the ends of runs of equal clipping; the value is the
+    # reference's up to rounding
     rng = np.random.default_rng(11)
     for values in (rng.gamma(2.0, 1.0, size=997), spec.sample(rng, 500), np.array([1.5])):
         for masses in (np.full(values.size, 1.0 / values.size), values / values.sum()):
             for target in (spec, spec.size_biased()):
-                assert (_wasserstein_weighted_sample(values, masses, target)
-                        == _wasserstein_three_calls(values, masses, target))
+                assert (abs(_w1(values, masses, target)
+                            - _wasserstein_three_calls(values, masses, target))
+                        <= _forward_error_bound(values, masses, target))
 
 
 _LAWS = st.one_of(
@@ -209,19 +278,72 @@ _LAWS = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(_LAWS, st.integers(1, 400), st.integers(0, 2**32 - 1), st.booleans(),
        st.booleans(), st.booleans())
-def test_weighted_sample_w1_equals_all_points_form(spec, n, seed, from_law, biased_masses,
-                                                   biased_target):
-    # G(c) is evaluated only where c is not clipped to lo or hi; the value is
-    # the same bit for bit as with G evaluated at every point
+def test_weighted_sample_w1_agrees_with_all_points_form(spec, n, seed, from_law,
+                                                        biased_masses, biased_target):
     rng = np.random.default_rng(seed)
     values = spec.sample(rng, n) if from_law else rng.gamma(2.0, 1.0, size=n)
     masses = values / values.sum() if biased_masses else np.full(n, 1.0 / n)
     target = spec.size_biased() if biased_target else spec
-    assert (_wasserstein_weighted_sample(values, masses, target)
-            == _wasserstein_three_calls(values, masses, target))
+    assert (abs(_w1(values, masses, target) - _wasserstein_three_calls(values, masses, target))
+            <= _forward_error_bound(values, masses, target))
 
 
-def test_weighted_sample_w1_evaluates_g_on_unclipped_points_only(monkeypatch):
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.1, 5.0), st.integers(1, 400), st.booleans())
+def test_weighted_sample_w1_is_zero_on_constant_laws(c, n, biased_masses):
+    spec = WeightSpec("constant", c=c)
+    values = spec.sample(np.random.default_rng(0), n)
+    masses = values / values.sum() if biased_masses else np.full(n, 1.0 / n)
+    assert _w1(values, masses, spec) == 0.0
+    assert wasserstein_1d(values, spec) == 0.0
+    assert moments(EmpiricalWeights(n=n, W=values, theta=c), spec).alpha_n == 0.0
+
+
+def _exact_w1(values, spec):
+    """W1 between the uniform law on ``values`` and a finite spec, in fractions."""
+    from fractions import Fraction
+
+    s = sorted(Fraction(v) for v in values)
+    emp_cuts = [Fraction(i + 1, len(s)) for i in range(len(s))]
+    law_cuts = list(np.cumsum([Fraction(p) for p in spec.probs]))
+    law_values = [Fraction(v) for v in spec.values]
+    cuts = sorted(set(emp_cuts) | set(law_cuts) | {Fraction(0)})
+    total = Fraction(0)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        # both quantile functions are constant on (a, b]
+        qe = s[next(i for i, x in enumerate(emp_cuts) if x >= b)]
+        ql = law_values[next(i for i, x in enumerate(law_cuts) if x >= b)]
+        total += abs(qe - ql) * (b - a)
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 64), min_size=1, max_size=5, unique=True).flatmap(
+           lambda v: st.lists(st.integers(1, 16), min_size=len(v), max_size=len(v)).map(
+               lambda w: (v, w))),
+       st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_weighted_sample_w1_exact_on_dyadic_laws(law, k, seed):
+    # dyadic values, probabilities and masses 2^-k: every step of both forms
+    # is exact in doubles, so both equal the W1 computed in fractions
+    eighths, counts = law
+    total = sum(counts)
+    scale = 1 << (total - 1).bit_length()  # pad the last mass up to a power of two
+    counts[-1] += scale - total
+    spec = WeightSpec("finite", values=tuple(v / 8 for v in eighths),
+                      probs=tuple(w / scale for w in counts))
+    rng = np.random.default_rng(seed)
+    values = rng.integers(1, 65, size=2 ** k) / 8
+    masses = np.full(values.size, 1.0 / values.size)
+    exact = _exact_w1(values, spec)
+    assert _w1(values, masses, spec) == exact
+    assert wasserstein_1d(values, spec) == exact
+    assert _wasserstein_three_calls(values, masses, spec) == exact
+
+
+def test_weighted_sample_w1_evaluates_g_at_run_ends_only(monkeypatch):
+    # G runs at the ends of runs of steps clipped the same way (each unclipped
+    # step a run of its own) and at the unclipped c: at most runs + 1 + unclipped
+    # points, where the all-points form takes n + 1 + unclipped
     spec = WeightSpec("gamma", shape=2.0, scale=1.0)
     values = spec.sample(np.random.default_rng(5), 2000)
     n = values.size
@@ -239,11 +361,13 @@ def test_weighted_sample_w1_evaluates_g_on_unclipped_points_only(monkeypatch):
         hi[-1] = 1.0
         lo = np.concatenate(([0.0], hi[:-1]))
         c = np.clip(target.cdf(np.sort(values)), lo, hi)
-        unclipped = int(np.count_nonzero((c != lo) & (c != hi)))
-        assert unclipped < n // 10
+        state = np.where(c == hi, 1, np.where(c == lo, -1, 0))
+        unclipped = int(np.count_nonzero(state == 0))
+        runs = 1 + int(np.count_nonzero((state[1:] != state[:-1]) | (state[1:] == 0)))
+        assert runs < n // 10
         points.clear()
-        _wasserstein_weighted_sample(values, masses, target)
-        assert sum(points) <= n + 1 + unclipped
+        _w1(values, masses, target)
+        assert sum(points) <= runs + 1 + unclipped
 
 
 def test_wasserstein_unsupported_pair():
