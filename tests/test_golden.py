@@ -63,7 +63,7 @@ CASES = {
     }),
     "couple-gamma": ("couple", None, 30, {
         "coupling.csv":
-            "c2ccceba3c2bd3736e50348e70ac74e04f9b6506289b08eb77f21538f8e8bddc",
+            "19a8a9873d5effafe7bddfa149525d557b810bd4fd1c93d9ff6952e9c0a9f8db",
         "coupling_outcomes.csv":
             "12065272e7a889d62db8065624133effa10e545033188a335ae49efeb3de64a8",
     }),
