@@ -215,8 +215,9 @@ class EmpiricalWeights:
         hi[order] = upper
         lo[order[0]] = 0.0
         lo[order[1:]] = upper[:-1]
-        # rounding can leave the cumulative table short of 1 (or past it early);
-        # capped and ending at 1, it maps every uniform in (0, 1) to a label
+        # rounding can leave the cumulative table short of 1, or past 1 before
+        # its last entry; capped and ending at 1, it maps every uniform in (0, 1)
+        # to a label
         cum = np.minimum(np.cumsum(self.W / lam), 1.0)
         cum[-1] = 1.0
         return EmpiricalSizeBiased(W=self.W, scale=lam / (self.n * self.theta),
@@ -379,8 +380,8 @@ def _wasserstein_weighted_sample(s: np.ndarray, masses: np.ndarray,
     the same way the G parts telescope to the G values at the run's two ends.
     Each unclipped step is a run of its own.  The O(n) part is plain
     arithmetic; G runs only at the run ends and the unclipped c_i, O(crossings)
-    points (about a thousand at n = 1e6 for a sample from the spec), and each
-    run's linear sum and G part nearly cancel, so nothing large is summed.
+    points (one to two thousand at n = 1e6 for a sample from the spec), and
+    each run's linear sum and G part nearly cancel, so nothing large is summed.
     """
     hi = np.cumsum(masses)
     hi[-1] = 1.0

@@ -328,7 +328,7 @@ def test_weighted_sample_w1_exact_on_dyadic_laws(law, k, seed):
     eighths, counts = law
     total = sum(counts)
     scale = 1 << (total - 1).bit_length()  # pad the last mass up to a power of two
-    counts[-1] += scale - total
+    counts = counts[:-1] + [counts[-1] + scale - total]
     spec = WeightSpec("finite", values=tuple(v / 8 for v in eighths),
                       probs=tuple(w / scale for w in counts))
     rng = np.random.default_rng(seed)
