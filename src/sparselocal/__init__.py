@@ -13,14 +13,14 @@ from .graph import (PerturbationSet, WeightedGraph, edge_probability, perturb,
                     sample_graph)
 from .harness import (ExperimentConfig, clt_experiment, coupling_experiment,
                       estimate_variance, ks_to_normal)
-from .limit_trees import (Population, graft, rde_apply, rde_fixed_point,
+from .limit_trees import (Population, rde_apply, rde_fixed_point,
                           sample_intermediate_tree, sample_limit_tree)
 from .matching import (Matching, SandwichResult, delta_N, dependent_edge_sum,
                        envelope_bound, h_k, h_value, matching_sandwich,
                        max_weight_matching)
 from .trees import RootedWeightedTree, canonical_code
 from .weights import (EmpiricalSizeBiased, EmpiricalWeights, MomentSummary, WeightSpec,
-                      exponential, moments, sample_empirical_weights, wasserstein_1d)
+                      moments, sample_empirical_weights, wasserstein_1d)
 
 __version__ = "0.1.0"
 
@@ -34,11 +34,11 @@ __all__ = [
     "PerturbationSet", "WeightedGraph", "edge_probability", "perturb", "sample_graph",
     "ExperimentConfig", "clt_experiment", "coupling_experiment", "estimate_variance",
     "ks_to_normal",
-    "Population", "graft", "rde_apply", "rde_fixed_point",
+    "Population", "rde_apply", "rde_fixed_point",
     "sample_intermediate_tree", "sample_limit_tree",
     "Matching", "SandwichResult", "delta_N", "dependent_edge_sum", "envelope_bound",
     "h_k", "h_value", "matching_sandwich", "max_weight_matching",
     "RootedWeightedTree", "canonical_code",
     "EmpiricalSizeBiased", "EmpiricalWeights", "MomentSummary", "WeightSpec",
-    "exponential", "moments", "sample_empirical_weights", "wasserstein_1d",
+    "moments", "sample_empirical_weights", "wasserstein_1d",
 ]

@@ -141,15 +141,6 @@ def epsilon_rho_sequences(p: BoundParams) -> tuple[float, float]:
     return eps, rho
 
 
-def rho_set_bound(p: BoundParams, vs: VertexSetSummary) -> float:
-    """Correlation/error bound for a concrete vertex set, capped at 1."""
-    return min((vs.weight + vs.count) ** 2 / p.ntheta
-               * (p.G(1) + 1.0) ** 2
-               * (p.G(2) + p.C) ** (2 * p.ell + 1)
-               * (p.G(3) + 1.0) ** 2,
-               1.0)
-
-
 def intermediate_coupling_bound(p: BoundParams, Wv: float) -> float:
     """Single-root bound for the ball/intermediate-tree coupling, with the
     expected neighbourhood norms replaced by their closed-form bounds."""
@@ -232,17 +223,8 @@ def weight_squared_bound(p: BoundParams, Wv: float) -> float:
     return p.C * (Wv + 1.0) ** 2 * (p.G(2) + 2.0) ** (2 * p.ell) * (p.G(3) + 1.0)
 
 
-def path_bound(p: BoundParams, norm_u: float, norm_v: float) -> float:
-    """P(path of length <= ell between two disjoint vertex sets)."""
-    return norm_u * norm_v / p.ntheta * (1.0 + p.G(2)) ** (p.ell - 1)
-
-
 def vertex_in_ball_bound(p: BoundParams, Wu: float, Wv: float) -> float:
     return Wu * Wv / p.ntheta * (p.G(2) + 1.0) ** (p.ell - 1)
-
-
-def edge_in_ball_bound(p: BoundParams, Wv: float, Wu: float, Wu2: float) -> float:
-    return Wv * (Wu + Wu2) / p.ntheta * (p.G(2) + 1.0) ** (p.ell - 1)
 
 
 def not_tree_bound(p: BoundParams, Wv: float) -> float:

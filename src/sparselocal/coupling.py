@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bounds import default_k_n
 from .explore import Neighbourhood, explore
 from .graph import WeightedGraph
 from .limit_trees import DEFAULT_NODE_BUDGET, grow_intermediate
@@ -55,18 +54,12 @@ BREAK_REASONS = (BREAK_X_NEQ_Z, BREAK_ACTIVE, BREAK_COMPLETED, BREAK_OVERFLOW,
 class CouplingConfig:
     k_n: float
     depth: int
-    include_weights: bool = True
 
     def __post_init__(self):
         if not self.k_n > 0:
             raise ValueError("k_n must be positive")
         if self.depth < 0:
             raise ValueError("depth must be non-negative")
-
-    @staticmethod
-    def default(n: int, depth: int, include_weights: bool = True) -> "CouplingConfig":
-        return CouplingConfig(k_n=default_k_n(n), depth=depth,
-                              include_weights=include_weights)
 
 
 @dataclass
@@ -142,8 +135,6 @@ def poisson_cdf_interval(k: int, lam: float) -> tuple[float, float]:
         lo = cdf
         pmf = pmf * lam / j
         cdf = cdf + pmf
-    if k == 0:
-        return 0.0, cdf
     return lo, cdf
 
 
@@ -179,7 +170,7 @@ def couple_neighbourhood_to_intermediate(graph: WeightedGraph, root: int,
     nb = explore(graph, root, cfg.depth)
     W = graph.weights.W
     scale = graph.n * graph.theta
-    position = {v: i for i, v in enumerate(nb.order)}
+    position = {v: i for i, v in enumerate(nb.vertices())}
     tree = RootedWeightedTree(W[root], cfg.depth, root_label=int(root))
     outcome = CouplingOutcome(root=root, depth=cfg.depth, neighbourhood=nb, tree=tree,
                               ok=True)
@@ -309,8 +300,10 @@ def couple_intermediate_to_limit(tree: RootedWeightedTree, law: EmpiricalSizeBia
     Types are coupled through a shared uniform positioned inside the
     empirical size-biased CDF interval of the node's type (the 1-Wasserstein
     optimal coupling); child counts through comonotone Poisson quantiles.
-    The first node whose count differs breaks the coupling; the limit tree
-    still grows to full depth with fresh draws so its law is exact.
+    A matched child keeps its source node's label, the graph vertex it
+    stands for; a fresh one has none.  The first node whose count differs
+    breaks the coupling; the limit tree still grows to full depth with fresh
+    draws so its law is exact.
     """
     if rng is None:
         rng = stream_rng(seed if seed is not None else (0, 0), stream, _LIMIT_TAG)
@@ -341,13 +334,15 @@ def couple_intermediate_to_limit(tree: RootedWeightedTree, law: EmpiricalSizeBia
             matched_children = [tree.children[src][t] if t < n_tilde else None
                                 for t in range(count)]
         for child_src in matched_children:
+            label = None
             if child_src is not None:
-                ilo, ihi = law.interval(tree.labels[child_src])
+                label = tree.labels[child_src]
+                ilo, ihi = law.interval(label)
                 u = ilo + rng.random() * (ihi - ilo)
                 what = float(biased.quantile(min(max(u, 1e-300), 1.0 - 1e-16)))
             else:
                 what = float(biased.quantile(rng.random()))
-            child = out.add_child(new_node, what)
+            child = out.add_child(new_node, what, label=label)
             queue.append((child, child_src, what))
     return out, break_level is None, break_level
 
@@ -386,8 +381,6 @@ def couple_full(graph: WeightedGraph, roots: list[int], cfg: CouplingConfig,
     penalty); when they differ, shared sites keep the graph's weight with the
     maximal-coupling probability and flag WeightMismatch otherwise.
     """
-    if len(set(roots)) != len(roots):
-        raise ValueError("roots must be pairwise distinct")
     if rng is None:
         rng = stream_rng(graph.seed, graph.stream, _COUPLE_TAG)
     mu_e_n = mu_e_n if mu_e_n is not None else mu_e
@@ -403,8 +396,7 @@ def couple_full(graph: WeightedGraph, roots: list[int], cfg: CouplingConfig,
         res = replace(out, tree=limit, flags=set(out.flags))
         if not ok3:
             res.record_break(lvl3, BREAK_REDRAW)
-        if cfg.include_weights:
-            _overlay_weights(res, graph, mu_e, mu_v, mu_e_n, mu_v_n, rng)
+        _overlay_weights(res, graph, mu_e, mu_v, mu_e_n, mu_v_n, rng)
         final.append(res)
     return final
 
@@ -415,49 +407,28 @@ def _overlay_weights(outcome: CouplingOutcome, graph: WeightedGraph,
                      rng: np.random.Generator) -> None:
     """Copy graph weights onto the tree where the coupling holds end to end.
 
-    On a fully coupled outcome the tree mirrors the ball node for node (the
-    node labels are graph vertex ids), so shared sites receive exactly the
+    A fully coupled tree is the ball node for node, and each node's label is
+    the graph vertex it stands for, so its shared sites receive exactly the
     graph's weights; otherwise the tree gets fresh i.i.d. weights, keeping
-    its marginal law intact.
+    its marginal law intact.  Whether the outcome is coupled is read once,
+    before a WeightMismatch recorded here can clear ``outcome.ok``.  A law
+    that is None draws nothing.
     """
     tree = outcome.tree
-    nb = outcome.neighbourhood
-    # match tree nodes to graph vertices positionally while fully coupled
-    mirror: dict[int, int] = {}
-    if outcome.ok:
-        mirror[0] = nb.root
-        queue = [(0, nb.root)]
-        ok_shape = True
-        while queue and ok_shape:
-            tnode, gv = queue.pop(0)
-            g_kids = nb.children.get(gv, [])
-            t_kids = tree.children[tnode]
-            if len(g_kids) != len(t_kids):
-                ok_shape = False
-                break
-            for tk, gk in zip(t_kids, g_kids):
-                mirror[tk] = gk
-                queue.append((tk, gk))
-        if not ok_shape:
-            mirror = {}
+    labels = tree.labels
+    coupled = outcome.ok
+
+    def draw(node, law_n, law, observe, *site):
+        if not coupled:
+            return float(law.quantile(rng.random()))
+        w, same = _tv_coupled_value(observe(*site), law_n, law, rng)
+        if not same:
+            outcome.record_break(tree.node_depth[node], BREAK_WEIGHT)
+        return w
 
     for node in range(tree.node_count):
-        gv = mirror.get(node)
         if mu_v is not None:
-            if gv is not None:
-                w, same = _tv_coupled_value(graph.vertex_weight(gv), mu_v_n, mu_v, rng)
-                if not same:
-                    outcome.record_break(tree.node_depth[node], BREAK_WEIGHT)
-                tree.vertex_w[node] = w
-            else:
-                tree.vertex_w[node] = float(mu_v.quantile(rng.random()))
+            tree.vertex_w[node] = draw(node, mu_v_n, mu_v, graph.vertex_weight, labels[node])
         if node != 0 and mu_e is not None:
-            gp = mirror.get(tree.parent[node])
-            if gv is not None and gp is not None:
-                w, same = _tv_coupled_value(graph.edge_weight(gp, gv), mu_e_n, mu_e, rng)
-                if not same:
-                    outcome.record_break(tree.node_depth[node], BREAK_WEIGHT)
-                tree.edge_w[node] = w
-            else:
-                tree.edge_w[node] = float(mu_e.quantile(rng.random()))
-
+            tree.edge_w[node] = draw(node, mu_e_n, mu_e, graph.edge_weight,
+                                     labels[tree.parent[node]], labels[node])

@@ -11,7 +11,7 @@ so edges between two level-l vertices are not part of B_l(v).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ class Neighbourhood:
     extra_edges: list[tuple[int, int, int]]      # (explored vertex, active vertex, level)
     parent: dict[int, int]
     children: dict[int, list[int]]
-    order: list[int] = field(default_factory=list)
 
     @property
     def vertex_count(self) -> int:
@@ -46,20 +45,6 @@ class Neighbourhood:
 
     def level_of(self) -> dict[int, int]:
         return {v: r for r, level in enumerate(self.levels) for v in level}
-
-    def ulam_map(self) -> dict[tuple[int, ...], int]:
-        """Ulam-Harris address -> vertex id; defined for tree-shaped balls."""
-        if self.extra_edges:
-            raise ValueError("the Ulam-Harris map needs a tree-shaped ball")
-        addr = {self.root: ()}
-        out = {(): self.root}
-        for level in self.levels[1:]:
-            for v in level:
-                p = self.parent[v]
-                a = addr[p] + (self.children[p].index(v) + 1,)
-                addr[v] = a
-                out[a] = v
-        return out
 
 
 def explore(graph: WeightedGraph, v: int, depth: int) -> Neighbourhood:
@@ -76,7 +61,6 @@ def explore(graph: WeightedGraph, v: int, depth: int) -> Neighbourhood:
     extra_edges: list[tuple[int, int, int]] = []
     parent: dict[int, int] = {}
     children: dict[int, list[int]] = {v: []}
-    order = [v]
 
     frontier = [v]
     for r in range(depth):
@@ -93,7 +77,6 @@ def explore(graph: WeightedGraph, v: int, depth: int) -> Neighbourhood:
                     children[u] = []
                     tree_edges.append((vj, u, r + 1))
                     nxt.append(u)
-                    order.append(u)
                 else:
                     extra_edges.append((vj, u, r))
             completed.add(vj)
@@ -103,8 +86,7 @@ def explore(graph: WeightedGraph, v: int, depth: int) -> Neighbourhood:
         levels.append(nxt)
         frontier = nxt
     return Neighbourhood(root=v, depth=depth, levels=levels, tree_edges=tree_edges,
-                         extra_edges=extra_edges, parent=parent, children=children,
-                         order=order)
+                         extra_edges=extra_edges, parent=parent, children=children)
 
 
 def is_tree(nb: Neighbourhood) -> bool:

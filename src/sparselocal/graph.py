@@ -64,11 +64,6 @@ class PerturbationSet:
             canon.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", frozenset(canon))
 
-    @staticmethod
-    def all_sites(n: int) -> "PerturbationSet":
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        return PerturbationSet(vertices=frozenset(range(n)), edges=frozenset(pairs))
-
     def validate(self, n: int) -> None:
         for v in self.vertices:
             if not 0 <= v < n:
@@ -139,9 +134,6 @@ class WeightedGraph:
 
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
-
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
 
     def has_edge(self, u: int, v: int) -> bool:
         row = self.neighbors(u)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -22,21 +23,24 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import matching as app
-from .bounds import BoundParams, VertexSetSummary, default_k_n, epsilon_v_bound
+from .bounds import (BoundParams, VertexSetSummary, default_k_n, epsilon_rho_sequences,
+                     epsilon_v_bound, eta_bound, structural_bounds)
 from .coupling import BREAK_REASONS, CouplingConfig, couple_full
 from .graph import sample_graph
 from .rng import format_seed, parse_seed
-from .weights import WeightSpec, moments, sample_empirical_weights
+from .weights import EmpiricalWeights, WeightSpec, moments, sample_empirical_weights
 
 _WEIGHTS_STREAM = 1_000_003
 
 
 @dataclass
 class ExperimentConfig:
+    """One experiment; the defaults here are the defaults of a config file."""
+
     weights: WeightSpec
     n_grid: list[int]
-    replicas: int
-    seed: tuple[int, int]
+    replicas: int = 1000
+    seed: tuple[int, int] = (0, 0)
     depth: int = 2
     k_n_rule: str | float = "cbrt"
     application: str = "edge-sum"
@@ -52,16 +56,33 @@ class ExperimentConfig:
             raise ValueError("replicas must be at least 1")
         if not self.n_grid:
             raise ValueError("n grid must be non-empty")
+        if min(self.n_grid) < 1:
+            raise ValueError(f"every n must be at least 1; got n = {min(self.n_grid)}")
+        rule = self.k_n_rule
+        numeric = isinstance(rule, (int, float)) and not isinstance(rule, bool)
+        if rule != "cbrt" and not (numeric and 0 < rule < math.inf):
+            raise ValueError(f'k_n_rule must be "cbrt" or a positive finite number; '
+                             f"got {rule!r}")
         if self.application not in ("edge-sum", "matching"):
             raise ValueError(f"unknown application {self.application!r}")
         if self.application == "matching" and max(self.n_grid) > app.EXACT_SOLVER_LIMIT:
             raise ValueError(f"matching is solved exactly, which needs every n <= "
                              f"{app.EXACT_SOLVER_LIMIT}; got n = {max(self.n_grid)}")
 
+    def check_coupling(self) -> None:
+        """The checks of the commands that couple balls: ``couple`` and ``bounds``."""
+        if self.depth < 1:
+            raise ValueError(f"depth must be at least 1; got {self.depth}")
+        if self.roots > min(self.n_grid):
+            raise ValueError(f"roots ({self.roots}) must not exceed the smallest n "
+                             f"({min(self.n_grid)})")
+
     def k_n(self, n: int) -> float:
-        if self.k_n_rule == "cbrt":
-            return default_k_n(n)
-        return float(self.k_n_rule)
+        return default_k_n(n) if self.k_n_rule == "cbrt" else float(self.k_n_rule)
+
+    def empirical_weights(self, n: int) -> EmpiricalWeights:
+        """The weight vector of grid point n, drawn once and frozen across replicas."""
+        return sample_empirical_weights(self.weights, n, self.seed, stream=_WEIGHTS_STREAM + n)
 
     def canonical_json(self) -> str:
         body = {
@@ -84,24 +105,16 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(cfg: dict) -> "ExperimentConfig":
-        def spec_or_none(key):
-            return WeightSpec.from_config(cfg[key]) if cfg.get(key) else None
-
-        return ExperimentConfig(
-            weights=WeightSpec.from_config(cfg["weights"]),
-            n_grid=[int(n) for n in cfg["n_grid"]],
-            replicas=int(cfg.get("replicas", 1000)),
-            seed=parse_seed(cfg.get("seed", "0")),
-            depth=int(cfg.get("depth", 2)),
-            k_n_rule=cfg.get("k_n_rule", "cbrt"),
-            application=cfg.get("application", "edge-sum"),
-            roots=int(cfg.get("roots", 2)),
-            vertex_weights=spec_or_none("vertex_weights"),
-            edge_weights=spec_or_none("edge_weights"),
-            rde_pop_size=int(cfg.get("rde_pop_size", 100_000)),
-            rde_iterations=int(cfg.get("rde_iterations", 30)),
-            workers=int(cfg.get("workers", 1)),
-        )
+        """Build from a parsed config file; an absent key takes the field default."""
+        kw = {k: cfg[k] for k in ("k_n_rule", "application") if k in cfg}
+        kw.update((k, int(cfg[k])) for k in ("replicas", "depth", "roots", "rde_pop_size",
+                                               "rde_iterations", "workers") if k in cfg)
+        kw.update((k, WeightSpec.from_config(cfg[k]))
+                  for k in ("vertex_weights", "edge_weights") if cfg.get(k))
+        if "seed" in cfg:
+            kw["seed"] = parse_seed(cfg["seed"])
+        return ExperimentConfig(weights=WeightSpec.from_config(cfg["weights"]),
+                                n_grid=[int(n) for n in cfg["n_grid"]], **kw)
 
 
 # ---- estimators -----------------------------------------------------------------------
@@ -213,8 +226,7 @@ def clt_experiment(cfg: ExperimentConfig) -> list[dict]:
     chash = cfg.config_hash()
     with _replica_map(cfg.workers, cfg.replicas) as map_replicas:
         for n in cfg.n_grid:
-            weights = sample_empirical_weights(cfg.weights, n, cfg.seed,
-                                               stream=_WEIGHTS_STREAM + n)
+            weights = cfg.empirical_weights(n)
             replica = partial(_clt_replica, weights, cfg.seed, cfg.application,
                               cfg.vertex_weights, cfg.edge_weights)
             values = np.asarray(list(map_replicas(replica, range(cfg.replicas))))
@@ -253,14 +265,11 @@ def coupling_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     chash = cfg.config_hash()
     roots = tuple(range(cfg.roots))
     depths = range(1, cfg.depth + 1)
-    include_weights = cfg.edge_weights is not None or cfg.vertex_weights is not None
     with _replica_map(cfg.workers, cfg.replicas) as map_replicas:
         for n in cfg.n_grid:
-            weights = sample_empirical_weights(cfg.weights, n, cfg.seed,
-                                               stream=_WEIGHTS_STREAM + n)
+            weights = cfg.empirical_weights(n)
             summ = moments(weights, spec=cfg.weights)
-            couplings = [CouplingConfig(k_n=cfg.k_n(n), depth=ell,
-                                        include_weights=include_weights) for ell in depths]
+            couplings = [CouplingConfig(k_n=cfg.k_n(n), depth=ell) for ell in depths]
             replica = partial(_coupling_replica, weights, cfg.seed, couplings, cfg.weights,
                               cfg.vertex_weights, cfg.edge_weights, roots)
             results = list(map_replicas(replica, range(cfg.replicas)))
@@ -297,13 +306,10 @@ def coupling_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
 
 def bounds_grid(cfg: ExperimentConfig) -> list[dict]:
     """Closed-form bound table over the (n, ell) grid."""
-    from .bounds import epsilon_rho_sequences, eta_bound, structural_bounds
-
     rows = []
     chash = cfg.config_hash()
     for n in cfg.n_grid:
-        weights = sample_empirical_weights(cfg.weights, n, cfg.seed,
-                                           stream=_WEIGHTS_STREAM + n)
+        weights = cfg.empirical_weights(n)
         summ = moments(weights, spec=cfg.weights)
         for ell in range(1, cfg.depth + 1):
             params = BoundParams.from_summary(n, ell, summ, cfg.weights, k_n=cfg.k_n(n))

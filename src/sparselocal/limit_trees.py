@@ -1,6 +1,6 @@
 """Samplers for the limiting objects and the matching recursion's operator.
 
-Three tree laws appear downstream:
+Two tree laws appear downstream:
 
 * the delayed Galton-Watson limit tree: the root has Poi(W) children, every
   other individual draws its type What from the size-biased law and then has
@@ -8,9 +8,7 @@ Three tree laws appear downstream:
 * the intermediate tree built from the empirical weights: the root of type
   W_v has Poi(W_v Lambda_n/(n theta)) children, non-root individuals pick a
   graph vertex with probability W_i/Lambda_n and have
-  Poi(Lambda_n W_i/(n theta)) children;
-* grafted trees: a second, shallower tree attached to the root by one extra
-  weighted edge.
+  Poi(Lambda_n W_i/(n theta)) children.
 
 The distributional operator of the matching recursion maps a particle
 population to max(0, max_i (xi_i - X_i)) with a mixed-Poisson number of
@@ -106,19 +104,6 @@ def grow_intermediate(tree: RootedWeightedTree, frontier: list[int],
             raise TreeBudgetExceeded(f"intermediate tree exceeded {max_nodes} nodes")
         for j in picks:
             queue.append(tree.add_child(node, law.W[j], label=int(j)))
-
-
-def graft(t: RootedWeightedTree, t2: RootedWeightedTree, w: float) -> RootedWeightedTree:
-    """Attach t2's root to t's root by an edge of weight w; depth stays t.depth."""
-    if t2.depth != t.depth - 1:
-        raise ValueError(f"grafted tree must have depth {t.depth - 1}, got {t2.depth}")
-    out = t.truncate(t.depth)
-    mapping = {0: out.add_child(0, t2.type_w[0], w, t2.vertex_w[0], t2.labels[0])}
-    for node in range(1, t2.node_count):
-        p = mapping[t2.parent[node]]
-        mapping[node] = out.add_child(p, t2.type_w[node], t2.edge_w[node],
-                                      t2.vertex_w[node], t2.labels[node])
-    return out
 
 
 # ---- population dynamics for the matching recursion -------------------------------

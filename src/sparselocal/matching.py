@@ -189,8 +189,9 @@ def max_weight_matching(obj, edges: list[tuple[int, int, float]] | None = None) 
     return _exact_matching(int(obj), edges or [])
 
 
-def _tree_matching(tree: RootedWeightedTree) -> tuple[float, list[tuple[int, int]]]:
-    """Bottom-up: M(T_u) = sum_c M(T_c) + max(0, max_c (w_c - h_c))."""
+def _bottom_up(tree: RootedWeightedTree) -> tuple[np.ndarray, np.ndarray, list[int | None]]:
+    """Leaves first, per node u: h_u = max(0, max_c (w_c - h_c)), the best
+    such child c (None when h_u = 0) and M(T_u) = sum_c M(T_c) + h_u."""
     n = tree.node_count
     h = np.zeros(n)
     m = np.zeros(n)
@@ -205,10 +206,16 @@ def _tree_matching(tree: RootedWeightedTree) -> tuple[float, list[tuple[int, int
         h[node] = best
         m[node] = total + best
         pick[node] = arg
+    return h, m, pick
+
+
+def _tree_matching(tree: RootedWeightedTree) -> tuple[float, list[tuple[int, int]]]:
+    """Bottom-up: M(T_u) = sum_c M(T_c) + max(0, max_c (w_c - h_c))."""
+    h, m, pick = _bottom_up(tree)
     # reconstruct a witness top-down: a free node takes its best child edge
     matched: list[tuple[int, int]] = []
-    used = np.zeros(n, dtype=bool)
-    for node in range(n):  # parents precede children
+    used = np.zeros(tree.node_count, dtype=bool)
+    for node in range(tree.node_count):  # parents precede children
         c = pick[node]
         if c is not None and h[node] > 0 and not used[node]:
             matched.append((node, c))
@@ -235,13 +242,7 @@ def h_k(tree: RootedWeightedTree, k: int) -> float:
     Nodes at depth k (and genuine leaves) start at zero; each internal node
     takes max(0, max over children of edge weight minus the child's value).
     """
-    t = tree.truncate(min(k, tree.depth))
-    h = np.zeros(t.node_count)
-    for node in range(t.node_count - 1, -1, -1):
-        best = 0.0
-        for c in t.children[node]:
-            best = max(best, t.edge_w[c] - h[c])
-        h[node] = best
+    h, _, _ = _bottom_up(tree.truncate(min(k, tree.depth)))
     return float(h[0])
 
 

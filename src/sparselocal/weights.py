@@ -1,10 +1,10 @@
 """Connectivity-weight laws and their empirical summaries.
 
 A :class:`WeightSpec` is a parametric law for the per-vertex connectivity
-weights W_v with closed-form moments, Laplace transform and quantile
-function.  Only three families are supported (constant, finite discrete,
-gamma); all of them have finite third moments and exact quantiles, which is
-what the downstream Wasserstein couplings and bound evaluators require.
+weights W_v with closed-form moments and quantile function.  Only three
+families are supported (constant, finite discrete, gamma); all of them have
+finite third moments and exact quantiles, which is what the downstream
+Wasserstein couplings and bound evaluators require.
 
 The empirical side lives in :class:`EmpiricalWeights` (a realized weight
 vector together with the model constant theta = E[W]) and
@@ -84,14 +84,6 @@ class WeightSpec:
         """Gamma_p of the law: E[W^p] / E[W]."""
         return self.moment(p) / self.mean()
 
-    def laplace(self, t: float = 1.0) -> float:
-        """E[exp(-t W)], exact."""
-        if self.family == "constant":
-            return float(np.exp(-t * self.c))
-        if self.family == "finite":
-            return float(np.dot(np.asarray(self.probs), np.exp(-t * np.asarray(self.values))))
-        return (1.0 + t * self.scale) ** (-self.shape)
-
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         if self.family == "constant":
@@ -170,11 +162,6 @@ class WeightSpec:
         if family == "gamma":
             return WeightSpec("gamma", shape=float(cfg["shape"]), scale=float(cfg["scale"]))
         raise ValueError(f"unknown weight family in config: {family!r}")
-
-
-def exponential(rate: float = 1.0) -> WeightSpec:
-    """Exp(rate) as a gamma spec (shape 1, scale 1/rate)."""
-    return WeightSpec("gamma", shape=1.0, scale=1.0 / rate)
 
 
 @dataclass
@@ -446,6 +433,8 @@ def _wasserstein_spec_spec(a: WeightSpec, b: WeightSpec) -> float:
 
 
 def _as_discrete(spec: WeightSpec):
+    if spec.family == "gamma":
+        raise ValueError("the maximal coupling needs finite or constant laws, not gamma")
     if spec.family == "constant":
         return np.array([spec.c]), np.array([1.0])
     return np.asarray(spec.values), np.asarray(spec.probs)

@@ -15,7 +15,7 @@ import pytest
 from scipy import stats
 
 from sparselocal.bounds import BoundParams, VertexSetSummary, epsilon_v_bound, \
-    degree_moment_bound, mean_pweight_bound, not_tree_bound, vertex_in_ball_bound
+    default_k_n, degree_moment_bound, mean_pweight_bound, not_tree_bound, vertex_in_ball_bound
 from sparselocal.coupling import (CouplingConfig, couple_full,
                                   couple_neighbourhood_to_intermediate)
 from sparselocal.explore import explore
@@ -155,7 +155,7 @@ def test_criterion_05_coupling_marginals():
     t0 = time.time()
     n, reps, ell = 10_000, 10_000, 2
     w = sample_empirical_weights(ER1, n, SEED)
-    cfg = CouplingConfig.default(n, ell)
+    cfg = CouplingConfig(k_n=default_k_n(n), depth=ell)
     cdeg = np.empty(reps, dtype=int)
     ccnt = np.empty(reps, dtype=int)
     ddeg = np.empty(reps, dtype=int)
@@ -183,7 +183,7 @@ def test_criterion_06_break_rate_dominated_by_epsilon():
             summ = moments(w, spec)
             reps = 2000 if n == 1000 else 1000
             for ell in (1, 2):
-                cfg = CouplingConfig.default(n, ell)
+                cfg = CouplingConfig(k_n=default_k_n(n), depth=ell)
                 bad = 0
                 for t in range(reps):
                     g = sample_graph(w, SEED, t)

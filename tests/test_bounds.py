@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparselocal.bounds import (BoundParams, VertexSetSummary, clt_bound,
-                                degree_moment_bound, edge_in_ball_bound,
-                                epsilon_rho_sequences, epsilon_v_bound, eta_bound,
-                                mean_pweight_bound, mean_size_bound,
-                                not_tree_bound, path_bound, structural_bounds,
+                                degree_moment_bound, epsilon_rho_sequences,
+                                epsilon_v_bound, eta_bound, mean_pweight_bound,
+                                mean_size_bound, not_tree_bound, structural_bounds,
                                 vertex_in_ball_bound)
 from sparselocal.weights import EmpiricalWeights, MomentSummary, WeightSpec, moments
 
@@ -182,9 +181,7 @@ def test_structural_bounds_special_cases():
     p0 = make_params(ell=0)
     assert mean_pweight_bound(p0, 1.7, 1) == pytest.approx(1.7)
     p1 = make_params(ell=1)
-    assert path_bound(p1, 3.0, 4.0) == pytest.approx(12.0 / (p1.n * p1.theta))
     assert vertex_in_ball_bound(p1, 2.0, 3.0) == pytest.approx(6.0 / (p1.n * p1.theta))
-    assert edge_in_ball_bound(p1, 1.0, 2.0, 3.0) == pytest.approx(5.0 / (p1.n * p1.theta))
     # degree bound at l=1 and the size bound shapes
     assert degree_moment_bound(p1, 1.0, 2) == pytest.approx(4 * (p1.G(1) + 2) ** 2 / 4 * 4)
     assert mean_size_bound(p1, 2.0) == pytest.approx(1 + 2 * p1.G(1))
@@ -220,18 +217,6 @@ def test_monotone_in_moment_arguments(g1, g2, g3, kap, alpha, tv, ell):
         assert epsilon_v_bound(p_up, vs) >= val - 1e-12
     _, rho = epsilon_rho_sequences(p)
     assert 0.0 <= rho <= 1.0
-
-
-def test_rho_set_bound():
-    from sparselocal.bounds import rho_set_bound
-
-    p = make_params(n=10 ** 6, ell=2)
-    vs = VertexSetSummary(count=2, weight=3.0, weight_sq=5.0, weight_excess=0.0)
-    expected = ((3.0 + 2.0) ** 2 / (p.n * p.theta) * (p.G(1) + 1) ** 2
-                * (p.G(2) + 1.0) ** 5 * (p.G(3) + 1) ** 2)
-    assert rho_set_bound(p, vs) == pytest.approx(expected)
-    tiny = make_params(n=4)
-    assert rho_set_bound(tiny, vs) == 1.0  # capped
 
 
 def test_params_validation_and_reporting():

@@ -42,6 +42,24 @@ def test_malformed_config_line_anchored(tmp_path, capsys):
     assert ":2:" in err  # line number of the defect
 
 
+@pytest.mark.parametrize("command, change", [
+    ("couple", {"roots": 8, "n_grid": [5]}),
+    ("couple", {"depth": -1}),
+    ("bounds", {"depth": -1}),
+    ("couple", {"k_n_rule": "sqrt"}),
+    ("couple", {"k_n_rule": -3}),
+    ("couple", {"n_grid": [0]}),
+], ids=["roots-above-n", "couple-depth", "bounds-depth", "k_n-sqrt", "k_n-negative",
+        "n-zero"])
+def test_invalid_config_value_exits_2(tmp_path, capsys, command, change):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(CONFIG, **change)))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out-dir", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()  # refused before any replica ran
+
+
 def test_generate_deterministic(config_path, tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["generate", "--config", config_path, "--out-dir", out]) == 0

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from sparselocal.bounds import (BoundParams, VertexSetSummary,
+from sparselocal.bounds import (BoundParams, VertexSetSummary, default_k_n,
                                 intermediate_coupling_bound, limit_redraw_bound,
                                 repeat_probability_bound)
 from sparselocal.coupling import (BREAK_REPEAT, BREAK_WEIGHT, CouplingConfig,
@@ -17,12 +17,13 @@ from sparselocal.graph import sample_graph
 from sparselocal.limit_trees import sample_intermediate_tree
 from sparselocal.rng import stream_rng
 from sparselocal.trees import canonical_code
-from sparselocal.weights import (EmpiricalWeights, WeightSpec, exponential, moments,
+from sparselocal.weights import (EmpiricalWeights, WeightSpec, moments,
                                  sample_empirical_weights)
 
 SEED = (404, 202)
 ER1 = WeightSpec("constant", c=1.0)
 GAMMA = WeightSpec("gamma", shape=2.0, scale=1.0)
+FINITE = WeightSpec("finite", values=(0.5, 2.0), probs=(0.6, 0.4))
 
 
 def tv_distance(a, b):
@@ -176,12 +177,11 @@ def test_graph_side_equals_plain_exploration():
         for t in range(40):
             g = sample_graph(w, SEED, t)
             out = couple_neighbourhood_to_intermediate(
-                g, t % n, CouplingConfig.default(n, 2))
+                g, t % n, CouplingConfig(k_n=default_k_n(n), depth=2))
             nb = explore(g, t % n, 2)
             assert out.neighbourhood.levels == nb.levels
             assert out.neighbourhood.tree_edges == nb.tree_edges
             assert out.neighbourhood.extra_edges == nb.extra_edges
-            assert out.neighbourhood.order == nb.order
 
 
 def test_ok_implies_isomorphic_with_types():
@@ -189,7 +189,8 @@ def test_ok_implies_isomorphic_with_types():
     checked = 0
     for t in range(300):
         g = sample_graph(w, SEED, t)
-        out = couple_neighbourhood_to_intermediate(g, 0, CouplingConfig.default(500, 2))
+        out = couple_neighbourhood_to_intermediate(
+            g, 0, CouplingConfig(k_n=default_k_n(500), depth=2))
         if out.ok and is_tree(out.neighbourhood):
             a = canonical_code(to_rooted_tree(out.neighbourhood, w))
             b = canonical_code(out.tree)
@@ -203,7 +204,7 @@ def test_marginal_law_of_tree_half():
     # the intermediate-tree law
     n, reps = 2000, 1500
     w = sample_empirical_weights(ER1, n, SEED)
-    cfg = CouplingConfig.default(n, 2)
+    cfg = CouplingConfig(k_n=default_k_n(n), depth=2)
     coupled_deg, coupled_cnt, direct_deg, direct_cnt = [], [], [], []
     for t in range(reps):
         g = sample_graph(w, SEED, t)
@@ -221,7 +222,7 @@ def test_break_rate_below_intermediate_bound():
     n, reps, ell = 2000, 1200, 2
     w = sample_empirical_weights(ER1, n, SEED)
     summ = moments(w, ER1)
-    cfg = CouplingConfig.default(n, ell)
+    cfg = CouplingConfig(k_n=default_k_n(n), depth=ell)
     breaks = sum(0 if couple_neighbourhood_to_intermediate(
         sample_graph(w, SEED, t), 0, cfg).ok else 1 for t in range(reps))
     rate = breaks / reps
@@ -246,7 +247,8 @@ def test_depth_zero_never_breaks():
 def test_repair_single_root_unchanged():
     w = sample_empirical_weights(GAMMA, 300, SEED)
     g = sample_graph(w, SEED, 1)
-    out = couple_neighbourhood_to_intermediate(g, 0, CouplingConfig.default(300, 2))
+    out = couple_neighbourhood_to_intermediate(
+        g, 0, CouplingConfig(k_n=default_k_n(300), depth=2))
     fixed = repair_independence([out], w.size_biased, seed=SEED)
     assert len(fixed) == 1
     assert BREAK_REPEAT not in fixed[0].flags
@@ -266,7 +268,8 @@ def test_repair_root_only_trees_unchanged():
 def test_repair_distinct_roots_required():
     w = sample_empirical_weights(GAMMA, 100, SEED)
     g = sample_graph(w, SEED, 0)
-    out = couple_neighbourhood_to_intermediate(g, 0, CouplingConfig.default(100, 1))
+    out = couple_neighbourhood_to_intermediate(
+        g, 0, CouplingConfig(k_n=default_k_n(100), depth=1))
     with pytest.raises(ValueError):
         repair_independence([out, out], w.size_biased, seed=SEED)
 
@@ -295,7 +298,7 @@ def test_repeat_rate_below_bound():
     w = sample_empirical_weights(GAMMA, n, SEED)
     law = w.size_biased
     summ = moments(w, GAMMA)
-    cfg = CouplingConfig.default(n, ell)
+    cfg = CouplingConfig(k_n=default_k_n(n), depth=ell)
     roots = [0, 1]
     hits = 0
     for t in range(reps):
@@ -378,9 +381,9 @@ def test_limit_tree_marginal_after_coupling():
 def test_full_pipeline_shared_weights_isomorphic():
     n = 1500
     w = sample_empirical_weights(ER1, n, SEED)
-    mu_e = exponential()
+    mu_e = WeightSpec("gamma", shape=1.0, scale=1.0)
     mu_v = WeightSpec("gamma", shape=2.0, scale=0.5)
-    cfg = CouplingConfig.default(n, 2)
+    cfg = CouplingConfig(k_n=default_k_n(n), depth=2)
     ok_seen = 0
     for t in range(250):
         g = sample_graph(w, SEED, t, mu_v=mu_v, mu_e=mu_e)
@@ -401,7 +404,7 @@ def test_full_pipeline_independence_chi_square():
     # joint canonical-code frequencies of the two coupled trees factorize
     n, reps = 2000, 1500
     w = sample_empirical_weights(ER1, n, SEED)
-    cfg = CouplingConfig.default(n, 1)
+    cfg = CouplingConfig(k_n=default_k_n(n), depth=1)
     pairs = []
     for t in range(reps):
         g = sample_graph(w, SEED, t)
@@ -423,7 +426,7 @@ def test_total_break_rate_below_epsilon_v():
     n, reps, ell = 1000, 600, 2
     w = sample_empirical_weights(GAMMA, n, SEED)
     summ = moments(w, GAMMA)
-    cfg = CouplingConfig.default(n, ell)
+    cfg = CouplingConfig(k_n=default_k_n(n), depth=ell)
     bad = 0
     for t in range(reps):
         g = sample_graph(w, SEED, t)
@@ -445,7 +448,7 @@ def test_weight_mismatch_tv_coupling():
     mu_v = WeightSpec("finite", values=(1.0, 2.0), probs=(0.4, 0.6))
     d_tv = tv_distance(mu_v_n, mu_v)
     assert d_tv == pytest.approx(0.1)
-    cfg = CouplingConfig.default(n, 1)
+    cfg = CouplingConfig(k_n=default_k_n(n), depth=1)
     mismatches, total = 0, 0
     for t in range(400):
         g = sample_graph(w, SEED, t, mu_v=mu_v_n)
@@ -462,12 +465,50 @@ def test_weight_mismatch_tv_coupling():
         assert not any(BREAK_WEIGHT in o.flags for o in outs)
 
 
+@pytest.mark.parametrize("spec", [ER1, GAMMA, FINITE], ids=["er", "gamma", "finite"])
+def test_fully_coupled_tree_carries_the_ball_labels(spec):
+    # node i of a fully coupled tree stands for graph vertex labels[i], in
+    # ball order, and the overlay gave it that vertex's weight and the weight
+    # of the edge to its parent's vertex
+    n = 400
+    mu_e = WeightSpec("gamma", shape=1.0, scale=1.0)
+    mu_v = WeightSpec("finite", values=(1.0, 2.0), probs=(0.5, 0.5))
+    w = sample_empirical_weights(spec, n, SEED)
+    checked = 0
+    for ell in (1, 2):
+        cfg = CouplingConfig(k_n=default_k_n(n), depth=ell)
+        for t in range(40):
+            g = sample_graph(w, SEED, t, mu_v=mu_v, mu_e=mu_e)
+            for o in couple_full(g, [0, 1], cfg, spec, mu_e, mu_v):
+                if not o.ok:
+                    continue
+                labels = o.tree.labels
+                assert labels == o.neighbourhood.vertices()
+                for i, v in enumerate(labels):
+                    assert o.tree.vertex_w[i] == g.vertex_weight(v)
+                    if i:
+                        parent = labels[o.tree.parent[i]]
+                        assert o.tree.edge_w[i] == g.edge_weight(parent, v)
+                checked += 1
+    assert checked >= 100
+
+
+def test_tv_path_refuses_continuous_laws():
+    # the maximal coupling of two weight laws is only built for atoms
+    w = sample_empirical_weights(ER1, 50, SEED)
+    mu_v_n = WeightSpec("gamma", shape=2.0, scale=1.1)
+    g = sample_graph(w, SEED, 0, mu_v=mu_v_n)
+    with pytest.raises(ValueError, match="finite or constant"):
+        couple_full(g, [0], CouplingConfig(k_n=1e9, depth=0), ER1, None, GAMMA,
+                    mu_v_n=mu_v_n)
+
+
 def test_monotone_improvement_in_n():
     # empirical union break rate at fixed depth does not grow with n
     rates = []
     for n in (500, 4000):
         w = sample_empirical_weights(ER1, n, SEED)
-        cfg = CouplingConfig.default(n, 2)
+        cfg = CouplingConfig(k_n=default_k_n(n), depth=2)
         bad = 0
         reps = 500
         for t in range(reps):

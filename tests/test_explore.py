@@ -104,7 +104,7 @@ def test_exploration_order_is_bfs_discovery_order():
                 if u not in seen:
                     seen.add(u)
                     queue.append(u)
-        assert nb.order == order
+        assert nb.vertices() == order
 
 
 def test_last_level_edges_excluded():
@@ -220,12 +220,12 @@ def test_edge_list_text_dump():
 
 def test_ulam_map():
     g = build_graph(5, [(0, 2), (0, 4), (2, 1)])
-    nb = explore(g, 0, 2)
-    mapping = nb.ulam_map()
+    tree = to_rooted_tree(explore(g, 0, 2), g.weights)
+    mapping = {tree.address(node): tree.labels[node] for node in range(tree.node_count)}
     assert mapping[()] == 0
     assert mapping[(1,)] == 2  # children enumerated in ascending label order
     assert mapping[(2,)] == 4
     assert mapping[(1, 1)] == 1
     tri = build_graph(3, [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(ValueError):
-        explore(tri, 0, 2).ulam_map()
+        to_rooted_tree(explore(tri, 0, 2), tri.weights)

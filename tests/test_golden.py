@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from sparselocal.bounds import default_k_n
 from sparselocal.cli import main
 from sparselocal.coupling import CouplingConfig, couple_full
 from sparselocal.graph import sample_graph
@@ -111,7 +112,8 @@ def test_coupled_tree_digest():
     seed = (0x5CA1AB1E, 0)
     w = sample_empirical_weights(spec, 300, seed)
     digest = hashlib.sha256()
-    for cfg in (CouplingConfig.default(300, 2), CouplingConfig(k_n=1e9, depth=2)):
+    for cfg in (CouplingConfig(k_n=default_k_n(300), depth=2),
+                CouplingConfig(k_n=1e9, depth=2)):
         for t in range(40):
             graph = sample_graph(w, seed, t, mu_e=mu_e)
             for out in couple_full(graph, [0, 1, 2], cfg, spec, mu_e, None):

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -245,7 +246,8 @@ def test_full_flip_is_independent_copy():
     # edge-count law of the fully resampled graph matches fresh samples
     n, reps = 16, 800
     w = er_weights(n, 2.0)
-    full = PerturbationSet.all_sites(n)
+    full = PerturbationSet(vertices=frozenset(range(n)),
+                           edges=frozenset(itertools.combinations(range(n), 2)))
     flipped_counts = []
     fresh_counts = []
     for t in range(reps):

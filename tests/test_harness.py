@@ -153,6 +153,16 @@ def test_config_validation():
         small_config(n_grid=[])
     with pytest.raises(ValueError):
         small_config(application="clique")
+    for n_grid in ([0], [120, -1]):
+        with pytest.raises(ValueError, match="at least 1"):
+            small_config(n_grid=n_grid)
+    for rule in ("sqrt", "7", -3, 0, float("nan"), float("inf"), True):
+        with pytest.raises(ValueError, match="k_n_rule"):
+            small_config(k_n_rule=rule)
+    for kw in (dict(depth=0), dict(roots=121)):
+        with pytest.raises(ValueError):
+            small_config(**kw).check_coupling()
+    small_config(depth=1, roots=120, k_n_rule=3).check_coupling()
 
 
 def test_config_from_dict_round_trip():
@@ -170,6 +180,8 @@ def test_config_from_dict_round_trip():
     assert cfg.edge_weights.shape == 1.0
     default = ExperimentConfig.from_dict({
         "weights": {"family": "constant", "c": 1.5}, "n_grid": [100], "seed": "0"})
+    # an absent key takes the dataclass default
+    assert default == ExperimentConfig(weights=WeightSpec("constant", c=1.5), n_grid=[100])
     assert default.k_n(1000) == pytest.approx(10.0)
 
 

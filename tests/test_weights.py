@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from sparselocal.graph import edge_probability
 from sparselocal.weights import (EmpiricalWeights, WeightSpec,
-                                 _wasserstein_weighted_sample, exponential, moments,
+                                 _wasserstein_weighted_sample, moments,
                                  sample_empirical_weights, wasserstein_1d)
 
 SEED = (2024, 7)
@@ -121,14 +121,6 @@ def test_size_biased_families():
     # mean of the size-biased law is E[W^2]/E[W]
     base = WeightSpec("gamma", shape=2.0, scale=0.5)
     assert g.mean() == pytest.approx(base.moment(2) / base.mean())
-
-
-def test_laplace_closed_forms():
-    assert WeightSpec("constant", c=0.7).laplace() == pytest.approx(np.exp(-0.7))
-    g = WeightSpec("gamma", shape=2.0, scale=1.0)
-    assert g.laplace() == pytest.approx(2.0 ** -2)
-    fd = WeightSpec("finite", values=(1.0, 2.0), probs=(0.3, 0.7))
-    assert fd.laplace() == pytest.approx(0.3 * np.exp(-1) + 0.7 * np.exp(-2))
 
 
 # ---- Wasserstein -----------------------------------------------------------------------
@@ -397,7 +389,7 @@ def test_spec_validation():
 
 
 def test_exponential_helper():
-    e = exponential(1.0)
+    e = WeightSpec("gamma", shape=1.0, scale=1.0)
     assert e.mean() == pytest.approx(1.0)
     assert e.moment(6) == pytest.approx(720.0)  # 6!
 
