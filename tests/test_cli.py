@@ -49,8 +49,14 @@ def test_malformed_config_line_anchored(tmp_path, capsys):
     ("couple", {"k_n_rule": "sqrt"}),
     ("couple", {"k_n_rule": -3}),
     ("couple", {"n_grid": [0]}),
+    ("rde", {"rde_iterations": 0}),
+    ("rde", {"rde_iterations": -2}),
+    ("rde", {"rde_pop_size": 10}),
+    ("generate", {"depth": None}),
+    ("generate", {"weights": "gamma"}),
 ], ids=["roots-above-n", "couple-depth", "bounds-depth", "k_n-sqrt", "k_n-negative",
-        "n-zero"])
+        "n-zero", "rde-iterations-zero", "rde-iterations-negative", "rde-pop-size-small",
+        "depth-null", "weights-string"])
 def test_invalid_config_value_exits_2(tmp_path, capsys, command, change):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(dict(CONFIG, **change)))
