@@ -20,7 +20,7 @@ oscillates between levels.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +33,7 @@ _IMT_TAG = 22
 _RDE_TAG = 23
 
 DEFAULT_NODE_BUDGET = 1_000_000
+RDE_MIN_POP_SIZE = 1000
 
 
 class TreeBudgetExceeded(RuntimeError):
@@ -111,9 +112,15 @@ def grow_intermediate(tree: RootedWeightedTree, frontier: list[int],
 
 @dataclass
 class Population:
-    """Particle approximation of a distribution on [0, inf)."""
+    """Particle approximation of a distribution on [0, inf).
+
+    ``particles`` is read-only once built: :meth:`sorted` keeps the copy it
+    sorts.
+    """
 
     particles: np.ndarray
+    _ascending: np.ndarray | None = field(default=None, init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         self.particles = np.asarray(self.particles, dtype=float)
@@ -127,7 +134,15 @@ class Population:
         return int(self.particles.size)
 
     def sorted(self) -> np.ndarray:
-        return np.sort(self.particles)
+        """The particles in ascending order, sorted on the first call and kept.
+
+        :func:`rde_apply` samples from this copy and :func:`population_w1`
+        couples through it, so an iterate of :func:`rde_fixed_point` is
+        sorted once.
+        """
+        if self._ascending is None:
+            self._ascending = np.sort(self.particles)
+        return self._ascending
 
     def to_csv(self, path) -> None:
         """One particle per line as %.17g: the bytes of ``np.savetxt``, a block per write.
@@ -156,19 +171,28 @@ def rde_apply(pop: Population, spec: WeightSpec,
     Each output particle is max(0, max_{i<=N} (xi_i - X_i)) with
     N mixed-Poisson over the size-biased law, xi_i ~ Exp(1) and X_i drawn
     uniformly from the (sorted) input population.
+
+    The size-biased type of each particle is drawn per family: a gamma law
+    (the size bias of gamma(a, s) is gamma(a + 1, s)) by the generator's
+    own gamma sampler, a constant or finite law by its quantile at one
+    uniform per particle.  Both give the same law; the gamma sampler spares
+    an inverse incomplete gamma function per particle.
     """
     if rng is None:
         rng = stream_rng(seed, stream, _RDE_TAG)
     m = pop.size
     biased = spec.size_biased()
-    what = biased.quantile(rng.random(m))
+    if biased.family == "gamma":
+        what = rng.gamma(biased.shape, biased.scale, m)
+    else:
+        what = biased.quantile(rng.random(m))
     counts = rng.poisson(what)
     total = int(counts.sum())
     out = np.zeros(m)
     if total:
-        xi = rng.exponential(1.0, total)
-        xs = pop.sorted()[rng.integers(0, m, total)]
-        np.maximum.at(out, np.repeat(np.arange(m), counts), xi - xs)
+        terms = rng.exponential(1.0, total)
+        terms -= pop.sorted()[rng.integers(0, m, total)]
+        np.maximum.at(out, np.repeat(np.arange(m), counts), terms)
     return Population(out)
 
 
@@ -189,21 +213,30 @@ def rde_fixed_point(spec: WeightSpec, pop_size: int, iterations: int,
     reported as the W1 gap between consecutive even/odd iterates.  A stalled
     gap (no decrease over the last five pairs) flags non-convergence rather
     than being silently accepted.
+
+    Only the previous and the current iterate are alive at any time: the
+    gap W1(T^{2k} delta_0, T^{2k+1} delta_0) is taken as each odd iterate
+    lands.  Each live iterate holds its particles and its sorted copy, so
+    the memory held is a few times ``pop_size`` floats (plus the operator's
+    per-term arrays, E[N] per particle), whatever ``iterations`` is.
     """
-    if pop_size < 1000:
-        raise ValueError("population dynamics needs pop_size >= 1000")
-    pops = [Population(np.zeros(pop_size))]
+    if pop_size < RDE_MIN_POP_SIZE:
+        raise ValueError(f"population dynamics needs pop_size >= {RDE_MIN_POP_SIZE}")
+    if iterations < 1:
+        raise ValueError("population dynamics needs at least one iteration")
+    cur = Population(np.zeros(pop_size))
+    gaps = []
     for it in range(iterations):
-        pops.append(rde_apply(pops[-1], spec, seed, stream=stream * 100003 + it))
-    gaps = [population_w1(pops[2 * k], pops[2 * k + 1])
-            for k in range(len(pops) // 2)]
+        prev = cur  # drops the iterate before it
+        cur = rde_apply(prev, spec, seed, stream=stream * 100003 + it)
+        if it % 2 == 0:  # cur is T^{it+1} delta_0, an odd iterate
+            gaps.append(population_w1(prev, cur))
     # stalled means: the last five gaps all sit above the best earlier gap by
     # more than the W1 sampling-noise scale of the particle populations
     noise = 2.0 / np.sqrt(pop_size)
     converged = True
     if len(gaps) >= 6:
         converged = min(gaps[-5:]) <= min(gaps[:-5]) + noise
-    evens = pops[-1] if (len(pops) - 1) % 2 == 0 else pops[-2]
-    odds = pops[-1] if (len(pops) - 1) % 2 == 1 else pops[-2]
+    evens, odds = (cur, prev) if iterations % 2 == 0 else (prev, cur)
     return evens, RdeDiagnostics(gaps=gaps, iterations=iterations, converged=converged,
                                  final_even=evens, final_odd=odds)

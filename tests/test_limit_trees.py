@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -132,6 +134,31 @@ def test_rde_zero_population_void_probability_general():
     p0 = np.mean(out.particles == 0.0)
     se = np.sqrt(target * (1 - target) / out.size)
     assert abs(p0 - target) <= 4 * se
+
+
+def test_rde_first_iterate_law_gamma():
+    # from delta_0 a particle is the max of N Exp(1) terms, N mixed Poisson over
+    # What ~ gamma(a + 1, s): P(X <= t) = E[exp(-What e^-t)] = (1 + s e^-t)^-(a + 1),
+    # the negative binomial NB(a + 1, 1 / (1 + s)) thinned to the terms above t
+    out = rde_apply(Population(np.zeros(50_000)), GAMMA, seed=SEED).particles
+    for t in (0.0, 0.5, 1.0, 2.0, 4.0):
+        target = (1.0 + GAMMA.scale * np.exp(-t)) ** -(GAMMA.shape + 1.0)
+        se = np.sqrt(target * (1 - target) / out.size)
+        assert abs(np.mean(out <= t) - target) <= 4 * se
+
+
+@pytest.mark.parametrize("pop_size", [2000, 8000, 32000])
+def test_rde_fixed_point_memory_is_two_iterates(pop_size):
+    # two live iterates with their sorted copies hold 4 pop_size floats and one
+    # step's per-term arrays a few E[N] pop_size more (E[N] = 3 for gamma(2, 1));
+    # keeping all 41 iterates would hold at least 41 pop_size floats
+    tracemalloc.start()
+    try:
+        rde_fixed_point(GAMMA, pop_size, 40, SEED)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 8 * pop_size
 
 
 def test_rde_antitone_in_input():
