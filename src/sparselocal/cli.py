@@ -40,6 +40,8 @@ def _load_config(path: str, seed_override: str | None, replicas: int | None,
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: the config must be a JSON object")
     seed_text = seed_override or os.environ.get(SEED_ENV) or data.get("seed", "0")
     data["seed"] = seed_text
     if replicas is not None:
@@ -228,6 +230,8 @@ def main(argv: list[str] | None = None) -> int:
                            args.app)
         if args.command in ("couple", "bounds"):
             cfg.check_coupling()
+        if args.command == "rde":
+            cfg.check_rde()
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

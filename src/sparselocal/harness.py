@@ -27,6 +27,7 @@ from .bounds import (BoundParams, VertexSetSummary, default_k_n, epsilon_rho_seq
                      epsilon_v_bound, eta_bound, structural_bounds)
 from .coupling import BREAK_REASONS, CouplingConfig, couple_full
 from .graph import sample_graph
+from .limit_trees import RDE_MIN_POP_SIZE
 from .rng import format_seed, parse_seed
 from .weights import EmpiricalWeights, WeightSpec, moments, sample_empirical_weights
 
@@ -77,6 +78,14 @@ class ExperimentConfig:
             raise ValueError(f"roots ({self.roots}) must not exceed the smallest n "
                              f"({min(self.n_grid)})")
 
+    def check_rde(self) -> None:
+        """The checks of the ``rde`` command."""
+        if self.rde_iterations < 1:
+            raise ValueError(f"rde_iterations must be at least 1; got {self.rde_iterations}")
+        if self.rde_pop_size < RDE_MIN_POP_SIZE:
+            raise ValueError(f"rde_pop_size must be at least {RDE_MIN_POP_SIZE}; "
+                             f"got {self.rde_pop_size}")
+
     def k_n(self, n: int) -> float:
         return default_k_n(n) if self.k_n_rule == "cbrt" else float(self.k_n_rule)
 
@@ -105,16 +114,45 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(cfg: dict) -> "ExperimentConfig":
-        """Build from a parsed config file; an absent key takes the field default."""
+        """Build from a parsed config file; an absent key takes the field default.
+
+        A value of the wrong JSON type is a ValueError: counts are integers,
+        ``n_grid`` is a list of integers, laws are objects and the seed is a
+        hex string.
+        """
         kw = {k: cfg[k] for k in ("k_n_rule", "application") if k in cfg}
-        kw.update((k, int(cfg[k])) for k in ("replicas", "depth", "roots", "rde_pop_size",
-                                               "rde_iterations", "workers") if k in cfg)
-        kw.update((k, WeightSpec.from_config(cfg[k]))
-                  for k in ("vertex_weights", "edge_weights") if cfg.get(k))
+        kw.update((k, _integer(k, cfg[k])) for k in ("replicas", "depth", "roots",
+                                                     "rde_pop_size", "rde_iterations",
+                                                     "workers") if k in cfg)
+        kw.update((k, _law(k, cfg[k])) for k in ("vertex_weights", "edge_weights")
+                  if cfg.get(k))
         if "seed" in cfg:
+            if not isinstance(cfg["seed"], str):
+                raise ValueError(f"seed must be a hex string; got {cfg['seed']!r}")
             kw["seed"] = parse_seed(cfg["seed"])
-        return ExperimentConfig(weights=WeightSpec.from_config(cfg["weights"]),
-                                n_grid=[int(n) for n in cfg["n_grid"]], **kw)
+        n_grid = cfg["n_grid"]
+        if not isinstance(n_grid, list):
+            raise ValueError(f"n_grid must be a list of integers; got {n_grid!r}")
+        return ExperimentConfig(weights=_law("weights", cfg["weights"]),
+                                n_grid=[_integer("n_grid", n) for n in n_grid], **kw)
+
+
+def _integer(key: str, value) -> int:
+    """A config count: a JSON number with an integral value."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{key} must be an integer; got {value!r}")
+    return int(value)
+
+
+def _law(key: str, value) -> WeightSpec:
+    """A config weight law: a JSON object that :meth:`WeightSpec.from_config` reads."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be an object with a family; got {value!r}")
+    try:
+        return WeightSpec.from_config(value)
+    except TypeError as exc:  # a parameter of the wrong JSON type, e.g. "c": null
+        raise ValueError(f"{key}: {exc}") from exc
 
 
 # ---- estimators -----------------------------------------------------------------------
