@@ -271,8 +271,10 @@ def dependent_edge_sum(graph: WeightedGraph) -> float:
         raise ValueError("dependent edge sum needs vertex weights")
     if graph.num_edges == 0:
         return 0.0
-    # one hash and quantile per vertex, gathered by endpoint
-    w = graph.vertex_weight(np.arange(graph.n))
+    # one hash and quantile per vertex that an edge touches, gathered by endpoint
+    touched = np.flatnonzero(np.diff(graph.indptr))
+    w = np.zeros(graph.n)
+    w[touched] = graph.vertex_weight(touched)
     return float(np.sum(w[graph.edge_u]) + np.sum(w[graph.edge_v]))
 
 
