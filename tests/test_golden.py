@@ -36,7 +36,18 @@ COUPLE_GAMMA = {
     "seed": "5ca1ab1e",
 }
 
-# (command, config, replicas) -> {csv name: sha256}
+# gamma(2, 1) population dynamics: the size-biased types come from the
+# generator's gamma sampler, which the constant-law case never reaches
+RDE_GAMMA = {
+    "weights": {"family": "gamma", "shape": 2.0, "scale": 1.0},
+    "n_grid": [1],
+    "replicas": 1,
+    "rde_pop_size": 2000,
+    "rde_iterations": 8,
+    "seed": "5ca1ab1e",
+}
+
+# (command, config file or dict, replicas) -> {csv name: sha256}
 CASES = {
     "clt-edge-sum": ("clt", "clt-edge-sum.json", 40, {
         "clt_edge-sum.csv":
@@ -62,7 +73,13 @@ CASES = {
         "rde_population.csv":
             "f227bc7633a9e41bee4af13a0c62dd020b39631364b1cd92ef61a8dbdf342fbb",
     }),
-    "couple-gamma": ("couple", None, 30, {
+    "rde-gamma": ("rde", RDE_GAMMA, 1, {
+        "rde_gaps.csv":
+            "c7cb4ab017f087460e9d68a31d4e13fc6bb7e1803354128f80c525dc84832010",
+        "rde_population.csv":
+            "15bc9f711ee2947339c03de3f4bdf8e424f3966385b88c8e60c2c710018e447d",
+    }),
+    "couple-gamma": ("couple", COUPLE_GAMMA, 30, {
         "coupling.csv":
             "19a8a9873d5effafe7bddfa149525d557b810bd4fd1c93d9ff6952e9c0a9f8db",
         "coupling_outcomes.csv":
@@ -79,9 +96,9 @@ def _csv_digests(out_dir):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_csv_digests(case, tmp_path):
     command, config, replicas, expected = CASES[case]
-    if config is None:
+    if isinstance(config, dict):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(COUPLE_GAMMA))
+        path.write_text(json.dumps(config))
         config = str(path)
     else:
         config = os.path.join(CONFIGS, config)
