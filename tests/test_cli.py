@@ -40,6 +40,9 @@ def test_malformed_config_line_anchored(tmp_path, capsys):
     assert main(["generate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert ":2:" in err  # line number of the defect
+    path.write_text("[]")
+    assert main(["generate", "--config", str(path)]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, change", [
@@ -54,9 +57,13 @@ def test_malformed_config_line_anchored(tmp_path, capsys):
     ("rde", {"rde_pop_size": 10}),
     ("generate", {"depth": None}),
     ("generate", {"weights": "gamma"}),
+    ("generate", {"weights": {"family": "constant", "c": None}}),
+    ("generate", {"n_grid": 80}),
+    ("generate", {"seed": 12}),
 ], ids=["roots-above-n", "couple-depth", "bounds-depth", "k_n-sqrt", "k_n-negative",
         "n-zero", "rde-iterations-zero", "rde-iterations-negative", "rde-pop-size-small",
-        "depth-null", "weights-string"])
+        "depth-null", "weights-string", "weight-parameter-null", "n_grid-number",
+        "seed-number"])
 def test_invalid_config_value_exits_2(tmp_path, capsys, command, change):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(dict(CONFIG, **change)))

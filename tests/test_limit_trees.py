@@ -147,6 +147,38 @@ def test_rde_first_iterate_law_gamma():
         assert abs(np.mean(out <= t) - target) <= 4 * se
 
 
+def rde_all_iterates(spec, pop_size, iterations, seed):
+    """Population dynamics keeping every iterate, each type a quantile of a
+    uniform: the reference the streaming rde_fixed_point must match bit for
+    bit on constant and finite laws.  Returns (gaps, final even, final odd)."""
+    pops = [np.zeros(pop_size)]
+    for it in range(iterations):
+        rng = stream_rng(seed, it, 23)
+        prev = np.sort(pops[-1])
+        counts = rng.poisson(spec.size_biased().quantile(rng.random(pop_size)))
+        out = np.zeros(pop_size)
+        xi = rng.exponential(1.0, int(counts.sum()))
+        xs = prev[rng.integers(0, pop_size, xi.size)]
+        np.maximum.at(out, np.repeat(np.arange(pop_size), counts), xi - xs)
+        pops.append(out)
+    gaps = [float(np.mean(np.abs(np.sort(pops[2 * k]) - np.sort(pops[2 * k + 1]))))
+            for k in range(len(pops) // 2)]
+    last, before = pops[-1], pops[-2]
+    return (gaps, last, before) if iterations % 2 == 0 else (gaps, before, last)
+
+
+@pytest.mark.parametrize("spec", [WeightSpec("constant", c=0.5),
+                                  WeightSpec("finite", values=(0.5, 2.0), probs=(0.7, 0.3))],
+                         ids=["constant", "finite"])
+@pytest.mark.parametrize("iterations", [1, 7, 8])
+def test_rde_fixed_point_matches_all_iterates(spec, iterations):
+    _, diag = rde_fixed_point(spec, 1500, iterations, SEED)
+    gaps, even, odd = rde_all_iterates(spec, 1500, iterations, SEED)
+    assert diag.gaps == gaps
+    assert np.array_equal(diag.final_even.particles, even)
+    assert np.array_equal(diag.final_odd.particles, odd)
+
+
 @pytest.mark.parametrize("pop_size", [2000, 8000, 32000])
 def test_rde_fixed_point_memory_is_two_iterates(pop_size):
     # two live iterates with their sorted copies hold 4 pop_size floats and one
