@@ -134,7 +134,7 @@ class ExperimentConfig:
         if not isinstance(n_grid, list):
             raise ValueError(f"n_grid must be a list of integers; got {n_grid!r}")
         return ExperimentConfig(weights=_law("weights", cfg["weights"]),
-                                n_grid=[_integer("n_grid", n) for n in n_grid], **kw)
+                                n_grid=[_integer("each n_grid entry", n) for n in n_grid], **kw)
 
 
 def _integer(key: str, value) -> int:
