@@ -60,10 +60,14 @@ def test_malformed_config_line_anchored(tmp_path, capsys):
     ("generate", {"weights": {"family": "constant", "c": None}}),
     ("generate", {"n_grid": 80}),
     ("generate", {"seed": 12}),
+    ("couple", {"roots": 0}),
+    ("clt", {"vertex_weights": None}),
+    ("couple", {"workers": -3}),
 ], ids=["roots-above-n", "couple-depth", "bounds-depth", "k_n-sqrt", "k_n-negative",
         "n-zero", "rde-iterations-zero", "rde-iterations-negative", "rde-pop-size-small",
         "depth-null", "weights-string", "weight-parameter-null", "n_grid-number",
-        "seed-number"])
+        "seed-number", "roots-zero", "edge-sum-without-vertex-weights",
+        "workers-negative"])
 def test_invalid_config_value_exits_2(tmp_path, capsys, command, change):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(dict(CONFIG, **change)))
