@@ -119,7 +119,7 @@ def cmd_couple(cfg: ExperimentConfig, out_dir: str, check: bool) -> int:
     _write_csv(path, rows)
     detail = os.path.join(out_dir, "coupling_outcomes.csv")
     _write_csv(detail, outcome_rows)
-    _write_manifest(out_dir, cfg, [path, detail], workers=max(cfg.workers, 1))
+    _write_manifest(out_dir, cfg, [path, detail], workers=cfg.workers)
     print(f"wrote {path} ({len(rows)} rows) and {detail}")
     if check and any(r["violation"] for r in rows):
         print("check failed: empirical break rate exceeds the bound", file=sys.stderr)
@@ -136,7 +136,7 @@ def cmd_clt(cfg: ExperimentConfig, out_dir: str, check: bool) -> int:
                                   and (i == 0 or rows[i]["ks"] < prev + band))
     path = os.path.join(out_dir, f"clt_{cfg.application}.csv")
     _write_csv(path, rows)
-    _write_manifest(out_dir, cfg, [path], workers=max(cfg.workers, 1))
+    _write_manifest(out_dir, cfg, [path], workers=cfg.workers)
     print(f"wrote {path} ({len(rows)} rows)")
     if check and any(not r["trend_ok"] for r in rows):
         print("check failed: KS trend violated", file=sys.stderr)
@@ -230,6 +230,8 @@ def main(argv: list[str] | None = None) -> int:
                            args.app)
         if args.command in ("couple", "bounds"):
             cfg.check_coupling()
+        if args.command == "clt":
+            cfg.check_clt()
         if args.command == "rde":
             cfg.check_rde()
     except (ConfigError, ValueError) as exc:

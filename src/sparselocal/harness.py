@@ -55,6 +55,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replicas < 1:
             raise ValueError("replicas must be at least 1")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1; got {self.workers}")
         if not self.n_grid:
             raise ValueError("n grid must be non-empty")
         if min(self.n_grid) < 1:
@@ -74,9 +76,16 @@ class ExperimentConfig:
         """The checks of the commands that couple balls: ``couple`` and ``bounds``."""
         if self.depth < 1:
             raise ValueError(f"depth must be at least 1; got {self.depth}")
+        if self.roots < 1:
+            raise ValueError(f"roots must be at least 1; got {self.roots}")
         if self.roots > min(self.n_grid):
             raise ValueError(f"roots ({self.roots}) must not exceed the smallest n "
                              f"({min(self.n_grid)})")
+
+    def check_clt(self) -> None:
+        """The checks of the ``clt`` command."""
+        if self.application == "edge-sum" and self.vertex_weights is None:
+            raise ValueError("the edge-sum application needs vertex_weights")
 
     def check_rde(self) -> None:
         """The checks of the ``rde`` command."""
