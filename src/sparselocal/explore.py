@@ -43,9 +43,6 @@ class Neighbourhood:
     def vertices(self) -> list[int]:
         return [v for level in self.levels for v in level]
 
-    def level_of(self) -> dict[int, int]:
-        return {v: r for r, level in enumerate(self.levels) for v in level}
-
 
 def explore(graph: WeightedGraph, v: int, depth: int) -> Neighbourhood:
     """Explore B_depth(v); vertices appear in first-discovery (BFS) order."""

@@ -42,13 +42,6 @@ _GEN_TAG = 12
 _FLUSH = 4096  # candidates mapped and thinned per vectorised pass
 
 
-def edge_probability(Wu: float, Wv: float, n: int, theta: float) -> float:
-    """min(Wu*Wv/(n*theta), 1); all arguments must be positive."""
-    if Wu <= 0 or Wv <= 0 or n <= 0 or theta <= 0:
-        raise ValueError("edge_probability requires positive arguments")
-    return min(Wu * Wv / (n * theta), 1.0)
-
-
 @dataclass(frozen=True)
 class PerturbationSet:
     """A set of resampling sites: vertex ids and unordered vertex pairs."""

@@ -56,10 +56,6 @@ class RootedWeightedTree:
         return len(self.parent)
 
     @property
-    def root_degree(self) -> int:
-        return len(self.children[0])
-
-    @property
     def height(self) -> int:
         return max(self.node_depth)
 

@@ -163,9 +163,9 @@ def test_criterion_05_coupling_marginals():
     for t in range(reps):
         g = sample_graph(w, SEED, t)
         out = couple_neighbourhood_to_intermediate(g, 0, cfg)
-        cdeg[t], ccnt[t] = out.tree.root_degree, out.tree.node_count
+        cdeg[t], ccnt[t] = len(out.tree.children[0]), out.tree.node_count
         dt = sample_intermediate_tree(w, 0, ell, SEED, stream=t)
-        ddeg[t], dcnt[t] = dt.root_degree, dt.node_count
+        ddeg[t], dcnt[t] = len(dt.children[0]), dt.node_count
     p_deg = stats.ks_2samp(cdeg, ddeg).pvalue
     p_cnt = stats.ks_2samp(ccnt, dcnt).pvalue
     ok = p_deg > 0.01 and p_cnt > 0.01
@@ -253,7 +253,7 @@ def test_criterion_08_structural_bound_battery():
                 g = sample_graph(w, SEED, t)
                 nb = explore(g, 0, 3)
                 deg[t] = len(nb.levels[1])
-                lv = nb.level_of()
+                lv = {v: r for r, level in enumerate(nb.levels) for v in level}
                 for l in (1, 2, 3):
                     verts = np.array([v for v, r in lv.items() if r <= l], dtype=int)
                     norm1[l][t] = w.W[verts].sum()

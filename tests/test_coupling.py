@@ -209,10 +209,10 @@ def test_marginal_law_of_tree_half():
     for t in range(reps):
         g = sample_graph(w, SEED, t)
         out = couple_neighbourhood_to_intermediate(g, 0, cfg)
-        coupled_deg.append(out.tree.root_degree)
+        coupled_deg.append(len(out.tree.children[0]))
         coupled_cnt.append(out.tree.node_count)
         dt = sample_intermediate_tree(w, 0, 2, SEED, stream=t)
-        direct_deg.append(dt.root_degree)
+        direct_deg.append(len(dt.children[0]))
         direct_cnt.append(dt.node_count)
     assert stats.ks_2samp(coupled_deg, direct_deg).pvalue > 0.01
     assert stats.ks_2samp(coupled_cnt, direct_cnt).pvalue > 0.01

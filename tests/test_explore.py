@@ -133,7 +133,7 @@ def test_is_tree_examples():
 def test_to_rooted_tree_single_vertex():
     g = build_graph(2, [])
     t = to_rooted_tree(explore(g, 0, 2), g.weights)
-    assert t.node_count == 1 and t.root_degree == 0
+    assert t.node_count == 1 and not t.children[0]
 
 
 def test_to_rooted_tree_edge_weight():

@@ -24,7 +24,7 @@ def test_limit_tree_depth_zero():
 def test_limit_tree_root_degree_mean():
     W, reps = 2.5, 4000
     rng = stream_rng(SEED, 0, 1)
-    degs = np.array([sample_limit_tree(W, GAMMA, None, None, 1, rng=rng).root_degree
+    degs = np.array([len(sample_limit_tree(W, GAMMA, None, None, 1, rng=rng).children[0])
                      for _ in range(reps)])
     assert abs(degs.mean() - W) <= 3 * degs.std(ddof=1) / np.sqrt(reps)
 
@@ -61,7 +61,7 @@ def test_intermediate_tree_root_degree_mean():
     v = 3
     target = w.W[v] * w.lambda_n / (300 * w.theta)
     rng = stream_rng(SEED, 0, 3)
-    degs = np.array([sample_intermediate_tree(w, v, 1, rng=rng).root_degree
+    degs = np.array([len(sample_intermediate_tree(w, v, 1, rng=rng).children[0])
                      for _ in range(4000)], float)
     assert abs(degs.mean() - target) <= 3 * degs.std(ddof=1) / np.sqrt(degs.size)
 

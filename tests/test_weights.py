@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparselocal.graph import edge_probability
 from sparselocal.weights import (EmpiricalWeights, WeightSpec,
                                  _wasserstein_weighted_sample, moments,
                                  sample_empirical_weights, wasserstein_1d)
@@ -11,11 +10,23 @@ from sparselocal.weights import (EmpiricalWeights, WeightSpec,
 SEED = (2024, 7)
 
 
+def edge_probability(Wu: float, Wv: float, n: int, theta: float) -> float:
+    """min(Wu*Wv/(n*theta), 1), the rank-one edge probability; arguments positive."""
+    if Wu <= 0 or Wv <= 0 or n <= 0 or theta <= 0:
+        raise ValueError("edge_probability requires positive arguments")
+    return min(Wu * Wv / (n * theta), 1.0)
+
+
 def test_edge_probability_er_embedding():
-    # constant weights sqrt(lam_n * lam) give exactly lam_n / n
+    # constant weights sqrt(lam_n * lam) give exactly lam_n / n, and the graph
+    # sampler's bound for their single bucket is that probability
     lam_n, lam, n = 2.5, 2.0, 100
     w = np.sqrt(lam_n * lam)
     assert edge_probability(w, w, n, lam) == pytest.approx(lam_n / n, abs=0, rel=1e-15)
+    plan = EmpiricalWeights(n=n, W=np.full(n, w), theta=lam).bucket_plan
+    assert plan.pmax.tolist() == [edge_probability(w, w, n, lam)]
+
+
 
 
 def test_edge_probability_cap_and_direct():
