@@ -97,7 +97,13 @@ class WeightSpec:
         return special.gammainc(self.shape, x / self.scale)
 
     def quantile(self, u):
-        """Inverse CDF, valid for u in (0,1); vectorized."""
+        """Inverse CDF on [0, 1]; vectorized, and 0-d input is accepted.
+
+        A gamma law of shape 1 takes :func:`_integer_gamma_quantile`: within
+        2 ulp of the exact quantile, 0 at u = 0 and inf at u = 1, built only
+        from operations whose bits do not depend on the CPU.  Any other shape
+        takes ``gammaincinv``.
+        """
         u = np.asarray(u, dtype=float)
         if self.family == "constant":
             return np.full_like(u, self.c)
@@ -105,6 +111,8 @@ class WeightSpec:
             cum = np.cumsum(self.probs)
             idx = np.searchsorted(cum, u, side="left")
             return np.asarray(self.values)[np.minimum(idx, len(self.values) - 1)]
+        if self.shape == 1.0:
+            return self.scale * _integer_gamma_quantile(1, u)
         return self.scale * special.gammaincinv(self.shape, u)
 
     def partial_quantile_integral(self, u):
@@ -162,6 +170,25 @@ class WeightSpec:
         if family == "gamma":
             return WeightSpec("gamma", shape=float(cfg["shape"]), scale=float(cfg["scale"]))
         raise ValueError(f"unknown weight family in config: {family!r}")
+
+
+# ---- integer-shape gamma quantiles ---------------------------------------------------
+
+
+def _integer_gamma_quantile(k: int, u):
+    """Quantile of gamma(k, 1) for k = 1 at u in [0, 1]: L = -log(1 - u).
+
+    1 - u rounds for u < 1/2; its rounding error is carried, so L is within
+    about 1 ulp, where -log1p(-u) is up to 2 ulp off.  Every operation is IEEE
+    arithmetic or scipy.special's log1p: numpy's own transcendental ufuncs
+    return bits that follow the SIMD code path the CPU selects, and it does not.
+    """
+    u = np.asarray(u, dtype=float)
+    with np.errstate(divide="ignore"):
+        v = 1.0 - u
+        w = v - 1.0                       # exact
+        c = (w + u) / np.maximum(v, 0.5)  # 1 - u = v (1 - c); c = 0 for u >= 1/2
+        return c - special.log1p(w)
 
 
 @dataclass
