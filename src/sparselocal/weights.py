@@ -6,6 +6,13 @@ families are supported (constant, finite discrete, gamma); all of them have
 finite third moments and exact quantiles, which is what the downstream
 Wasserstein couplings and bound evaluators require.
 
+Every weight is drawn by inverse CDF, so the gamma quantile sets the bits of
+graph weights, edge sums, couplings and W1 distances alike.  Shapes 1, 2 and 3
+(the shipped laws and their size-biased laws) are solved here, within 2 ulp,
+from IEEE arithmetic, sqrt, frexp/ldexp and scipy.special's log1p/expm1 only:
+numpy's exp, log, log1p, expm1 and ``**`` return bits that follow the SIMD
+code path numpy dispatches to on the CPU.  Other shapes use gammaincinv.
+
 The empirical side lives in :class:`EmpiricalWeights` (a realized weight
 vector together with the model constant theta = E[W]) and
 :class:`MomentSummary`, which carries the normalized moments
@@ -99,10 +106,10 @@ class WeightSpec:
     def quantile(self, u):
         """Inverse CDF on [0, 1]; vectorized, and 0-d input is accepted.
 
-        A gamma law of shape 1 takes :func:`_integer_gamma_quantile`: within
-        2 ulp of the exact quantile, 0 at u = 0 and inf at u = 1, built only
-        from operations whose bits do not depend on the CPU.  Any other shape
-        takes ``gammaincinv``.
+        A gamma law of shape 1, 2 or 3 takes :func:`_integer_gamma_quantile`:
+        within 2 ulp of the exact quantile for u from 1e-300 up to 1 - 2^-53,
+        0 at u = 0 and inf at u = 1, built only from operations whose bits do
+        not depend on the CPU.  Any other shape takes ``gammaincinv``.
         """
         u = np.asarray(u, dtype=float)
         if self.family == "constant":
@@ -111,8 +118,8 @@ class WeightSpec:
             cum = np.cumsum(self.probs)
             idx = np.searchsorted(cum, u, side="left")
             return np.asarray(self.values)[np.minimum(idx, len(self.values) - 1)]
-        if self.shape == 1.0:
-            return self.scale * _integer_gamma_quantile(1, u)
+        if self.shape in (1.0, 2.0, 3.0):
+            return self.scale * _integer_gamma_quantile(int(self.shape), u)
         return self.scale * special.gammaincinv(self.shape, u)
 
     def partial_quantile_integral(self, u):
@@ -174,21 +181,104 @@ class WeightSpec:
 
 # ---- integer-shape gamma quantiles ---------------------------------------------------
 
+# Per shape k: the start x = s P(s) with s = (k! L)^(1/k), L = -log(1 - u),
+# the split point, and S(x) = (e^x - e_{k-1}(x)) / x^k on [0, split], where
+# e_{k-1} is the exponential series cut after k terms.  Both are near-minimax
+# polynomials (mpmath.chebyfit; highest power first): P is within 1.2e-6 of x / s
+# for u up to 1 - 2^-53, and S within 4e-18 of the series.
+_GAMMA_START = {
+    2: (5.368006044921933e-10, -2.1891780177178035e-08, 3.4245822673847713e-07,
+        -1.945065475807255e-06, -1.4206883752338045e-05, 0.00037457045729787634,
+        -0.003872580885028742, 0.02788342238334306, 0.3333066934375541,
+        1.0000011503307418),
+    3: (1.8028830714590437e-07, -5.7027985827370356e-06, 7.564241249669531e-05,
+        -0.0005108646666186591, 0.0012793199700356092, 0.007289277713732565,
+        0.08748234353034622, 0.25000634555668383, 0.9999997435973591),
+}
+_GAMMA_SERIES = {
+    2: (2.0, (1.1726961171603088e-13, 2.2431651955532125e-13, 1.379465479661597e-11,
+              1.5416331743976784e-10, 2.099881167618875e-09, 2.5035692323658033e-08,
+              2.755890129392721e-07, 2.755721021493963e-06, 2.480159259225868e-05,
+              0.00019841269665615247, 0.0013888888892688149, 0.008333333333283921,
+              0.04166666666667003, 0.16666666666666657, 0.5)),
+    3: (3.0, (5.700215654193955e-16, -2.664133124355838e-15, 8.706386628237284e-14,
+              5.837257138548956e-13, 1.2047289321630625e-11, 1.5927490745241114e-10,
+              2.089861106642248e-09, 2.5049456540822852e-08, 2.755755250461044e-07,
+              2.7557304619655388e-06, 2.480158793182696e-05, 0.00019841269823451377,
+              0.001388888888919303, 0.008333333333330611, 0.04166666666666676,
+              0.16666666666666666)),
+}
+_SPLITTER = 134217729.0  # 2^27 + 1: a * _SPLITTER - (a * _SPLITTER - a) keeps 26 bits of a
+_LN2 = 0.6931471805599453
+
+
+def _horner(coeffs, x):
+    acc = coeffs[0] * x
+    acc += coeffs[1]
+    for c in coeffs[2:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _cbrt(a):
+    """a^(1/3) to about 1e-16, from frexp, log1p and expm1."""
+    m, e = np.frexp(a)
+    q, r = np.divmod(e, 3)
+    return np.ldexp(special.expm1((special.log1p(m - 1.0) + r * _LN2) / 3.0) + 1.0, q)
+
 
 def _integer_gamma_quantile(k: int, u):
-    """Quantile of gamma(k, 1) for k = 1 at u in [0, 1]: L = -log(1 - u).
+    """Quantile of gamma(k, 1) for k in {1, 2, 3} at u in [0, 1].
 
-    1 - u rounds for u < 1/2; its rounding error is carried, so L is within
-    about 1 ulp, where -log1p(-u) is up to 2 ulp off.  Every operation is IEEE
-    arithmetic or scipy.special's log1p: numpy's own transcendental ufuncs
-    return bits that follow the SIMD code path the CPU selects, and it does not.
+    Shape 1 is L = -log(1 - u).  For k >= 2 the quantile solves
+    D(x) = L with D(x) = -log Q(k, x) = x - log e_{k-1}(x), whose derivative is
+    the hazard D' = x^(k-1) / ((k-1)! e_{k-1}(x)).  A polynomial start within
+    1.2e-6 takes one third-order (Chebyshev) step; the error left is the
+    residual's rounding, under 2 ulp.  The residual is formed in odds:
+    D(x) - L = log1p(O(x) (1 - u) - u), O = T / e_{k-1}, T = e^x - e_{k-1}(x),
+    with T from its series below the split point and from expm1 above it,
+    so nothing cancels.  The start keeps 26 bits, so that x^2 and 1 + x are
+    exact, and 1 - u and u (1 + x) are carried with their rounding errors.
+
+    Every operation is IEEE arithmetic, sqrt, frexp/ldexp or scipy.special's
+    log1p/expm1: numpy's own transcendental ufuncs return bits that follow the
+    SIMD code path the CPU selects, and these do not.
     """
     u = np.asarray(u, dtype=float)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         v = 1.0 - u
         w = v - 1.0                       # exact
         c = (w + u) / np.maximum(v, 0.5)  # 1 - u = v (1 - c); c = 0 for u >= 1/2
-        return c - special.log1p(w)
+        L = c - special.log1p(w)
+        if k == 1:
+            return L
+        split, series = _GAMMA_SERIES[k]
+        s = np.sqrt(L + L) if k == 2 else _cbrt(6.0 * L)
+        x = s * _horner(_GAMMA_START[k], s)
+        g = x * _SPLITTER
+        x = g - (g - x)
+        g = u * _SPLITTER
+        uh = g - (g - u)
+        ul = u - uh                       # u = uh + ul, uh with 26 bits
+        xx = x * x
+        if k == 2:
+            e1, xk, hx = x, xx, x         # e_{k-1} - 1, x^k, x^(k-1) / (k-1)!
+        else:
+            e1, xk, hx = x + 0.5 * xx, xx * x, 0.5 * xx
+        e = 1.0 + e1
+        # T (1 - u) / (1 - c); below the split T = x^k (S_0 + x S_1(x)), and
+        # S_0 is exact, so only the smaller part rounds
+        tv = np.where(x < split,
+                      xk * (series[-1] * v + (x * _horner(series[:-1], x)) * v),
+                      (special.expm1(x) - e1) * v)
+        f = special.log1p(((((tv - u) - uh * e1) - ul * e1) - tv * c) / e)
+        r = f * e / hx                    # Newton step f / D'
+        p = e1 / e if k == 2 else x * (1.0 + x) / e
+        x = x - r * (1.0 + r / x * (0.5 * ((k - 1) - p)))
+        # at u = 0 and u = 1 the step is nan; there the quantile is L = 0 or inf,
+        # and elsewhere it exceeds L
+        return np.fmax(x, L)
 
 
 @dataclass
