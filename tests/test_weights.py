@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
+import sparselocal
 from sparselocal.weights import (EmpiricalWeights, WeightSpec,
                                  _wasserstein_weighted_sample, moments,
                                  sample_empirical_weights, wasserstein_1d)
@@ -25,8 +31,6 @@ def test_edge_probability_er_embedding():
     assert edge_probability(w, w, n, lam) == pytest.approx(lam_n / n, abs=0, rel=1e-15)
     plan = EmpiricalWeights(n=n, W=np.full(n, w), theta=lam).bucket_plan
     assert plan.pmax.tolist() == [edge_probability(w, w, n, lam)]
-
-
 
 
 def test_edge_probability_cap_and_direct():
@@ -413,6 +417,121 @@ def test_quantile_monotone_and_cdf_consistent(shape, scale, us):
     q = spec.quantile(np.sort(np.asarray(us)))
     assert np.all(np.diff(q) >= 0)
     assert np.allclose(spec.cdf(q), np.sort(us), atol=1e-9)
+
+
+# ---- the integer-shape gamma quantile ----------------------------------------------
+
+def _exact_gamma_quantile(mp, k, u, guess):
+    """gamma(k, 1) quantile of the double u, by Newton on log P or log Q in mpmath.
+
+    P = x^k e^-x / k! 1F1(1; k+1; x) and Q = e^-x e_{k-1}(x) are sums of positive
+    terms, so both keep their relative precision in either tail.
+    """
+    with mp.workdps(50):
+        um = mp.mpf(u)
+        lower = u <= 0.5
+        target = mp.log(um) if lower else mp.log(1 - um)
+        x = mp.mpf(guess)
+        for _ in range(8):
+            dens = x ** (k - 1) * mp.exp(-x) / mp.factorial(k - 1)
+            if lower:
+                P = x ** k * mp.exp(-x) / mp.factorial(k) * mp.hyp1f1(1, k + 1, x)
+                x -= (mp.log(P) - target) * P / dens
+            else:
+                Q = mp.exp(-x) * mp.fsum(x ** i / mp.factorial(i) for i in range(k))
+                x += (mp.log(Q) - target) * Q / dens
+        return x
+
+
+# u from 1e-300 to 1/2, and from 1/2 to the largest double below 1
+_BOTH_TAILS = st.one_of(st.floats(1e-300, 0.5), st.floats(0.5, 1.0 - 2.0 ** -53))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2, 3]), _BOTH_TAILS)
+def test_integer_gamma_quantile_within_2_ulp(k, u):
+    mp = pytest.importorskip("mpmath")
+    x = float(WeightSpec("gamma", shape=float(k), scale=1.0).quantile(u))
+    exact = _exact_gamma_quantile(mp, k, u, x)
+    assert abs(mp.mpf(x) - exact) <= 2 * np.spacing(float(exact))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_integer_gamma_quantile_within_2_ulp_on_a_grid(k):
+    # the vector path, on a log grid over both tails and a grid over the middle
+    mp = pytest.importorskip("mpmath")
+    u = np.concatenate([np.ldexp(1.0, -np.arange(1, 997, 9)),
+                        np.linspace(0.01, 0.99, 99),
+                        1.0 - np.ldexp(1.0, -np.arange(2, 54))])
+    x = WeightSpec("gamma", shape=float(k), scale=1.0).quantile(u)
+    for ui, xi in zip(u.tolist(), x.tolist()):
+        exact = _exact_gamma_quantile(mp, k, ui, xi)
+        assert abs(mp.mpf(xi) - exact) <= 2 * np.spacing(float(exact)), ui
+
+
+@pytest.mark.parametrize("shape", [1.0, 2.0, 3.0])
+def test_integer_gamma_quantile_endpoints_and_scalars(shape, recwarn):
+    spec = WeightSpec("gamma", shape=shape, scale=2.0)
+    assert spec.quantile(np.array([0.0, 1.0])).tolist() == [0.0, np.inf]
+    assert spec.quantile(0.0) == 0.0 and spec.quantile(1.0) == np.inf
+    assert spec.partial_quantile_integral(np.array([0.0, 1.0])).tolist() == [0.0, 2.0 * shape]
+    assert not recwarn.list  # the nan the endpoints pass through raises no warning
+    # a 0-d call is a scalar with the bits of the same u in a vector
+    u = np.array([1e-300, 1e-12, 0.25, 0.5, 0.75, 1.0 - 2.0 ** -53])
+    scalars = [spec.quantile(x) for x in u.tolist()]
+    assert all(np.ndim(q) == 0 for q in scalars)
+    assert [float(q) for q in scalars] == spec.quantile(u).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1.0, 2.0, 3.0]), st.floats(0.2, 4.0),
+       st.lists(_BOTH_TAILS, min_size=2, max_size=8))
+def test_integer_gamma_quantile_monotone_and_cdf_consistent(shape, scale, us):
+    spec = WeightSpec("gamma", shape=shape, scale=scale)
+    u = np.unique(us)
+    # the quantile is within 2 ulp, so its order holds between u this far apart
+    u = u[np.concatenate(([True], np.diff(u) > 1e-12 * u[1:]))]
+    q = spec.quantile(u)
+    assert np.all(np.diff(q) > 0)
+    assert np.allclose(spec.cdf(q), u, rtol=1e-12, atol=0)
+
+
+def test_non_integer_gamma_quantile_is_gammaincinv():
+    u = np.linspace(0.0, 1.0, 101)
+    for shape in (0.5, 2.5, 1.0 + 2.0 ** -52):
+        spec = WeightSpec("gamma", shape=shape, scale=1.5)
+        assert np.array_equal(spec.quantile(u), 1.5 * special.gammaincinv(shape, u))
+
+
+def test_integer_gamma_quantile_bits_do_not_follow_simd_dispatch():
+    # numpy picks a SIMD code path per CPU for its own transcendental ufuncs,
+    # and their bits follow it; the quantile must give the same bits on all
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    targets = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    if not targets:
+        pytest.skip("no SIMD target above the baseline to disable")
+    script = (
+        "import hashlib, numpy as np\n"
+        "from sparselocal.weights import WeightSpec\n"
+        "u = np.concatenate([np.ldexp(1.0, -np.arange(1, 1000)),\n"
+        "                    (np.arange(4000) + 0.5) / 4000,\n"
+        "                    1.0 - np.ldexp(1.0, -np.arange(2, 54)), [0.0, 1.0]])\n"
+        "h = hashlib.sha256()\n"
+        "for k in (1.0, 2.0, 3.0):\n"
+        "    h.update(WeightSpec('gamma', shape=k, scale=1.0).quantile(u).tobytes())\n"
+        "print(h.hexdigest())\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sparselocal.__file__)))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    digests = []
+    # the default dispatch, then without the top targets (AVX-512 on x86), then
+    # without any target above the baseline (AVX2 too)
+    for disabled in ("", " ".join(targets[1:]), " ".join(targets)):
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=dict(env, NPY_DISABLE_CPU_FEATURES=disabled), timeout=120)
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.strip())
+    assert len(set(digests)) == 1
 
 
 def test_config_round_trip():
