@@ -210,6 +210,9 @@ _GAMMA_SERIES = {
 }
 _SPLITTER = 134217729.0  # 2^27 + 1: a * _SPLITTER - (a * _SPLITTER - a) keeps 26 bits of a
 _LN2 = 0.6931471805599453
+# values per pass: a pass holds some twenty temporaries of its length, so a
+# million-value draw in one pass would hold some 160 MB
+_BLOCK = 8192
 
 
 def _horner(coeffs, x):
@@ -229,6 +232,18 @@ def _cbrt(a):
 
 
 def _integer_gamma_quantile(k: int, u):
+    """Quantile of gamma(k, 1) for k in {1, 2, 3} at u in [0, 1], in blocks."""
+    u = np.asarray(u, dtype=float)
+    if u.size <= _BLOCK:
+        return _integer_gamma_block(k, u)
+    out = np.empty(u.shape)
+    flat_u, flat_out = u.reshape(-1), out.reshape(-1)
+    for i in range(0, u.size, _BLOCK):
+        flat_out[i:i + _BLOCK] = _integer_gamma_block(k, flat_u[i:i + _BLOCK])
+    return out
+
+
+def _integer_gamma_block(k: int, u: np.ndarray):
     """Quantile of gamma(k, 1) for k in {1, 2, 3} at u in [0, 1].
 
     Shape 1 is L = -log(1 - u).  For k >= 2 the quantile solves
@@ -245,7 +260,6 @@ def _integer_gamma_quantile(k: int, u):
     log1p/expm1: numpy's own transcendental ufuncs return bits that follow the
     SIMD code path the CPU selects, and these do not.
     """
-    u = np.asarray(u, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         v = 1.0 - u
         w = v - 1.0                       # exact
