@@ -288,8 +288,9 @@ def _integer_gamma_block(k: int, u: np.ndarray):
                       (special.expm1(x) - e1) * v)
         f = special.log1p(((((tv - u) - uh * e1) - ul * e1) - tv * c) / e)
         r = f * e / hx                    # Newton step f / D'
-        p = e1 / e if k == 2 else x * (1.0 + x) / e
-        x = x - r * (1.0 + r / x * (0.5 * ((k - 1) - p)))
+        # D'' / (2 D') x = (k - 1 - x e_{k-2} / e_{k-1}) / 2
+        a = 0.5 / e if k == 2 else 1.0 - 0.5 * x * (1.0 + x) / e
+        x = x - r * (1.0 + r / x * a)
         # at u = 0 and u = 1 the step is nan; there the quantile is L = 0 or inf,
         # and elsewhere it exceeds L
         return np.fmax(x, L)
