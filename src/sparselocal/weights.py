@@ -253,8 +253,9 @@ def _integer_gamma_block(k: int, u: np.ndarray):
     residual's rounding, under 2 ulp.  The residual is formed in odds:
     D(x) - L = log1p(O(x) (1 - u) - u), O = T / e_{k-1}, T = e^x - e_{k-1}(x),
     with T from its series below the split point and from expm1 above it,
-    so nothing cancels.  The start keeps 26 bits, so that x^2 and 1 + x are
-    exact, and 1 - u and u (1 + x) are carried with their rounding errors.
+    so nothing cancels.  The start keeps 26 bits, so that x^2 is exact and so
+    is 1 + x above 2^-27, and 1 - u and u (1 + x) are carried with their
+    rounding errors.
 
     Every operation is IEEE arithmetic, sqrt, frexp/ldexp or scipy.special's
     log1p/expm1: numpy's own transcendental ufuncs return bits that follow the
@@ -282,7 +283,7 @@ def _integer_gamma_block(k: int, u: np.ndarray):
             e1, xk, hx = x + 0.5 * xx, xx * x, 0.5 * xx
         e = 1.0 + e1
         # T (1 - u) / (1 - c); below the split T = x^k (S_0 + x S_1(x)), and
-        # S_0 is exact, so only the smaller part rounds
+        # S_0 v (exact for k = 2) is kept apart from the smaller part
         tv = np.where(x < split,
                       xk * (series[-1] * v + (x * _horner(series[:-1], x)) * v),
                       (special.expm1(x) - e1) * v)
