@@ -522,7 +522,6 @@ def test_integer_gamma_quantile_bits_do_not_follow_simd_dispatch():
         "    h.update(WeightSpec('gamma', shape=k, scale=1.0).quantile(u).tobytes())\n"
         "print(h.hexdigest())\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sparselocal.__file__)))
-    env.pop("NPY_DISABLE_CPU_FEATURES", None)
     digests = []
     # the default dispatch, then without the top targets (AVX-512 on x86), then
     # without any target above the baseline (AVX2 too)
