@@ -58,9 +58,7 @@ class BoundParams:
 
     @staticmethod
     def from_summary(n: int, ell: int, moments: MomentSummary, spec: WeightSpec,
-                     k_n: float | None = None, **kw) -> "BoundParams":
-        if k_n is None:
-            k_n = default_k_n(n)
+                     k_n: float, **kw) -> "BoundParams":
         gamma_limit = {p: spec.gamma_limit(p) for p in (1, 2, 3)}
         return BoundParams(n=n, ell=ell, k_n=k_n, moments=moments,
                            gamma_limit=gamma_limit, **kw)

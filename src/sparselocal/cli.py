@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: generate | couple | clt | bounds | rde | matching-oracle.
+Subcommands: generate | couple | clt | bounds | rde.
 Exit codes: 0 success, 1 worker failure, 2 config error, 3 check violation
 (with --check).  Outputs are CSV files plus one JSON run manifest per
 invocation; identical (config, seed) produce byte-identical CSVs for any
@@ -170,48 +170,20 @@ def cmd_rde(cfg: ExperimentConfig, out_dir: str, check: bool) -> int:
     return 0
 
 
-def cmd_matching_oracle(cfg: ExperimentConfig, out_dir: str, check: bool) -> int:
-    """Exact-solver battery on random desk-scale instances."""
-    from . import matching as m
-
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed[0], cfg.seed[1], 99]))
-    failures = 0
-    trials = min(cfg.replicas, 500)
-    for _ in range(trials):
-        n = int(rng.integers(2, 9))
-        edges = [(u, v, float(rng.exponential()))
-                 for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
-        val = m.matching_value(n, edges)
-        brute = _brute_force_matching(n, edges)
-        if abs(val - brute) > 1e-9:
-            failures += 1
-    print(f"matching oracle: {trials - failures}/{trials} agree")
-    if check and failures:
-        return 3
-    return 0
-
-
-def _brute_force_matching(n: int, edges) -> float:
-    best = 0.0
-
-    def rec(idx: int, used: int, acc: float):
-        nonlocal best
-        best = max(best, acc)
-        for i in range(idx, len(edges)):
-            u, v, w = edges[i]
-            if not (used >> u & 1) and not (used >> v & 1):
-                rec(i + 1, used | 1 << u | 1 << v, acc + w)
-
-    rec(0, 0, 0.0)
-    return best
+# per command: its handler and the config checks it needs beyond the loader's
+COMMANDS = {
+    "generate": (cmd_generate, ()),
+    "couple": (cmd_couple, (ExperimentConfig.check_coupling,)),
+    "clt": (cmd_clt, (ExperimentConfig.check_clt,)),
+    "bounds": (cmd_bounds, (ExperimentConfig.check_coupling,)),
+    "rde": (cmd_rde, (ExperimentConfig.check_rde,)),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="sparselocal",
                                      description="sparse random graph couplings and CLT checks")
-    parser.add_argument("command",
-                        choices=["generate", "couple", "clt", "bounds", "rde",
-                                 "matching-oracle"])
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--config", required=True, help="path to a JSON experiment config")
     parser.add_argument("--seed", help=f"128-bit hex seed (overrides config and ${SEED_ENV})")
     parser.add_argument("--replicas", type=int)
@@ -225,30 +197,19 @@ def main(argv: list[str] | None = None) -> int:
                         help="re-raise runtime errors with their traceback")
     args = parser.parse_args(argv)
 
+    handler, checks = COMMANDS[args.command]
     try:
         cfg = _load_config(args.config, args.seed, args.replicas, args.workers,
                            args.app)
-        if args.command in ("couple", "bounds"):
-            cfg.check_coupling()
-        if args.command == "clt":
-            cfg.check_clt()
-        if args.command == "rde":
-            cfg.check_rde()
+        for check in checks:
+            check(cfg)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     os.makedirs(args.out_dir, exist_ok=True)
-    handlers = {
-        "generate": cmd_generate,
-        "couple": cmd_couple,
-        "clt": cmd_clt,
-        "bounds": cmd_bounds,
-        "rde": cmd_rde,
-        "matching-oracle": cmd_matching_oracle,
-    }
     try:
-        return handlers[args.command](cfg, args.out_dir, args.check)
+        return handler(cfg, args.out_dir, args.check)
     except Exception as exc:  # worker/runtime failure
         if args.debug:
             raise

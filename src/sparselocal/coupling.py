@@ -36,8 +36,6 @@ from .trees import RootedWeightedTree
 from .weights import EmpiricalSizeBiased, WeightSpec, _as_discrete
 
 _COUPLE_TAG = 31
-_REPAIR_TAG = 32
-_LIMIT_TAG = 33
 
 BREAK_X_NEQ_Z = "XneqZ"
 BREAK_ACTIVE = "ActiveCollision"
@@ -142,8 +140,7 @@ def poisson_cdf_interval(k: int, lam: float) -> tuple[float, float]:
 
 
 def couple_neighbourhood_to_intermediate(graph: WeightedGraph, root: int,
-                                         cfg: CouplingConfig,
-                                         rng: np.random.Generator | None = None
+                                         cfg: CouplingConfig, rng: np.random.Generator
                                          ) -> CouplingOutcome:
     """Explore the ball and emit the coupled intermediate tree alongside it.
 
@@ -165,8 +162,6 @@ def couple_neighbourhood_to_intermediate(graph: WeightedGraph, root: int,
     grows on from fresh randomness with the empirical size-biased law of
     the graph's weights.
     """
-    if rng is None:
-        rng = stream_rng(graph.seed, graph.stream, _COUPLE_TAG, root)
     nb = explore(graph, root, cfg.depth)
     W = graph.weights.W
     scale = graph.n * graph.theta
@@ -227,9 +222,7 @@ def couple_neighbourhood_to_intermediate(graph: WeightedGraph, root: int,
 
 
 def repair_independence(outcomes: list[CouplingOutcome], law: EmpiricalSizeBiased,
-                        rng: np.random.Generator | None = None,
-                        seed: tuple[int, int] | None = None, stream: int = 0
-                        ) -> list[CouplingOutcome]:
+                        rng: np.random.Generator) -> list[CouplingOutcome]:
     """Replace repeated vertex types by fresh subtrees, level by level.
 
     The joint breadth-first pass keeps the first occurrence of every type;
@@ -240,8 +233,6 @@ def repair_independence(outcomes: list[CouplingOutcome], law: EmpiricalSizeBiase
     roots = [o.root for o in outcomes]
     if len(set(roots)) != len(roots):
         raise ValueError("roots must be pairwise distinct")
-    if rng is None:
-        rng = stream_rng(seed if seed is not None else (0, 0), stream, _REPAIR_TAG)
     seen: set[int] = set(int(r) for r in roots)
 
     depth = max((o.tree.depth for o in outcomes), default=0)
@@ -291,9 +282,7 @@ def repair_independence(outcomes: list[CouplingOutcome], law: EmpiricalSizeBiase
 
 
 def couple_intermediate_to_limit(tree: RootedWeightedTree, law: EmpiricalSizeBiased,
-                                 spec: WeightSpec,
-                                 rng: np.random.Generator | None = None,
-                                 seed: tuple[int, int] | None = None, stream: int = 0
+                                 spec: WeightSpec, rng: np.random.Generator
                                  ) -> tuple[RootedWeightedTree, bool, int | None]:
     """Redraw the empirical tree into the limit law, node by node.
 
@@ -305,8 +294,6 @@ def couple_intermediate_to_limit(tree: RootedWeightedTree, law: EmpiricalSizeBia
     breaks the coupling; the limit tree still grows to full depth with fresh
     draws so its law is exact.
     """
-    if rng is None:
-        rng = stream_rng(seed if seed is not None else (0, 0), stream, _LIMIT_TAG)
     biased = spec.size_biased()
 
     root_w = tree.type_w[0]
@@ -372,27 +359,25 @@ def _tv_coupled_value(x: float, spec_n: WeightSpec, spec: WeightSpec,
 
 def couple_full(graph: WeightedGraph, roots: list[int], cfg: CouplingConfig,
                 spec: WeightSpec, mu_e: WeightSpec | None, mu_v: WeightSpec | None,
-                rng: np.random.Generator | None = None,
                 mu_e_n: WeightSpec | None = None, mu_v_n: WeightSpec | None = None
                 ) -> list[CouplingOutcome]:
     """Full pipeline: joint exploration, repair, limit redraw, weight overlay.
 
+    Every stage draws from one generator keyed from the graph's (seed, stream).
     mu_e_n/mu_v_n default to the limit laws mu_e/mu_v (no total-variation
     penalty); when they differ, shared sites keep the graph's weight with the
     maximal-coupling probability and flag WeightMismatch otherwise.
     """
-    if rng is None:
-        rng = stream_rng(graph.seed, graph.stream, _COUPLE_TAG)
+    rng = stream_rng(graph.seed, graph.stream, _COUPLE_TAG)
     mu_e_n = mu_e_n if mu_e_n is not None else mu_e
     mu_v_n = mu_v_n if mu_v_n is not None else mu_v
 
-    stage1 = [couple_neighbourhood_to_intermediate(graph, r, cfg, rng=rng)
-              for r in roots]
+    stage1 = [couple_neighbourhood_to_intermediate(graph, r, cfg, rng) for r in roots]
     law = graph.weights.size_biased
-    repaired = repair_independence(stage1, law, rng=rng)
+    repaired = repair_independence(stage1, law, rng)
     final: list[CouplingOutcome] = []
     for out in repaired:
-        limit, ok3, lvl3 = couple_intermediate_to_limit(out.tree, law, spec, rng=rng)
+        limit, ok3, lvl3 = couple_intermediate_to_limit(out.tree, law, spec, rng)
         res = replace(out, tree=limit, flags=set(out.flags))
         if not ok3:
             res.record_break(lvl3, BREAK_REDRAW)

@@ -160,7 +160,7 @@ def _law(key: str, value) -> WeightSpec:
         raise ValueError(f"{key} must be an object with a family; got {value!r}")
     try:
         return WeightSpec.from_config(value)
-    except TypeError as exc:  # a parameter of the wrong JSON type, e.g. "c": null
+    except ValueError as exc:
         raise ValueError(f"{key}: {exc}") from exc
 
 

@@ -28,8 +28,6 @@ from .rng import stream_rng
 from .trees import RootedWeightedTree
 from .weights import EmpiricalSizeBiased, EmpiricalWeights, WeightSpec
 
-_LIMIT_TAG = 21
-_IMT_TAG = 22
 _RDE_TAG = 23
 
 DEFAULT_NODE_BUDGET = 1_000_000
@@ -45,15 +43,11 @@ def _maybe_weight(spec: WeightSpec | None, rng) -> float:
 
 
 def sample_limit_tree(W: float, spec: WeightSpec, mu_e: WeightSpec | None,
-                      mu_v: WeightSpec | None, depth: int,
-                      seed: tuple[int, int] | None = None, stream: int = 0,
-                      rng: np.random.Generator | None = None,
+                      mu_v: WeightSpec | None, depth: int, rng: np.random.Generator,
                       max_nodes: int = DEFAULT_NODE_BUDGET) -> RootedWeightedTree:
     """Draw the depth-``depth`` cut of the delayed Galton-Watson tree."""
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    if rng is None:
-        rng = stream_rng(seed, stream, _LIMIT_TAG)
     biased = spec.size_biased()
     tree = RootedWeightedTree(W, depth, _maybe_weight(mu_v, rng))
     frontier = [(0, float(W))]  # (node id, offspring mean)
@@ -73,8 +67,7 @@ def sample_limit_tree(W: float, spec: WeightSpec, mu_e: WeightSpec | None,
 
 
 def sample_intermediate_tree(weights: EmpiricalWeights, v: int, depth: int,
-                             seed: tuple[int, int] | None = None, stream: int = 0,
-                             rng: np.random.Generator | None = None,
+                             rng: np.random.Generator,
                              max_nodes: int = DEFAULT_NODE_BUDGET) -> RootedWeightedTree:
     """Draw the n-type intermediate tree rooted at vertex v.
 
@@ -83,8 +76,6 @@ def sample_intermediate_tree(weights: EmpiricalWeights, v: int, depth: int,
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    if rng is None:
-        rng = stream_rng(seed, stream, _IMT_TAG)
     tree = RootedWeightedTree(weights.W[v], depth, root_label=int(v))
     grow_intermediate(tree, [0], weights.size_biased, rng, max_nodes)
     return tree
@@ -163,9 +154,7 @@ def population_w1(a: Population, b: Population) -> float:
     return float(np.mean(np.abs(a.sorted() - b.sorted())))
 
 
-def rde_apply(pop: Population, spec: WeightSpec,
-              seed: tuple[int, int] | None = None, stream: int = 0,
-              rng: np.random.Generator | None = None) -> Population:
+def rde_apply(pop: Population, spec: WeightSpec, rng: np.random.Generator) -> Population:
     """One application of the distributional operator.
 
     Each output particle is max(0, max_{i<=N} (xi_i - X_i)) with
@@ -178,8 +167,6 @@ def rde_apply(pop: Population, spec: WeightSpec,
     uniform per particle.  Both give the same law; the gamma sampler spares
     an inverse incomplete gamma function per particle.
     """
-    if rng is None:
-        rng = stream_rng(seed, stream, _RDE_TAG)
     m = pop.size
     biased = spec.size_biased()
     if biased.family == "gamma":
@@ -228,7 +215,7 @@ def rde_fixed_point(spec: WeightSpec, pop_size: int, iterations: int,
     gaps = []
     for it in range(iterations):
         prev = cur  # drops the iterate before it
-        cur = rde_apply(prev, spec, seed, stream=stream * 100003 + it)
+        cur = rde_apply(prev, spec, stream_rng(seed, stream * 100003 + it, _RDE_TAG))
         if it % 2 == 0:  # cur is T^{it+1} delta_0, an odd iterate
             gaps.append(population_w1(prev, cur))
     # stalled means: the last five gaps all sit above the best earlier gap by

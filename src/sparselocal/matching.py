@@ -70,6 +70,7 @@ class _ExactMatcher:
     def __init__(self, adj: list[list[tuple[int, float]]]):
         self.adj = adj
         self._memo: dict[int, float] = {}
+        self._pick: dict[int, int | None] = {}  # per mask: the lowest vertex's partner
 
     def value(self, mask: int) -> float:
         memo = self._memo
@@ -80,34 +81,29 @@ class _ExactMatcher:
             return 0.0
         v = (mask & -mask).bit_length() - 1
         best = self.value(mask & ~(1 << v))  # leave v unmatched
+        pick = None
         for u, w in self.adj[v]:
             if mask >> u & 1:
                 cand = w + self.value(mask & ~(1 << v) & ~(1 << u))
                 if cand > best:
-                    best = cand
+                    best, pick = cand, u
         memo[mask] = best
+        self._pick[mask] = pick
         return best
 
     def witness(self, mask: int) -> list[tuple[int, int]]:
-        """The matching ``value`` chose: the same comparisons, so its weights,
-        folded from the right in label order, give value(mask) bit for bit."""
+        """The matching ``value`` chose, read from its recorded picks: its
+        weights, folded from the right in label order, give value(mask) bit
+        for bit."""
+        self.value(mask)
         out = []
         while mask:
             v = (mask & -mask).bit_length() - 1
-            rest = mask & ~(1 << v)
-            best = self.value(rest)
-            pick = None
-            for u, w in self.adj[v]:
-                if mask >> u & 1:
-                    cand = w + self.value(rest & ~(1 << u))
-                    if cand > best:
-                        best = cand
-                        pick = u
-            if pick is None:
-                mask = rest
-            else:
+            pick = self._pick[mask]
+            mask &= ~(1 << v)
+            if pick is not None:
                 out.append((v, pick))
-                mask = rest & ~(1 << pick)
+                mask &= ~(1 << pick)
         return out
 
 

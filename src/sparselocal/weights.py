@@ -56,21 +56,24 @@ class WeightSpec:
 
     def __post_init__(self):
         if self.family == "constant":
-            if not self.c > 0:
-                raise ValueError("constant weight must be positive")
+            if not 0 < self.c < np.inf:
+                raise ValueError(f"constant weight must be positive and finite; got {self.c!r}")
         elif self.family == "finite":
             v = np.asarray(self.values, dtype=float)
             p = np.asarray(self.probs, dtype=float)
             if v.size == 0 or v.size != p.size:
                 raise ValueError("values and probs must be non-empty and equally long")
-            if np.any(v <= 0) or np.any(p < 0) or not np.isclose(p.sum(), 1.0):
-                raise ValueError("finite law needs positive values and probabilities summing to 1")
+            if not (np.all((v > 0) & (v < np.inf)) and np.all(p >= 0)
+                    and np.isclose(p.sum(), 1.0)):
+                raise ValueError("finite law needs positive finite values and probabilities "
+                                 "summing to 1")
             order = np.argsort(v)
             object.__setattr__(self, "values", tuple(v[order]))
             object.__setattr__(self, "probs", tuple(p[order]))
         elif self.family == "gamma":
-            if not (self.shape > 0 and self.scale > 0):
-                raise ValueError("gamma parameters must be positive")
+            if not (0 < self.shape < np.inf and 0 < self.scale < np.inf):
+                raise ValueError(f"gamma parameters must be positive and finite; got shape "
+                                 f"{self.shape!r}, scale {self.scale!r}")
         else:
             raise ValueError(f"unknown weight family {self.family!r}")
 
@@ -168,15 +171,31 @@ class WeightSpec:
 
     @staticmethod
     def from_config(cfg: dict) -> "WeightSpec":
+        """The law of a config object: its parameters are JSON numbers (not
+        booleans or strings), and ``values`` and ``probs`` lists of them."""
         family = cfg.get("family")
-        if family == "constant":
-            return WeightSpec("constant", c=float(cfg["c"]))
-        if family == "finite":
-            return WeightSpec("finite", values=tuple(float(v) for v in cfg["values"]),
-                              probs=tuple(float(p) for p in cfg["probs"]))
-        if family == "gamma":
-            return WeightSpec("gamma", shape=float(cfg["shape"]), scale=float(cfg["scale"]))
-        raise ValueError(f"unknown weight family in config: {family!r}")
+        if family not in _CONFIG_PARAMS:
+            raise ValueError(f"unknown weight family in config: {family!r}")
+        return WeightSpec(family, **{key: _config_param(key, cfg[key])
+                                     for key in _CONFIG_PARAMS[family]})
+
+
+_CONFIG_PARAMS = {"constant": ("c",), "finite": ("values", "probs"),
+                  "gamma": ("shape", "scale")}
+
+
+def _config_param(key: str, value):
+    """A law parameter from a config: a number, or a tuple for ``values`` and ``probs``."""
+    if key in ("values", "probs"):
+        if not isinstance(value, list):
+            raise ValueError(f"{key} must be a list of numbers; got {value!r}")
+        return tuple(_config_param(f"each {key} entry", x) for x in value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number; got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValueError(f"{key} must be finite; got {value!r}") from None
 
 
 # ---- integer-shape gamma quantiles ---------------------------------------------------

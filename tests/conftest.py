@@ -1,9 +1,21 @@
 import numpy as np
 import pytest
 
-from sparselocal.coupling import poisson_icdf
+from sparselocal.coupling import _COUPLE_TAG, poisson_icdf
 from sparselocal.graph import _GEN_TAG, WeightedGraph, _unrank_triangle
+from sparselocal.limit_trees import _RDE_TAG as RDE_TAG
 from sparselocal.rng import stream_rng
+
+# The purpose tags that the seeded sampler tests key their generators with,
+# so that each test keeps the draws its bounds and tolerances were set on.
+LIMIT_TAG = 21         # limit_trees.sample_limit_tree
+INTERMEDIATE_TAG = 22  # limit_trees.sample_intermediate_tree
+REPAIR_TAG = 32        # coupling.repair_independence
+
+
+def stage1_rng(graph, root):
+    """The per-root generator that the stage-1 tests key from the graph."""
+    return stream_rng(graph.seed, graph.stream, _COUPLE_TAG, root)
 
 
 def _brute_force_matching(n, edges):

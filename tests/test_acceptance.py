@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import INTERMEDIATE_TAG, stage1_rng
 from sparselocal.bounds import BoundParams, VertexSetSummary, epsilon_v_bound, \
     default_k_n, degree_moment_bound, mean_pweight_bound, not_tree_bound, vertex_in_ball_bound
 from sparselocal.coupling import (CouplingConfig, couple_full,
@@ -24,7 +25,7 @@ from sparselocal.harness import ExperimentConfig, clt_experiment
 from sparselocal.limit_trees import rde_fixed_point, sample_intermediate_tree
 from sparselocal.matching import (delta_N, dependent_edge_sum, h_k, matching_value,
                                   max_weight_matching)
-from sparselocal.rng import parse_seed
+from sparselocal.rng import parse_seed, stream_rng
 from sparselocal.trees import RootedWeightedTree
 from sparselocal.weights import WeightSpec, moments, sample_empirical_weights
 
@@ -162,9 +163,9 @@ def test_criterion_05_coupling_marginals():
     dcnt = np.empty(reps, dtype=int)
     for t in range(reps):
         g = sample_graph(w, SEED, t)
-        out = couple_neighbourhood_to_intermediate(g, 0, cfg)
+        out = couple_neighbourhood_to_intermediate(g, 0, cfg, stage1_rng(g, 0))
         cdeg[t], ccnt[t] = len(out.tree.children[0]), out.tree.node_count
-        dt = sample_intermediate_tree(w, 0, ell, SEED, stream=t)
+        dt = sample_intermediate_tree(w, 0, ell, stream_rng(SEED, t, INTERMEDIATE_TAG))
         ddeg[t], dcnt[t] = len(dt.children[0]), dt.node_count
     p_deg = stats.ks_2samp(cdeg, ddeg).pvalue
     p_cnt = stats.ks_2samp(ccnt, dcnt).pvalue
@@ -262,7 +263,7 @@ def test_criterion_08_structural_bound_battery():
                     nontree[l] += int(any(r <= l - 1 for _, _, r in nb.extra_edges))
             checks = []
             for l in (1, 2, 3):
-                pr = BoundParams.from_summary(n, l, summ, spec)
+                pr = BoundParams.from_summary(n, l, summ, spec, k_n=default_k_n(n))
                 checks.append(("S_l weight", l, norm1[l].mean(),
                                mean_pweight_bound(pr, Wv, 1),
                                3 * norm1[l].std(ddof=1) / np.sqrt(reps)))
@@ -276,7 +277,7 @@ def test_criterion_08_structural_bound_battery():
                 rate_nt = nontree[l] / reps
                 checks.append(("not a tree", l, rate_nt, not_tree_bound(pr, Wv),
                                3 * np.sqrt(max(rate_nt * (1 - rate_nt), 1e-9) / reps)))
-            pr1 = BoundParams.from_summary(n, 1, summ, spec)
+            pr1 = BoundParams.from_summary(n, 1, summ, spec, k_n=default_k_n(n))
             for k in (1, 2, 3, 4):
                 mk = (deg ** k).mean()
                 checks.append((f"degree^{k}", 1, mk, degree_moment_bound(pr1, Wv, k),

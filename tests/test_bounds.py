@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparselocal.bounds import (BoundParams, VertexSetSummary, clt_bound,
+from sparselocal.bounds import (BoundParams, VertexSetSummary, clt_bound, default_k_n,
                                 degree_moment_bound, epsilon_rho_sequences,
                                 epsilon_v_bound, eta_bound, mean_pweight_bound,
                                 mean_size_bound, not_tree_bound, structural_bounds,
@@ -116,7 +116,8 @@ def test_epsilon_sequence_matches_per_vertex_aggregation():
 
     w = sample_empirical_weights(spec, 400, (3, 1))
     summ = moments(w, spec)
-    p = BoundParams.from_summary(400, 2, summ, spec, tv_edge=0.01, tv_vertex=0.03)
+    p = BoundParams.from_summary(400, 2, summ, spec, k_n=default_k_n(400), tv_edge=0.01,
+                                 tv_vertex=0.03)
     eps, _ = epsilon_rho_sequences(p)
     per_vertex = np.mean([epsilon_v_bound(p, VertexSetSummary.of(w, [v]))
                           for v in range(400)])

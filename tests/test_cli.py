@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 
@@ -10,7 +11,10 @@ import pytest
 import scipy
 
 import sparselocal
-from sparselocal.cli import main
+from sparselocal.cli import COMMANDS, main
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
 
 CONFIG = {
     "weights": {"family": "constant", "c": 2.0},
@@ -63,11 +67,18 @@ def test_malformed_config_line_anchored(tmp_path, capsys):
     ("couple", {"roots": 0}),
     ("clt", {"vertex_weights": None}),
     ("couple", {"workers": -3}),
+    ("generate", {"weights": {"family": "finite", "values": "13", "probs": [0.5, 0.5]}}),
+    ("generate", {"weights": {"family": "constant", "c": True}}),
+    ("generate", {"weights": {"family": "gamma", "shape": "2", "scale": 1.0}}),
+    ("generate", {"weights": {"family": "gamma", "shape": float("inf"), "scale": 1.0}}),
+    ("generate", {"weights": {"family": "constant", "c": float("inf")}}),
+    ("generate", {"weights": {"family": "constant", "c": 10 ** 400}}),
 ], ids=["roots-above-n", "couple-depth", "bounds-depth", "k_n-sqrt", "k_n-negative",
         "n-zero", "rde-iterations-zero", "rde-iterations-negative", "rde-pop-size-small",
         "depth-null", "weights-string", "weight-parameter-null", "n_grid-number",
         "seed-number", "roots-zero", "edge-sum-without-vertex-weights",
-        "workers-negative"])
+        "workers-negative", "values-string", "c-bool", "shape-string", "shape-infinite",
+        "c-infinite", "c-beyond-float"])
 def test_invalid_config_value_exits_2(tmp_path, capsys, command, change):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(dict(CONFIG, **change)))
@@ -166,12 +177,6 @@ def test_rde_outputs(tmp_path):
     assert os.path.exists(os.path.join(out, "rde_population.csv"))
 
 
-def test_matching_oracle_check(config_path, tmp_path):
-    out = str(tmp_path / "outm")
-    assert main(["matching-oracle", "--config", config_path, "--out-dir", out,
-                 "--check", "--replicas", "60"]) == 0
-
-
 def test_workers_do_not_change_csv_bytes(config_path, tmp_path):
     out1, out2 = str(tmp_path / "w1"), str(tmp_path / "w2")
     assert main(["clt", "--config", config_path, "--out-dir", out1,
@@ -242,9 +247,16 @@ def test_runtime_error_is_flattened_unless_debug(config_path, tmp_path, capsys, 
     def broken(cfg, out_dir, check):
         raise RuntimeError("replica 3: boom")
 
-    monkeypatch.setattr(cli, "cmd_generate", broken)
+    monkeypatch.setitem(cli.COMMANDS, "generate", (broken, ()))
     out = str(tmp_path / "outd")
     assert main(["generate", "--config", config_path, "--out-dir", out]) == 1
     assert capsys.readouterr().err == "error: replica 3: boom\n"
     with pytest.raises(RuntimeError, match="replica 3: boom"):
         main(["generate", "--config", config_path, "--out-dir", out, "--debug"])
+
+
+def test_readme_names_exactly_the_cli_commands():
+    text = open(README).read()
+    paragraph = text[text.index("Commands:"):].split("\n\n")[0]
+    named = re.findall(r"`([a-z-]+)` \(", paragraph)
+    assert sorted(named) == sorted(COMMANDS)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import INTERMEDIATE_TAG, REPAIR_TAG, stage1_rng
 from sparselocal.bounds import (BoundParams, VertexSetSummary, default_k_n,
                                 intermediate_coupling_bound, limit_redraw_bound,
                                 repeat_probability_bound)
@@ -84,7 +85,8 @@ def test_stage1_hashes_only_neighbour_sites():
 
         g.coupling_uniform = counted
         for root in (0, 1, 2):
-            couple_neighbourhood_to_intermediate(g, root, CouplingConfig(k_n=1e9, depth=2))
+            couple_neighbourhood_to_intermediate(g, root, CouplingConfig(k_n=1e9, depth=2),
+                                                 stage1_rng(g, root))
     assert len(hashed) > 9
     assert all(sites <= deg for deg, sites in hashed)
     assert sum(sites for _, sites in hashed) > 0
@@ -150,7 +152,7 @@ def test_exhausted_component_deep_exploration():
     for root in range(3):
         for depth in (2, 3, 5):
             out = couple_neighbourhood_to_intermediate(
-                g, root, CouplingConfig(k_n=50, depth=depth))
+                g, root, CouplingConfig(k_n=50, depth=depth), stage1_rng(g, root))
             nb = explore(g, root, depth)
             assert out.neighbourhood.levels == nb.levels
     # hand-built path graph, explored past its end from both sides
@@ -158,14 +160,16 @@ def test_exhausted_component_deep_exploration():
     from sparselocal.graph import WeightedGraph
 
     g2 = WeightedGraph(w2, SEED, 0, np.array([0]), np.array([1]))
-    out = couple_neighbourhood_to_intermediate(g2, 0, CouplingConfig(k_n=50, depth=3))
+    out = couple_neighbourhood_to_intermediate(g2, 0, CouplingConfig(k_n=50, depth=3),
+                                               stage1_rng(g2, 0))
     assert out.neighbourhood.vertex_count == 2
 
 
 def test_tiny_weights_give_root_only_coupling():
     w = EmpiricalWeights(n=5, W=np.full(5, 1e-8), theta=1e-8)
     g = sample_graph(w, SEED, 0)
-    out = couple_neighbourhood_to_intermediate(g, 0, CouplingConfig(k_n=5, depth=3))
+    out = couple_neighbourhood_to_intermediate(g, 0, CouplingConfig(k_n=5, depth=3),
+                                               stage1_rng(g, 0))
     assert out.ok
     assert out.neighbourhood.vertex_count == 1
     assert out.tree.node_count == 1
@@ -177,7 +181,7 @@ def test_graph_side_equals_plain_exploration():
         for t in range(40):
             g = sample_graph(w, SEED, t)
             out = couple_neighbourhood_to_intermediate(
-                g, t % n, CouplingConfig(k_n=default_k_n(n), depth=2))
+                g, t % n, CouplingConfig(k_n=default_k_n(n), depth=2), stage1_rng(g, t % n))
             nb = explore(g, t % n, 2)
             assert out.neighbourhood.levels == nb.levels
             assert out.neighbourhood.tree_edges == nb.tree_edges
@@ -190,7 +194,7 @@ def test_ok_implies_isomorphic_with_types():
     for t in range(300):
         g = sample_graph(w, SEED, t)
         out = couple_neighbourhood_to_intermediate(
-            g, 0, CouplingConfig(k_n=default_k_n(500), depth=2))
+            g, 0, CouplingConfig(k_n=default_k_n(500), depth=2), stage1_rng(g, 0))
         if out.ok and is_tree(out.neighbourhood):
             a = canonical_code(to_rooted_tree(out.neighbourhood, w))
             b = canonical_code(out.tree)
@@ -208,10 +212,10 @@ def test_marginal_law_of_tree_half():
     coupled_deg, coupled_cnt, direct_deg, direct_cnt = [], [], [], []
     for t in range(reps):
         g = sample_graph(w, SEED, t)
-        out = couple_neighbourhood_to_intermediate(g, 0, cfg)
+        out = couple_neighbourhood_to_intermediate(g, 0, cfg, stage1_rng(g, 0))
         coupled_deg.append(len(out.tree.children[0]))
         coupled_cnt.append(out.tree.node_count)
-        dt = sample_intermediate_tree(w, 0, 2, SEED, stream=t)
+        dt = sample_intermediate_tree(w, 0, 2, stream_rng(SEED, t, INTERMEDIATE_TAG))
         direct_deg.append(len(dt.children[0]))
         direct_cnt.append(dt.node_count)
     assert stats.ks_2samp(coupled_deg, direct_deg).pvalue > 0.01
@@ -223,8 +227,9 @@ def test_break_rate_below_intermediate_bound():
     w = sample_empirical_weights(ER1, n, SEED)
     summ = moments(w, ER1)
     cfg = CouplingConfig(k_n=default_k_n(n), depth=ell)
-    breaks = sum(0 if couple_neighbourhood_to_intermediate(
-        sample_graph(w, SEED, t), 0, cfg).ok else 1 for t in range(reps))
+    graphs = (sample_graph(w, SEED, t) for t in range(reps))
+    breaks = sum(0 if couple_neighbourhood_to_intermediate(g, 0, cfg, stage1_rng(g, 0)).ok
+                 else 1 for g in graphs)
     rate = breaks / reps
     params = BoundParams.from_summary(n, ell, summ, ER1, k_n=cfg.k_n)
     bound = intermediate_coupling_bound(params, float(w.W[0]))
@@ -237,7 +242,8 @@ def test_depth_zero_never_breaks():
     w = sample_empirical_weights(GAMMA, 200, SEED)
     for t in range(50):
         g = sample_graph(w, SEED, t)
-        out = couple_neighbourhood_to_intermediate(g, 0, CouplingConfig(k_n=1e-9, depth=0))
+        out = couple_neighbourhood_to_intermediate(g, 0, CouplingConfig(k_n=1e-9, depth=0),
+                                                   stage1_rng(g, 0))
         assert out.ok and out.tree.node_count == 1
 
 
@@ -248,8 +254,8 @@ def test_repair_single_root_unchanged():
     w = sample_empirical_weights(GAMMA, 300, SEED)
     g = sample_graph(w, SEED, 1)
     out = couple_neighbourhood_to_intermediate(
-        g, 0, CouplingConfig(k_n=default_k_n(300), depth=2))
-    fixed = repair_independence([out], w.size_biased, seed=SEED)
+        g, 0, CouplingConfig(k_n=default_k_n(300), depth=2), stage1_rng(g, 0))
+    fixed = repair_independence([out], w.size_biased, stream_rng(SEED, 0, REPAIR_TAG))
     assert len(fixed) == 1
     assert BREAK_REPEAT not in fixed[0].flags
     assert canonical_code(fixed[0].tree) == canonical_code(out.tree)
@@ -259,8 +265,8 @@ def test_repair_root_only_trees_unchanged():
     w = EmpiricalWeights(n=6, W=np.full(6, 1e-8), theta=1e-8)
     g = sample_graph(w, SEED, 0)
     cfg = CouplingConfig(k_n=5, depth=2)
-    outs = [couple_neighbourhood_to_intermediate(g, r, cfg) for r in (0, 1)]
-    fixed = repair_independence(outs, w.size_biased, seed=SEED)
+    outs = [couple_neighbourhood_to_intermediate(g, r, cfg, stage1_rng(g, r)) for r in (0, 1)]
+    fixed = repair_independence(outs, w.size_biased, stream_rng(SEED, 0, REPAIR_TAG))
     for f in fixed:
         assert f.tree.node_count == 1 and BREAK_REPEAT not in f.flags
 
@@ -269,9 +275,9 @@ def test_repair_distinct_roots_required():
     w = sample_empirical_weights(GAMMA, 100, SEED)
     g = sample_graph(w, SEED, 0)
     out = couple_neighbourhood_to_intermediate(
-        g, 0, CouplingConfig(k_n=default_k_n(100), depth=1))
+        g, 0, CouplingConfig(k_n=default_k_n(100), depth=1), stage1_rng(g, 0))
     with pytest.raises(ValueError):
-        repair_independence([out, out], w.size_biased, seed=SEED)
+        repair_independence([out, out], w.size_biased, stream_rng(SEED, 0, REPAIR_TAG))
 
 
 def test_repair_detects_engineered_repeat():
@@ -286,7 +292,7 @@ def test_repair_detects_engineered_repeat():
         return CouplingOutcome(root=root, depth=2, neighbourhood=None, tree=t, ok=True)
 
     fixed = repair_independence([fake_outcome(0), fake_outcome(1)], w.size_biased,
-                                seed=SEED)
+                                stream_rng(SEED, 0, REPAIR_TAG))
     assert BREAK_REPEAT not in fixed[0].flags  # first occurrence kept
     assert BREAK_REPEAT in fixed[1].flags
     assert fixed[1].break_reason == BREAK_REPEAT
@@ -303,8 +309,9 @@ def test_repeat_rate_below_bound():
     hits = 0
     for t in range(reps):
         g = sample_graph(w, SEED, t)
-        outs = [couple_neighbourhood_to_intermediate(g, r, cfg) for r in roots]
-        fixed = repair_independence(outs, law, seed=SEED, stream=t)
+        outs = [couple_neighbourhood_to_intermediate(g, r, cfg, stage1_rng(g, r))
+                for r in roots]
+        fixed = repair_independence(outs, law, stream_rng(SEED, t, REPAIR_TAG))
         if any(BREAK_REPEAT in f.flags for f in fixed):
             hits += 1
     rate = hits / reps
@@ -351,7 +358,7 @@ def test_limit_redraw_rate_below_bound():
         _, ok, _ = couple_intermediate_to_limit(it, law, GAMMA, rng=rng)
         fails += 0 if ok else 1
     rate = fails / reps
-    params = BoundParams.from_summary(n, ell, summ, GAMMA)
+    params = BoundParams.from_summary(n, ell, summ, GAMMA, k_n=default_k_n(n))
     bound = limit_redraw_bound(params, VertexSetSummary.of(w, [3]))
     sig = np.sqrt(max(rate * (1 - rate), 1e-9) / reps)
     assert rate <= bound + 3 * sig

@@ -196,7 +196,7 @@ def test_mean_level_weight_bound_mc():
     spec = WeightSpec("constant", c=1.5)
     n, reps = 2000, 800
     w = sample_empirical_weights(spec, n, SEED)
-    from sparselocal.bounds import BoundParams, mean_pweight_bound
+    from sparselocal.bounds import BoundParams, default_k_n, mean_pweight_bound
     from sparselocal.weights import moments
 
     summ = moments(w, spec)
@@ -206,7 +206,7 @@ def test_mean_level_weight_bound_mc():
             g = sample_graph(w, SEED, t)
             nb = explore(g, 0, ell)
             vals.append(sum(w.W[v] for v in nb.vertices()))
-        params = BoundParams.from_summary(n, ell, summ, spec)
+        params = BoundParams.from_summary(n, ell, summ, spec, k_n=default_k_n(n))
         bound = mean_pweight_bound(params, float(w.W[0]), 1)
         se = np.std(vals, ddof=1) / np.sqrt(reps)
         assert np.mean(vals) <= bound + 3 * se

@@ -12,11 +12,13 @@ import os
 
 import pytest
 
+from conftest import INTERMEDIATE_TAG
 from sparselocal.bounds import default_k_n
 from sparselocal.cli import main
 from sparselocal.coupling import CouplingConfig, couple_full
 from sparselocal.graph import sample_graph
 from sparselocal.limit_trees import sample_intermediate_tree
+from sparselocal.rng import stream_rng
 from sparselocal.trees import canonical_code
 from sparselocal.weights import WeightSpec, sample_empirical_weights
 
@@ -136,6 +138,7 @@ def test_coupled_tree_digest():
             for out in couple_full(graph, [0, 1, 2], cfg, spec, mu_e, None):
                 digest.update(canonical_code(out.tree) + repr(sorted(out.flags)).encode())
     for t in range(40):
-        digest.update(canonical_code(sample_intermediate_tree(w, 5, 3, seed, stream=t)))
+        tree = sample_intermediate_tree(w, 5, 3, stream_rng(seed, t, INTERMEDIATE_TAG))
+        digest.update(canonical_code(tree))
     assert digest.hexdigest() == ("d9a9e74e0f63d3390bfa1f852a9fd434"
                                   "c91f0801b9b2ad1d1f1de6d60e1be5dc")

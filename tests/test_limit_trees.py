@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import INTERMEDIATE_TAG, LIMIT_TAG, RDE_TAG
 from sparselocal.limit_trees import (Population, TreeBudgetExceeded,
                                      population_w1, rde_apply, rde_fixed_point,
                                      sample_intermediate_tree, sample_limit_tree)
@@ -17,7 +18,7 @@ GAMMA = WeightSpec("gamma", shape=2.0, scale=1.0)
 
 
 def test_limit_tree_depth_zero():
-    t = sample_limit_tree(2.0, GAMMA, None, None, 0, seed=SEED)
+    t = sample_limit_tree(2.0, GAMMA, None, None, 0, stream_rng(SEED, 0, LIMIT_TAG))
     assert t.node_count == 1
 
 
@@ -42,7 +43,7 @@ def test_limit_tree_nonroot_offspring_mean():
 
 def test_limit_tree_weights_attached():
     mu = WeightSpec("constant", c=0.25)
-    t = sample_limit_tree(3.0, GAMMA, mu, mu, 1, seed=SEED)
+    t = sample_limit_tree(3.0, GAMMA, mu, mu, 1, stream_rng(SEED, 0, LIMIT_TAG))
     assert t.vertex_w[0] == 0.25
     for c in t.children[0]:
         assert t.edge_w[c] == 0.25 and t.vertex_w[c] == 0.25
@@ -50,7 +51,7 @@ def test_limit_tree_weights_attached():
 
 def test_intermediate_tree_depth_zero_and_root_type():
     w = sample_empirical_weights(GAMMA, 200, SEED)
-    t = sample_intermediate_tree(w, 7, 0, seed=SEED)
+    t = sample_intermediate_tree(w, 7, 0, stream_rng(SEED, 0, INTERMEDIATE_TAG))
     assert t.node_count == 1
     assert t.type_w[0] == w.W[7]
     assert t.labels[0] == 7
@@ -84,7 +85,7 @@ def test_intermediate_tree_nonroot_offspring_mean():
 def test_node_budget():
     with pytest.raises(TreeBudgetExceeded):
         sample_limit_tree(5.0, WeightSpec("constant", c=5.0), None, None, 10,
-                          seed=SEED, max_nodes=50)
+                          stream_rng(SEED, 0, LIMIT_TAG), max_nodes=50)
 
 
 def test_expected_node_count_bound():
@@ -118,7 +119,7 @@ def test_rde_zero_population_void_probability():
     # starting from zeros the output is 0 exactly when N = 0
     spec = WeightSpec("constant", c=0.5)
     pop = Population(np.zeros(50_000))
-    out = rde_apply(pop, spec, seed=SEED)
+    out = rde_apply(pop, spec, stream_rng(SEED, 0, RDE_TAG))
     p0 = np.mean(out.particles == 0.0)
     target = np.exp(-0.5)  # P(Poi(0.5) = 0); size-biasing fixes the point mass
     se = np.sqrt(target * (1 - target) / out.size)
@@ -128,7 +129,7 @@ def test_rde_zero_population_void_probability():
 def test_rde_zero_population_void_probability_general():
     # P(N=0) = E[exp(-What)] for the size-biased mixing law
     pop = Population(np.zeros(50_000))
-    out = rde_apply(pop, GAMMA, seed=SEED)
+    out = rde_apply(pop, GAMMA, stream_rng(SEED, 0, RDE_TAG))
     biased = GAMMA.size_biased()
     target = (1.0 + biased.scale) ** -biased.shape  # E[exp(-What)], What gamma
     p0 = np.mean(out.particles == 0.0)
@@ -140,7 +141,8 @@ def test_rde_first_iterate_law_gamma():
     # from delta_0 a particle is the max of N Exp(1) terms, N mixed Poisson over
     # What ~ gamma(a + 1, s): P(X <= t) = E[exp(-What e^-t)] = (1 + s e^-t)^-(a + 1),
     # the negative binomial NB(a + 1, 1 / (1 + s)) thinned to the terms above t
-    out = rde_apply(Population(np.zeros(50_000)), GAMMA, seed=SEED).particles
+    out = rde_apply(Population(np.zeros(50_000)), GAMMA,
+                    stream_rng(SEED, 0, RDE_TAG)).particles
     for t in (0.0, 0.5, 1.0, 2.0, 4.0):
         target = (1.0 + GAMMA.scale * np.exp(-t)) ** -(GAMMA.shape + 1.0)
         se = np.sqrt(target * (1 - target) / out.size)
@@ -153,7 +155,7 @@ def rde_all_iterates(spec, pop_size, iterations, seed):
     bit on constant and finite laws.  Returns (gaps, final even, final odd)."""
     pops = [np.zeros(pop_size)]
     for it in range(iterations):
-        rng = stream_rng(seed, it, 23)
+        rng = stream_rng(seed, it, RDE_TAG)
         prev = np.sort(pops[-1])
         counts = rng.poisson(spec.size_biased().quantile(rng.random(pop_size)))
         out = np.zeros(pop_size)
@@ -197,15 +199,15 @@ def test_rde_antitone_in_input():
     spec = WeightSpec("constant", c=1.0)
     lo = Population(np.zeros(20_000))
     hi = Population(np.full(20_000, 2.0))
-    out_lo = np.sort(rde_apply(lo, spec, seed=SEED).particles)
-    out_hi = np.sort(rde_apply(hi, spec, seed=SEED).particles)
+    out_lo = np.sort(rde_apply(lo, spec, stream_rng(SEED, 0, RDE_TAG)).particles)
+    out_hi = np.sort(rde_apply(hi, spec, stream_rng(SEED, 0, RDE_TAG)).particles)
     assert np.all(out_lo >= out_hi)  # antitone under the shared-seed coupling
 
 
 def test_rde_first_iterate_matches_apply():
     spec = WeightSpec("constant", c=0.5)
     _, diag = rde_fixed_point(spec, 2000, 2, SEED)
-    direct = rde_apply(Population(np.zeros(2000)), spec, SEED, stream=0)
+    direct = rde_apply(Population(np.zeros(2000)), spec, stream_rng(SEED, 0, RDE_TAG))
     assert np.array_equal(np.sort(diag.final_odd.particles),
                           np.sort(direct.particles))
 
