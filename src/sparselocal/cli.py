@@ -26,11 +26,8 @@ from .limit_trees import rde_fixed_point
 from .rng import format_seed
 from .weights import moments, sample_empirical_weights  # perfbench pins the second here
 
-SEED_ENV = "SPARSELOCAL_SEED"
 
-
-def _load_config(path: str, seed_override: str | None, replicas: int | None,
-                 workers: int | None, application: str | None = None) -> ExperimentConfig:
+def _load_config(path: str, overrides: dict) -> ExperimentConfig:
     try:
         with open(path) as fh:
             raw = fh.read()
@@ -42,17 +39,10 @@ def _load_config(path: str, seed_override: str | None, replicas: int | None,
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: the config must be a JSON object")
-    seed_text = seed_override or os.environ.get(SEED_ENV) or data.get("seed", "0")
-    data["seed"] = seed_text
-    if replicas is not None:
-        data["replicas"] = replicas
-    if workers is not None:
-        data["workers"] = workers
-    if application is not None:
-        data["application"] = application
+    data.update((key, value) for key, value in overrides.items() if value is not None)
     try:
         return ExperimentConfig.from_dict(data)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -185,11 +175,9 @@ def main(argv: list[str] | None = None) -> int:
                                      description="sparse random graph couplings and CLT checks")
     parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--config", required=True, help="path to a JSON experiment config")
-    parser.add_argument("--seed", help=f"128-bit hex seed (overrides config and ${SEED_ENV})")
+    parser.add_argument("--seed", help="128-bit hex seed (overrides the config)")
     parser.add_argument("--replicas", type=int)
     parser.add_argument("--workers", type=int)
-    parser.add_argument("--app", choices=["edge-sum", "matching"],
-                        help="override the configured application")
     parser.add_argument("--out-dir", default="out")
     parser.add_argument("--check", action="store_true",
                         help="exit 3 when an acceptance-style violation is detected")
@@ -199,8 +187,8 @@ def main(argv: list[str] | None = None) -> int:
 
     handler, checks = COMMANDS[args.command]
     try:
-        cfg = _load_config(args.config, args.seed, args.replicas, args.workers,
-                           args.app)
+        cfg = _load_config(args.config, {"seed": args.seed, "replicas": args.replicas,
+                                         "workers": args.workers})
         for check in checks:
             check(cfg)
     except (ConfigError, ValueError) as exc:

@@ -16,7 +16,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -84,8 +84,12 @@ class ExperimentConfig:
 
     def check_clt(self) -> None:
         """The checks of the ``clt`` command."""
+        if self.replicas < 2:
+            raise ValueError(f"clt needs at least 2 replicas; got {self.replicas}")
         if self.application == "edge-sum" and self.vertex_weights is None:
             raise ValueError("the edge-sum application needs vertex_weights")
+        if self.application == "matching" and self.edge_weights is None:
+            raise ValueError("the matching application needs edge_weights")
 
     def check_rde(self) -> None:
         """The checks of the ``rde`` command."""
@@ -103,65 +107,63 @@ class ExperimentConfig:
         return sample_empirical_weights(self.weights, n, self.seed, stream=_WEIGHTS_STREAM + n)
 
     def canonical_json(self) -> str:
-        body = {
-            "weights": self.weights.to_config(),
-            "n_grid": list(self.n_grid),
-            "replicas": self.replicas,
-            "depth": self.depth,
-            "k_n_rule": self.k_n_rule,
-            "application": self.application,
-            "roots": self.roots,
-            "vertex_weights": self.vertex_weights.to_config() if self.vertex_weights else None,
-            "edge_weights": self.edge_weights.to_config() if self.edge_weights else None,
-            "rde_pop_size": self.rde_pop_size,
-            "rde_iterations": self.rde_iterations,
-        }
-        return json.dumps(body, sort_keys=True, separators=(",", ":"))
+        """The hashed config body: every field but ``seed`` and ``workers``."""
+        body = {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("seed", "workers")}
+        return json.dumps(body, sort_keys=True, separators=(",", ":"),
+                          default=WeightSpec.to_config)
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
 
     @staticmethod
     def from_dict(cfg: dict) -> "ExperimentConfig":
-        """Build from a parsed config file; an absent key takes the field default.
+        """Build from a parsed config file, whose keys are the field names.
 
-        A value of the wrong JSON type is a ValueError: counts are integers,
-        ``n_grid`` is a list of integers, laws are objects and the seed is a
-        hex string.
+        An unknown key, a missing key of a field without default, or a value
+        of the wrong JSON type is a ValueError that names the key; ``null``
+        stands for an absent optional law only.
         """
-        kw = {k: cfg[k] for k in ("k_n_rule", "application") if k in cfg}
-        kw.update((k, _integer(k, cfg[k])) for k in ("replicas", "depth", "roots",
-                                                     "rde_pop_size", "rde_iterations",
-                                                     "workers") if k in cfg)
-        kw.update((k, _law(k, cfg[k])) for k in ("vertex_weights", "edge_weights")
-                  if cfg.get(k))
-        if "seed" in cfg:
-            if not isinstance(cfg["seed"], str):
-                raise ValueError(f"seed must be a hex string; got {cfg['seed']!r}")
-            kw["seed"] = parse_seed(cfg["seed"])
-        n_grid = cfg["n_grid"]
-        if not isinstance(n_grid, list):
-            raise ValueError(f"n_grid must be a list of integers; got {n_grid!r}")
-        return ExperimentConfig(weights=_law("weights", cfg["weights"]),
-                                n_grid=[_integer("each n_grid entry", n) for n in n_grid], **kw)
+        known = {f.name: f for f in fields(ExperimentConfig)}
+        kw = {}
+        for key, value in cfg.items():
+            if key not in known:
+                raise ValueError(f"unknown key {key!r}")
+            try:
+                kw[key] = _PARSERS[known[key].type](value)
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from exc
+        for f in known.values():
+            if f.default is MISSING and f.name not in cfg:
+                raise ValueError(f"missing key {f.name!r}")
+        return ExperimentConfig(**kw)
 
 
-def _integer(key: str, value) -> int:
+def _integer(value) -> int:
     """A config count: a JSON number with an integral value."""
     integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
     if isinstance(value, bool) or not integral:
-        raise ValueError(f"{key} must be an integer; got {value!r}")
+        raise ValueError(f"must be an integer; got {value!r}")
     return int(value)
 
 
-def _law(key: str, value) -> WeightSpec:
-    """A config weight law: a JSON object that :meth:`WeightSpec.from_config` reads."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{key} must be an object with a family; got {value!r}")
-    try:
-        return WeightSpec.from_config(value)
-    except ValueError as exc:
-        raise ValueError(f"{key}: {exc}") from exc
+def _integers(value) -> list[int]:
+    if not isinstance(value, list):
+        raise ValueError(f"must be a list of integers; got {value!r}")
+    return [_integer(x) for x in value]
+
+
+# the parser of a config value, by its field's annotation (a string, as this module
+# postpones annotations); ExperimentConfig checks what the values must satisfy together
+_PARSERS = {
+    "WeightSpec": WeightSpec.from_config,
+    "WeightSpec | None": lambda value: None if value is None else WeightSpec.from_config(value),
+    "list[int]": _integers,
+    "int": _integer,
+    "tuple[int, int]": parse_seed,
+    "str": lambda value: value,
+    "str | float": lambda value: value,
+}
 
 
 # ---- estimators -----------------------------------------------------------------------

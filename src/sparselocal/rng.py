@@ -90,9 +90,11 @@ def _unit_interval(h):
 
 def parse_seed(text: str) -> tuple[int, int]:
     """Parse a 128-bit hex seed into (lo, hi) words. Short hex is allowed."""
+    if not isinstance(text, str):
+        raise ValueError(f"must be a hex string; got {text!r}")
     value = int(text, 16)
     if value < 0 or value >= 1 << 128:
-        raise ValueError("seed must be a non-negative 128-bit hex value")
+        raise ValueError(f"must be a non-negative 128-bit hex value; got {text!r}")
     return value & 0xFFFFFFFFFFFFFFFF, value >> 64
 
 

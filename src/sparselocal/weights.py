@@ -163,23 +163,31 @@ class WeightSpec:
     # ---- config round-trip -----------------------------------------------------------
 
     def to_config(self) -> dict:
-        if self.family == "constant":
-            return {"family": "constant", "c": self.c}
-        if self.family == "finite":
-            return {"family": "finite", "values": list(self.values), "probs": list(self.probs)}
-        return {"family": "gamma", "shape": self.shape, "scale": self.scale}
+        return {"family": self.family, **{key: getattr(self, key)
+                                          for key in _CONFIG_PARAMS[self.family]}}
 
     @staticmethod
     def from_config(cfg: dict) -> "WeightSpec":
-        """The law of a config object: its parameters are JSON numbers (not
-        booleans or strings), and ``values`` and ``probs`` lists of them."""
+        """The law of a config object: ``family`` and exactly the parameters
+        of that family, JSON numbers (not booleans or strings), and
+        ``values`` and ``probs`` lists of them."""
+        if not isinstance(cfg, dict):
+            raise ValueError(f"a weight law must be an object with a family; got {cfg!r}")
         family = cfg.get("family")
-        if family not in _CONFIG_PARAMS:
-            raise ValueError(f"unknown weight family in config: {family!r}")
-        return WeightSpec(family, **{key: _config_param(key, cfg[key])
-                                     for key in _CONFIG_PARAMS[family]})
+        if not isinstance(family, str) or family not in _CONFIG_PARAMS:
+            raise ValueError(f"the family must be one of {', '.join(_CONFIG_PARAMS)}; "
+                             f"got {family!r}")
+        params = _CONFIG_PARAMS[family]
+        for key in cfg:
+            if key != "family" and key not in params:
+                raise ValueError(f"the {family} law takes no key {key!r}")
+        for key in params:
+            if key not in cfg:
+                raise ValueError(f"missing key {key!r} of the {family} law")
+        return WeightSpec(family, **{key: _config_param(key, cfg[key]) for key in params})
 
 
+# the parameters of each family, in config files and in WeightSpec alike
 _CONFIG_PARAMS = {"constant": ("c",), "finite": ("values", "probs"),
                   "gamma": ("shape", "scale")}
 
@@ -187,7 +195,7 @@ _CONFIG_PARAMS = {"constant": ("c",), "finite": ("values", "probs"),
 def _config_param(key: str, value):
     """A law parameter from a config: a number, or a tuple for ``values`` and ``probs``."""
     if key in ("values", "probs"):
-        if not isinstance(value, list):
+        if not isinstance(value, (list, tuple)):  # to_config gives tuples, JSON lists
             raise ValueError(f"{key} must be a list of numbers; got {value!r}")
         return tuple(_config_param(f"each {key} entry", x) for x in value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):

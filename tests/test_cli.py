@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,6 +13,7 @@ import scipy
 
 import sparselocal
 from sparselocal.cli import COMMANDS, main
+from sparselocal.harness import ExperimentConfig
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "README.md")
@@ -24,6 +26,7 @@ CONFIG = {
     "seed": "c0ffee",
     "vertex_weights": {"family": "gamma", "shape": 2.0, "scale": 1.0},
 }
+GAMMA_1_1 = {"family": "gamma", "shape": 1.0, "scale": 1.0}
 
 
 @pytest.fixture
@@ -73,12 +76,20 @@ def test_malformed_config_line_anchored(tmp_path, capsys):
     ("generate", {"weights": {"family": "gamma", "shape": float("inf"), "scale": 1.0}}),
     ("generate", {"weights": {"family": "constant", "c": float("inf")}}),
     ("generate", {"weights": {"family": "constant", "c": 10 ** 400}}),
+    ("clt", {"replica": 3, "depht": 9}),
+    ("generate", {"weights": {"family": "gamma", "shape": 2.0, "scale": 1.0, "c": 1.0}}),
+    ("generate", {"edge_weights": {}}),
+    ("clt", {"replicas": 1}),
+    ("clt", {"application": "matching", "n_grid": [14]}),
+    ("clt", {"application": "matching", "n_grid": [14, 30], "edge_weights": GAMMA_1_1}),
 ], ids=["roots-above-n", "couple-depth", "bounds-depth", "k_n-sqrt", "k_n-negative",
         "n-zero", "rde-iterations-zero", "rde-iterations-negative", "rde-pop-size-small",
         "depth-null", "weights-string", "weight-parameter-null", "n_grid-number",
         "seed-number", "roots-zero", "edge-sum-without-vertex-weights",
         "workers-negative", "values-string", "c-bool", "shape-string", "shape-infinite",
-        "c-infinite", "c-beyond-float"])
+        "c-infinite", "c-beyond-float", "unknown-key", "law-stray-parameter",
+        "optional-law-empty", "clt-one-replica", "matching-without-edge-weights",
+        "matching-above-exact-solver"])
 def test_invalid_config_value_exits_2(tmp_path, capsys, command, change):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(dict(CONFIG, **change)))
@@ -86,6 +97,25 @@ def test_invalid_config_value_exits_2(tmp_path, capsys, command, change):
     assert main([command, "--config", str(path), "--out-dir", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()  # refused before any replica ran
+
+
+@pytest.mark.parametrize("config, message", [
+    (dict(CONFIG, replica=3), "unknown key 'replica'"),
+    ({k: v for k, v in CONFIG.items() if k != "n_grid"}, "missing key 'n_grid'"),
+    (dict(CONFIG, weights={"family": "constant"}),
+     "weights: missing key 'c' of the constant law"),
+    (dict(CONFIG, edge_weights=dict(GAMMA_1_1, c=1.0)),
+     "edge_weights: the gamma law takes no key 'c'"),
+    (dict(CONFIG, vertex_weights={}),
+     "vertex_weights: the family must be one of constant, finite, gamma; got None"),
+    (dict(CONFIG, n_grid=[80, 1.5]), "n_grid: must be an integer; got 1.5"),
+], ids=["unknown-key", "missing-key", "missing-law-parameter", "law-stray-parameter",
+        "optional-law-empty", "n_grid-fraction"])
+def test_config_error_names_the_key(tmp_path, capsys, config, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert main(["generate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {path}: {message}\n"
 
 
 def test_generate_deterministic(config_path, tmp_path, capsys):
@@ -214,33 +244,6 @@ def test_workers_under_spawn_start_method(tmp_path):
     assert outputs[0] == outputs[1] and outputs[2] == outputs[3]
 
 
-def test_app_flag_overrides_config(tmp_path):
-    cfg = dict(CONFIG, n_grid=[14], replicas=30,
-               edge_weights={"family": "gamma", "shape": 1.0, "scale": 1.0})
-    path = tmp_path / "app.json"
-    path.write_text(json.dumps(cfg))
-    out = str(tmp_path / "outa")
-    assert main(["clt", "--config", str(path), "--out-dir", out,
-                 "--app", "matching"]) == 0
-    assert os.path.exists(os.path.join(out, "clt_matching.csv"))
-    # matching is solved exactly, so sizes beyond the exact solver are a config error
-    path.write_text(json.dumps(dict(cfg, n_grid=[14, 30])))
-    assert main(["clt", "--config", str(path), "--out-dir", out,
-                 "--app", "matching"]) == 2
-
-
-def test_env_seed_override(config_path, tmp_path, capsys, monkeypatch):
-    out = str(tmp_path / "oute")
-    main(["generate", "--config", config_path, "--out-dir", out])
-    base = capsys.readouterr().out
-    monkeypatch.setenv("SPARSELOCAL_SEED", "9999")
-    main(["generate", "--config", config_path, "--out-dir", out])
-    assert capsys.readouterr().out != base
-    # explicit --seed wins over the environment
-    main(["generate", "--config", config_path, "--out-dir", out, "--seed", "c0ffee"])
-    assert capsys.readouterr().out == base
-
-
 def test_runtime_error_is_flattened_unless_debug(config_path, tmp_path, capsys, monkeypatch):
     import sparselocal.cli as cli
 
@@ -260,3 +263,19 @@ def test_readme_names_exactly_the_cli_commands():
     paragraph = text[text.index("Commands:"):].split("\n\n")[0]
     named = re.findall(r"`([a-z-]+)` \(", paragraph)
     assert sorted(named) == sorted(COMMANDS)
+
+
+def test_readme_usage_names_exactly_the_cli_flags(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    text = open(README).read()
+    block = text[text.index("sparselocal <command>"):].split("```")[0]
+    assert set(re.findall(r"--[a-z-]+", block)) == set(re.findall(r"--[a-z-]+", usage))
+
+
+def test_readme_config_table_names_exactly_the_config_fields():
+    text = open(README).read()
+    section = text[text.index("## Config schema"):].split("\n## ")[0]
+    keys = re.findall(r"^\| `([a-z_]+)`", section, re.MULTILINE)
+    assert keys == [f.name for f in dataclasses.fields(ExperimentConfig)]

@@ -18,6 +18,8 @@ def test_seed_validation():
         parse_seed("f" * 33)
     with pytest.raises(ValueError):
         parse_seed("zz")
+    with pytest.raises(ValueError, match="hex string"):
+        parse_seed(12)
 
 
 def test_site_uniform_deterministic_and_in_open_interval():
