@@ -9,14 +9,19 @@ power-of-two weight buckets, candidate pairs inside a bucket pair are drawn
 by geometric skip sampling at the bucket's uniform probability bound, and
 each candidate is then thinned to its exact p_uv.  The expected cost is
 O(n + edges).  The buckets depend on the weights alone, so their plan is
-built once per n (``weights.bucket_plan``).  A graph then spends per bucket
-pair just the two generator calls the stream needs, the geometric gaps and
-one thinning uniform per candidate (a long run takes a few more gap
-blocks).  Candidates of consecutive pairs are batched, then mapped to
-vertex pairs and thinned in one vectorised pass once the batch holds
-``_FLUSH`` candidates: the many tiny pairs of a small graph cost one pass,
-and the temporaries of a large graph are those of one batch, not of all
-candidates.
+built once per n (``weights.bucket_plan``), with the vertex order by bucket
+and the weights in that order.  A graph then spends per bucket pair just
+the two generator calls the stream needs, the geometric gaps and one
+thinning uniform per candidate (a long run takes a few more gap blocks).
+Candidates of consecutive pairs are batched and handled in one vectorised
+pass once the batch holds ``_FLUSH`` candidates: each candidate is unranked
+to its two slots of the bucket order and thinned on the weights there,
+whose gathers run nearly in order, and only the kept ones, about half at
+n = 1e6, are mapped to vertices.  The many tiny pairs of a small graph cost
+one pass, and the temporaries of a large graph are those of one batch, not
+of all candidates.  The kept edges travel as packed keys u*n + v, one sort
+puts them in order, and the graph keeps the sorted endpoints it is handed,
+so no unsorted copy of the edge list lives through the CSR build.
 
 Everything that is not the realized edge set -- replacement indicators X',
 decorative vertex/edge weights w, w' and the coupling auxiliaries -- is a
@@ -70,7 +75,10 @@ class WeightedGraph:
     """Realized sparse graph plus deterministic lazy access to all sites.
 
     Immutable after construction; replicate-level parallelism uses distinct
-    stream ids.  ``flipped_edges``/``flipped_vertices`` record the sites of a
+    stream ids.  ``edge_u``/``edge_v`` hold the endpoints u < v of each edge
+    in any order; int64 arrays already sorted by (u, v) are kept, not
+    copied, so the caller must not write to them afterwards.
+    ``flipped_edges``/``flipped_vertices`` record the sites of a
     perturbation G^F: flipped edge indicators are already baked into the
     adjacency, flipped weight sites transparently read the replacement
     stream.
@@ -92,28 +100,35 @@ class WeightedGraph:
         self.flipped_vertices = flipped_vertices
         self._sites = SiteRandom(seed, stream)
         n = np.int64(weights.n)
-        keys = np.asarray(edge_u, dtype=np.int64) * n
-        keys += np.asarray(edge_v, dtype=np.int64)
-        keys.sort()
-        self.edge_u, self.edge_v = np.divmod(keys, n)
-        del keys  # before the CSR build allocates its 2m keys
+        edge_u = np.asarray(edge_u, dtype=np.int64)
+        edge_v = np.asarray(edge_v, dtype=np.int64)
+        keys = edge_u * n
+        keys += edge_v
+        if np.all(keys[1:] > keys[:-1]):
+            # already in order, as sample_graph hands them over: keep them
+            self.edge_u, self.edge_v = edge_u, edge_v
+        else:
+            keys.sort()
+            self.edge_u, self.edge_v = np.divmod(keys, n)
+        del keys, edge_u, edge_v  # before the CSR build allocates its 2m keys
         self._build_adjacency()
 
     def _build_adjacency(self):
-        # one sort of the packed keys end*n + other orders the 2m endpoints by
-        # (end, other), so each row of indices comes out ascending
         n = np.int64(self.n)
         m = self.edge_u.size
+        counts = np.bincount(self.edge_u, minlength=self.n)
+        counts += np.bincount(self.edge_v, minlength=self.n)
+        self.indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.indptr[1:])
+        del counts
+        # one sort of the packed keys end*n + other orders the 2m endpoints by
+        # (end, other), so each row of indices comes out ascending
         keys = np.empty(2 * m, dtype=np.int64)
         np.multiply(self.edge_u, n, out=keys[:m])
         keys[:m] += self.edge_v
         np.multiply(self.edge_v, n, out=keys[m:])
         keys[m:] += self.edge_u
         keys.sort()
-        counts = np.bincount(self.edge_u, minlength=self.n)
-        counts += np.bincount(self.edge_v, minlength=self.n)
-        self.indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.indptr[1:])
         self.indices = np.remainder(keys, n, out=keys)
 
     # ---- structure ------------------------------------------------------------
@@ -252,8 +267,7 @@ def sample_graph(weights: EmpiricalWeights, seed: tuple[int, int], stream: int =
     """Realize the edge set; expected O(n + edges) work, never n^2 memory."""
     plan = weights.bucket_plan
     gen = stream_rng(seed, stream, _GEN_TAG)
-    none = np.empty(0, dtype=np.int64)
-    edges = [(none, none)]  # so that the ends always concatenate
+    edges = [np.empty(0, dtype=np.int64)]  # so that the keys always concatenate
     pairs, positions, uniforms = [], [], []
     pending = 0
     for k, (pmax, total) in enumerate(plan.draws):
@@ -268,20 +282,27 @@ def sample_graph(weights: EmpiricalWeights, seed: tuple[int, int], stream: int =
                 pending = 0
     if pending:
         edges.append(_map_and_thin(weights, pairs, positions, uniforms))
-    edge_u, edge_v = (np.concatenate(ends) for ends in zip(*edges))
+    # the edges as packed keys u*n + v, sorted here, so that the graph keeps
+    # the endpoints it is given and no unsorted copy outlives this call
+    keys = np.concatenate(edges)
     del edges
+    keys.sort()
+    edge_u, edge_v = np.divmod(keys, np.int64(weights.n))
+    del keys
     return WeightedGraph(weights, seed, stream, edge_u, edge_v, mu_v=mu_v, mu_e=mu_e)
 
 
 def _map_and_thin(weights: EmpiricalWeights, pairs: list[int], positions: list[np.ndarray],
-                  uniforms: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Map a batch of candidate positions to vertex pairs and keep each with p_uv / pmax.
+                  uniforms: list[np.ndarray]) -> np.ndarray:
+    """Keep each candidate of a batch with p_uv / pmax and map the kept ones to vertex pairs.
 
-    ``positions[i]`` indexes the vertex pairs of bucket pair ``pairs[i]``:
+    ``positions[i]`` indexes the slot pairs of bucket pair ``pairs[i]``:
     the strict upper triangle in lexicographic order inside one bucket,
-    row-major across two; ``uniforms[i]`` are its thinning draws.  The three
-    lists are emptied once concatenated, which frees the per-pair arrays.
-    Returns the kept edges as (min, max) endpoints.
+    row-major across two; ``uniforms[i]`` are its thinning draws.  A
+    candidate is thinned on its two slots of the bucket order, and only the
+    kept ones are mapped through ``plan.order``.  The three lists are emptied
+    once concatenated, which frees the per-pair arrays.  Returns the kept
+    edges u < v as packed keys u*n + v.
     """
     plan = weights.bucket_plan
     pair = np.repeat(pairs, [p.size for p in positions])
@@ -299,14 +320,17 @@ def _map_and_thin(weights: EmpiricalWeights, pairs: list[int], positions: list[n
     cu[same] += i
     cv[same] += j
     del pos
-    cu = plan.order[cu]
-    cv = plan.order[cv]
-    W = weights.W
+    # thin on the slots, where the weight gathers run nearly in order, and
+    # map only the kept candidates to vertices
+    W = plan.weight
     r *= plan.pmax[pair]
     accept = r < np.minimum(W[cu] * W[cv] / (weights.n * weights.theta), 1.0)
-    cu = cu[accept]
-    cv = cv[accept]
-    return np.minimum(cu, cv), np.maximum(cu, cv)
+    cu = plan.order[cu[accept]]
+    cv = plan.order[cv[accept]]
+    keys = np.minimum(cu, cv)
+    keys *= np.int64(weights.n)
+    keys += np.maximum(cu, cv)
+    return keys
 
 
 def perturb(graph: WeightedGraph, sites: PerturbationSet) -> WeightedGraph:

@@ -345,6 +345,18 @@ class EmpiricalWeights:
     def lambda_n(self) -> float:
         return float(self.W.sum())
 
+    def __getstate__(self):
+        # the cached tables below are O(n) each and depend on W alone, so a
+        # pickled copy (a pool task) carries only the weights and rebuilds
+        # what it reads
+        return {"n": self.n, "W": self.W, "theta": self.theta}
+
+    @cached_property
+    def ascending(self) -> np.ndarray:
+        """W in ascending order, sorted once per n for :func:`moments` and
+        :attr:`size_biased`."""
+        return np.sort(self.W)
+
     @cached_property
     def size_biased(self) -> "EmpiricalSizeBiased":
         """The empirical size-biased law, built on first use and kept with the weights.
@@ -354,21 +366,18 @@ class EmpiricalWeights:
         depth, and in stage 1's detached growth) reads this one law.
         """
         lam = self.lambda_n
-        order = np.argsort(self.W, kind="stable")
-        upper = np.cumsum(self.W[order] / lam)
+        upper = np.divide(self.ascending, lam)
+        np.cumsum(upper, out=upper)
         upper[-1] = 1.0
-        lo = np.empty(self.n)
-        hi = np.empty(self.n)
-        hi[order] = upper
-        lo[order[0]] = 0.0
-        lo[order[1:]] = upper[:-1]
         # rounding can leave the cumulative table short of 1, or past 1 before
         # its last entry; capped and ending at 1, it maps every uniform in (0, 1)
         # to a label
-        cum = np.minimum(np.cumsum(self.W / lam), 1.0)
+        cum = np.divide(self.W, lam)
+        np.cumsum(cum, out=cum)
+        np.minimum(cum, 1.0, out=cum)
         cum[-1] = 1.0
         return EmpiricalSizeBiased(W=self.W, scale=lam / (self.n * self.theta),
-                                   cum=cum, lo=lo, hi=hi)
+                                   cum=cum, ascending=self.ascending, upper=upper)
 
     @cached_property
     def bucket_plan(self) -> "BucketPlan":
@@ -389,14 +398,15 @@ class EmpiricalWeights:
         sizes = np.bincount(bucket - bucket.min())
         sizes = sizes[sizes > 0]
         starts = np.cumsum(sizes) - sizes
-        wmax = np.maximum.reduceat(self.W[order], starts)
+        weight = self.W[order]
+        wmax = np.maximum.reduceat(weight, starts)
         a, b = np.triu_indices(starts.size)  # bucket pairs in lexicographic order
         same = a == b
         total = np.where(same, sizes[a] * (sizes[a] - 1) // 2, sizes[a] * sizes[b])
         keep = total > 0  # a bucket of one vertex has no pair with itself
         a, b, same, total = a[keep], b[keep], same[keep], total[keep]
         pmax = np.minimum(wmax[a] * wmax[b] / (self.n * self.theta), 1.0)
-        return BucketPlan(order=order, start_a=starts[a], start_b=starts[b],
+        return BucketPlan(order=order, weight=weight, start_a=starts[a], start_b=starts[b],
                           size_a=sizes[a], size_b=sizes[b], same=same, pmax=pmax,
                           draws=list(zip(pmax.tolist(), total.tolist())))
 
@@ -406,14 +416,17 @@ class BucketPlan:
     """Bucket pairs of one weight vector, in the order the graph sampler visits them.
 
     ``order`` lists the vertices bucket by bucket, ascending inside each
-    bucket.  Pair k covers the vertices ``order[start_a[k]:][:size_a[k]]``
-    against ``order[start_b[k]:][:size_b[k]]`` (the strict upper triangle
-    when ``same[k]``).  ``draws[k]`` is its (pmax, total) as Python numbers,
-    which the per-pair loop hands to the generator; the arrays are gathered
-    per candidate when candidates are mapped and thinned.
+    bucket, and ``weight`` their weights in that order.  Pair k covers the
+    slots ``start_a[k]:][:size_a[k]]`` against ``start_b[k]:][:size_b[k]]``
+    of that order (the strict upper triangle when ``same[k]``).
+    ``draws[k]`` is its (pmax, total) as Python numbers, which the per-pair
+    loop hands to the generator; the arrays are gathered per candidate when
+    candidates are thinned on their slots and the kept ones mapped through
+    ``order`` to vertices.
     """
 
     order: np.ndarray
+    weight: np.ndarray
     start_a: np.ndarray
     start_b: np.ndarray
     size_a: np.ndarray
@@ -429,10 +442,14 @@ class EmpiricalSizeBiased:
 
     An individual of type W_i has Poi(W_i * scale) children, with
     scale = Lambda_n / (n theta).  ``cum`` is the cumulative table in vertex
-    order, which label draws invert; ``lo``/``hi`` give each vertex its CDF
-    interval in weight order, which the quantile coupling to the limiting
-    size-biased law needs.  The tables are O(n) and depend on the weights
-    alone, so the law lives with the :class:`EmpiricalWeights` of one n
+    order, which label draws invert.  The quantile coupling to the limiting
+    size-biased law needs each vertex's CDF interval in weight order instead:
+    ``ascending`` is W sorted (the copy :func:`moments` sorts too) and
+    ``upper`` its cumulative table, so a vertex of stable rank r in weight
+    order has the interval (upper[r - 1], upper[r]].  Both tables cost one
+    O(n log n) sort and two O(n) sums, and an interval one binary search, or
+    two for a tied weight (:meth:`interval`).  They depend on the weights alone, so the law lives
+    with the :class:`EmpiricalWeights` of one n
     (:attr:`EmpiricalWeights.size_biased`), not with one graph: every replica
     graph of that n shares it, at every depth and in stage 1's detached
     growth.
@@ -441,8 +458,9 @@ class EmpiricalSizeBiased:
     W: np.ndarray
     scale: float
     cum: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
+    ascending: np.ndarray
+    upper: np.ndarray
+    ties: dict = field(default_factory=dict, repr=False)  # tied weight -> its labels
 
     def offspring(self, label: int, rng: np.random.Generator) -> np.ndarray:
         """Labels of a type-W_label individual's children: Poisson count, i.i.d. labels."""
@@ -456,8 +474,22 @@ class EmpiricalSizeBiased:
         return int(np.searchsorted(self.cum, rng.random(), side="left"))
 
     def interval(self, label: int) -> tuple[float, float]:
-        """The CDF interval (lo, hi] of ``label`` in weight order."""
-        return self.lo[label], self.hi[label]
+        """The CDF interval (lo, hi] of ``label`` in weight order.
+
+        Equal weights are ranked by label, as a stable sort ranks them.  The
+        rank is the first place of W_label in ``ascending``, plus, when the
+        weight is tied, the number of equal weights at lower labels, read
+        from the ascending labels of that weight.  Those are found once per
+        tied value, O(n), and kept; every call after that is O(log n).
+        """
+        w = self.W[label]
+        rank = int(np.searchsorted(self.ascending, w))
+        if rank + 1 < self.ascending.size and self.ascending[rank + 1] == w:
+            group = self.ties.get(w)
+            if group is None:
+                group = self.ties[w] = np.flatnonzero(self.W == w)
+            rank += int(np.searchsorted(group, label))
+        return (self.upper[rank - 1] if rank else 0.0), self.upper[rank]
 
 
 @dataclass
@@ -485,11 +517,14 @@ def moments(weights: EmpiricalWeights, spec: WeightSpec | None = None) -> Moment
     """Gamma_{p,n} for p in {0,1,2,3}, kappa_{p,n} for p in {1,2}, Lambda_n.
 
     When spec is given, alpha_n is the larger of the exact 1-Wasserstein
-    distances W1(nu_n, nu) and W1(nu_hat_n, nu_hat); otherwise 0.  W is
-    sorted once for both: nu_n puts mass 1/n and nu_hat_n mass W_v / Lambda_n
-    on each sorted weight.  Each distance costs O(n) arithmetic plus the
-    spec's quantile at the few points where the empirical and limiting
-    quantile functions cross (see :func:`_wasserstein_weighted_sample`).
+    distances W1(nu_n, nu) and W1(nu_hat_n, nu_hat); otherwise 0.  Both read
+    the one ascending copy of W that the weights keep
+    (:attr:`EmpiricalWeights.ascending`, shared with the size-biased law):
+    nu_n puts mass 1/n and nu_hat_n mass W_v / Lambda_n on each sorted
+    weight.  Each distance costs O(n) arithmetic, plus the spec's CDF on the
+    blocks of sorted weights where the empirical and limiting quantile
+    functions may cross and its quantile at the crossings themselves (see
+    :func:`_wasserstein_weighted_sample`).
     """
     W = weights.W
     n, theta = weights.n, weights.theta
@@ -499,7 +534,7 @@ def moments(weights: EmpiricalWeights, spec: WeightSpec | None = None) -> Moment
     kappa = {p: float((W[excess] ** p).sum() / norm) for p in (1, 2)}
     alpha = 0.0
     if spec is not None:
-        s = np.sort(W)
+        s = weights.ascending
         a_plain = _wasserstein_weighted_sample(s, np.full(n, 1.0 / n), spec)
         a_biased = _wasserstein_weighted_sample(s, s / W.sum(), spec.size_biased())
         alpha = max(a_plain, a_biased)
@@ -529,6 +564,21 @@ def _wasserstein_weighted_sample(s: np.ndarray, masses: np.ndarray,
     arithmetic; G runs only at the run ends and the unclipped c_i, O(crossings)
     points (one to two thousand at n = 1e6 for a sample from the spec), and
     each run's linear sum and G part nearly cancel, so nothing large is summed.
+
+    F itself is evaluated only near the crossings.  The steps are cut into
+    blocks of ``_W1_BLOCK``, and F is taken at each block's first and last
+    points a and b.  If F(s_a) and F(s_b) are both at least the block's top
+    hi_b, every step of the block is clipped up; if both are at most lo_a,
+    every step is clipped down; only the other blocks take F point by point.
+    The ends are exact.  An interior step i has hi_i <= hi_{b-1} and
+    lo_i >= lo_{a+1}, so it sits a step mass inside the end values, and
+    masses do not fall along the sorted sample (1/n, or s_i / Lambda_n), so
+    a step's mass is at least 1/n of the cumulative mass at its end.  The
+    clip of every interior step is therefore the one F(s_i) itself gives as
+    long as the computed F is monotone in s up to a relative error below
+    1/n.  F is a step function for a finite law, and scipy's gammainc is
+    monotone to a few ulp.  So each c_i, and the sum, keep every bit of the
+    all-points clip.
     """
     hi = np.cumsum(masses)
     hi[-1] = 1.0
@@ -536,7 +586,7 @@ def _wasserstein_weighted_sample(s: np.ndarray, masses: np.ndarray,
     if spec.family == "constant":
         # G(u) = c u, so each step adds (hi - lo)|s - c|: exactly 0 on a constant sample
         return float(np.dot(hi - lo, np.abs(s - spec.c)))
-    c = np.clip(spec.cdf(s), lo, hi)
+    c = np.clip(_cdf_near_crossings(s, lo, hi, spec), lo, hi)
     linear = s * ((c - lo) - (hi - c))
     up = c == hi
     sign = up.view(np.int8) - ((c == lo) & ~up).view(np.int8)  # +1 hi, -1 lo, 0 unclipped
@@ -549,6 +599,24 @@ def _wasserstein_weighted_sample(s: np.ndarray, masses: np.ndarray,
     flat = run_sign == 0
     g_part[flat] = (g_start[flat] - g_c) + (g_end[flat] - g_c)
     return float((np.add.reduceat(linear, starts) + g_part).sum())
+
+
+_W1_BLOCK = 32  # sorted points per block whose clip is decided from its two ends
+
+
+def _cdf_near_crossings(s, lo, hi, spec):
+    """F(s_i) where a block of steps may hold a crossing, else +inf (a block
+    clipped up) or -inf (clipped down): either clips to the same c_i as F."""
+    first = np.arange(0, s.size, _W1_BLOCK)
+    last = np.minimum(first + _W1_BLOCK, s.size) - 1
+    f_first, f_last = np.split(spec.cdf(s[np.concatenate((first, last))]), 2)
+    up = (f_first >= hi[last]) & (f_last >= hi[last])
+    down = (f_first <= lo[first]) & (f_last <= lo[first])
+    sizes = last - first + 1
+    f = np.repeat(np.where(up, np.inf, -np.inf), sizes)
+    near = np.repeat(~(up | down), sizes)
+    f[near] = spec.cdf(s[near])
+    return f
 
 
 def wasserstein_1d(a, b: WeightSpec) -> float:

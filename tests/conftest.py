@@ -202,3 +202,61 @@ def _per_pair_sample_graph(weights, seed, stream=0, mu_v=None, mu_e=None):
 def per_pair_sample_graph():
     """The oracle of the bucket-plan sampler."""
     return _per_pair_sample_graph
+
+
+def _size_biased_intervals(W):
+    """Each vertex's size-biased CDF interval (lo, hi], from one stable argsort.
+
+    Vertex order[r] owns (upper[r - 1], upper[r]] of the cumulative table of
+    the weights in stable ascending order, which ends at exactly 1.
+    ``EmpiricalSizeBiased.interval`` must return the same bits per label.
+    """
+    W = np.asarray(W, dtype=float)
+    order = np.argsort(W, kind="stable")
+    upper = np.cumsum(W[order] / W.sum())
+    upper[-1] = 1.0
+    lo = np.empty(W.size)
+    hi = np.empty(W.size)
+    hi[order] = upper
+    lo[order[0]] = 0.0
+    lo[order[1:]] = upper[:-1]
+    return lo, hi
+
+
+@pytest.fixture
+def size_biased_intervals():
+    """The oracle of the per-label size-biased intervals."""
+    return _size_biased_intervals
+
+
+def _all_points_w1(s, masses, spec):
+    """The weighted-sample W1 with the spec's CDF taken at every sorted point.
+
+    The same telescoped sum as ``weights._wasserstein_weighted_sample``, with
+    c = clip(F(s), lo, hi) from all n values of F; the blocked CDF must give
+    the same bits.
+    """
+    hi = np.cumsum(masses)
+    hi[-1] = 1.0
+    lo = np.concatenate(([0.0], hi[:-1]))
+    if spec.family == "constant":
+        return float(np.dot(hi - lo, np.abs(s - spec.c)))
+    c = np.clip(spec.cdf(s), lo, hi)
+    linear = s * ((c - lo) - (hi - c))
+    up = c == hi
+    sign = up.view(np.int8) - ((c == lo) & ~up).view(np.int8)
+    starts = np.flatnonzero(np.concatenate(([True], (sign[1:] != sign[:-1]) | (sign[1:] == 0))))
+    run_sign = sign[starts]
+    g = spec.partial_quantile_integral(
+        np.concatenate((lo[starts], [1.0], c[sign == 0])))
+    g_start, g_end, g_c = g[:starts.size], g[1:starts.size + 1], g[starts.size + 1:]
+    g_part = np.where(run_sign > 0, g_start - g_end, g_end - g_start)
+    flat = run_sign == 0
+    g_part[flat] = (g_start[flat] - g_c) + (g_end[flat] - g_c)
+    return float((np.add.reduceat(linear, starts) + g_part).sum())
+
+
+@pytest.fixture
+def all_points_w1():
+    """The oracle of the W1 that evaluates the CDF only near crossings."""
+    return _all_points_w1

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -311,3 +312,28 @@ def test_parent_process_builds_no_bucket_plan(monkeypatch):
     assert built == []
     assert rows == clt_experiment(dataclasses.replace(cfg, workers=1))
     assert built == [60, 90]
+
+
+def test_coupling_pool_pickles_no_table_cached_by_moments(monkeypatch):
+    # moments runs in the parent and caches the sorted weights on them; the
+    # weights travel to the workers with every task, so that copy must not
+    from sparselocal import harness
+
+    sizes = []
+    original = harness.moments
+
+    def measured(weights, spec=None):
+        before = len(pickle.dumps(weights))
+        summary = original(weights, spec)
+        assert set(vars(weights)) > {"n", "W", "theta"}  # something is cached
+        sizes.append((before, len(pickle.dumps(weights))))
+        return summary
+
+    monkeypatch.setattr(harness, "moments", measured)
+    built = _count_bucket_plans(monkeypatch)
+    cfg = small_config(weights=WeightSpec("gamma", shape=2.0, scale=1.0), n_grid=[60, 90],
+                       replicas=8, workers=2, roots=2)
+    rows, outcomes = coupling_experiment(cfg)
+    assert built == []
+    assert len(sizes) == 2 and all(after <= before for before, after in sizes)
+    assert (rows, outcomes) == coupling_experiment(dataclasses.replace(cfg, workers=1))

@@ -4,12 +4,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
 import sparselocal
-from sparselocal.weights import (EmpiricalWeights, WeightSpec,
+from sparselocal.weights import (_W1_BLOCK, EmpiricalWeights, WeightSpec,
                                  _wasserstein_weighted_sample, moments,
                                  sample_empirical_weights, wasserstein_1d)
 
@@ -124,6 +124,34 @@ def test_empirical_size_biased_maps_the_top_uniform_to_the_last_label(W, last):
 
     assert law.draw(TopUniform()) == last
     assert law.offspring(0, TopUniform()).tolist() == [last] * 2
+
+
+_INTERVAL_LAWS = st.one_of(
+    st.tuples(st.floats(0.2, 5.0), st.floats(0.1, 3.0)).map(
+        lambda t: WeightSpec("gamma", shape=t[0], scale=t[1])),
+    st.lists(st.floats(0.1, 5.0), min_size=1, max_size=4, unique=True).map(
+        lambda v: WeightSpec("finite", values=tuple(v), probs=(1.0 / len(v),) * len(v))),
+    st.floats(0.1, 5.0).map(lambda c: WeightSpec("constant", c=c)),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=_INTERVAL_LAWS, n=st.integers(1, 400), stream=st.integers(0, 2**31))
+@example(spec=WeightSpec("gamma", shape=2.0, scale=1.0), n=1, stream=0)
+@example(spec=WeightSpec("gamma", shape=2.0, scale=1.0), n=2, stream=0)
+@example(spec=WeightSpec("constant", c=1.0), n=1, stream=0)
+@example(spec=WeightSpec("constant", c=1.0), n=2, stream=0)
+@example(spec=WeightSpec("constant", c=0.3), n=257, stream=1)  # all ties
+@example(spec=WeightSpec("finite", values=(0.5, 2.0), probs=(0.5, 0.5)), n=300, stream=2)
+def test_size_biased_interval_equals_stable_argsort_oracle(size_biased_intervals, spec, n,
+                                                           stream):
+    w = sample_empirical_weights(spec, n, SEED, stream=stream)
+    lo, hi = size_biased_intervals(w.W)
+    law = w.size_biased
+    for label in range(n):
+        got_lo, got_hi = law.interval(label)
+        assert got_lo == lo[label] and got_hi == hi[label], label
 
 
 def test_size_biased_families():
@@ -375,6 +403,66 @@ def test_weighted_sample_w1_evaluates_g_at_run_ends_only(monkeypatch):
         points.clear()
         _w1(values, masses, target)
         assert sum(points) <= runs + 1 + unclipped
+
+
+def _midpoint_sample(spec, n):
+    """The spec's quantiles at the midpoints of n equal steps: F(s_i) sits
+    inside step i, so nearly every step of the uniform masses is unclipped."""
+    return spec.quantile((np.arange(n) + 0.5) / n)
+
+
+@pytest.mark.parametrize("n", [1, _W1_BLOCK - 1, _W1_BLOCK, _W1_BLOCK + 1, 100_000])
+@pytest.mark.parametrize("shape", [1.0, 2.0, 3.0, 2.5])
+def test_weighted_sample_w1_equals_all_points_oracle(all_points_w1, shape, n):
+    # the blocked CDF gives every bit of the all-points clip, on a sample from
+    # the law, on one where most steps are unclipped (the blocks' worst case)
+    # and on one from another law, which crosses the spec's quantile rarely
+    spec = WeightSpec("gamma", shape=shape, scale=1.5)
+    rng = np.random.default_rng(n + int(10 * shape))
+    samples = {"law": np.sort(spec.sample(rng, n)),
+               "midpoints": _midpoint_sample(spec, n),
+               "other": np.sort(rng.gamma(0.5, 4.0, size=n))}
+    for name, s in samples.items():
+        for masses, target in ((np.full(n, 1.0 / n), spec),
+                               (s / s.sum(), spec.size_biased())):
+            assert _wasserstein_weighted_sample(s, masses, target) == \
+                all_points_w1(s, masses, target), name
+
+
+def test_weighted_sample_w1_midpoint_sample_leaves_most_steps_unclipped():
+    # so that the oracle test's midpoint sample does take F at most points
+    spec = WeightSpec("gamma", shape=2.5, scale=1.5)
+    n = 100_000
+    s = _midpoint_sample(spec, n)
+    hi = np.cumsum(np.full(n, 1.0 / n))
+    hi[-1] = 1.0
+    lo = np.concatenate(([0.0], hi[:-1]))
+    f = spec.cdf(s)
+    assert np.count_nonzero((f > lo) & (f < hi)) > 0.9 * n
+
+
+@pytest.mark.parametrize("spec", [WeightSpec("gamma", shape=2.0, scale=1.0),
+                                  WeightSpec("finite", values=(0.5, 1.0, 3.0),
+                                             probs=(0.2, 0.5, 0.3))],
+                         ids=["gamma", "finite"])
+def test_weighted_sample_w1_takes_the_cdf_near_crossings_only(all_points_w1, monkeypatch,
+                                                              spec):
+    values = np.sort(spec.sample(np.random.default_rng(9), 100_000))
+    n = values.size
+    points = []
+    original = WeightSpec.cdf
+
+    def counted(self, x):
+        points.append(np.size(x))
+        return original(self, x)
+
+    monkeypatch.setattr(WeightSpec, "cdf", counted)
+    for masses, target in ((np.full(n, 1.0 / n), spec),
+                           (values / values.sum(), spec.size_biased())):
+        points.clear()
+        got = _wasserstein_weighted_sample(values, masses, target)
+        assert sum(points) < n // 3
+        assert got == all_points_w1(values, masses, target)
 
 
 def test_wasserstein_unsupported_pair():
