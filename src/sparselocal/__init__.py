@@ -12,14 +12,13 @@ from .explore import Neighbourhood, explore, is_tree, to_rooted_tree
 from .graph import PerturbationSet, WeightedGraph, perturb, sample_graph
 from .harness import (ExperimentConfig, clt_experiment, coupling_experiment,
                       estimate_variance, ks_to_normal)
-from .limit_trees import (Population, rde_apply, rde_fixed_point,
-                          sample_intermediate_tree, sample_limit_tree)
+from .limit_trees import Population, rde_apply, rde_fixed_point
 from .matching import (Matching, SandwichResult, delta_N, dependent_edge_sum,
                        envelope_bound, h_k, h_value, matching_sandwich,
                        max_weight_matching)
 from .trees import RootedWeightedTree, canonical_code
 from .weights import (EmpiricalSizeBiased, EmpiricalWeights, MomentSummary, WeightSpec,
-                      moments, sample_empirical_weights, wasserstein_1d)
+                      moments, sample_empirical_weights)
 
 __version__ = "0.1.0"
 
@@ -34,10 +33,9 @@ __all__ = [
     "ExperimentConfig", "clt_experiment", "coupling_experiment", "estimate_variance",
     "ks_to_normal",
     "Population", "rde_apply", "rde_fixed_point",
-    "sample_intermediate_tree", "sample_limit_tree",
     "Matching", "SandwichResult", "delta_N", "dependent_edge_sum", "envelope_bound",
     "h_k", "h_value", "matching_sandwich", "max_weight_matching",
     "RootedWeightedTree", "canonical_code",
     "EmpiricalSizeBiased", "EmpiricalWeights", "MomentSummary", "WeightSpec",
-    "moments", "sample_empirical_weights", "wasserstein_1d",
+    "moments", "sample_empirical_weights",
 ]

@@ -144,14 +144,13 @@ def cmd_bounds(cfg: ExperimentConfig, out_dir: str, check: bool) -> int:
 
 
 def cmd_rde(cfg: ExperimentConfig, out_dir: str, check: bool) -> int:
-    pop, diag = rde_fixed_point(cfg.weights, cfg.rde_pop_size, cfg.rde_iterations,
-                                cfg.seed)
+    diag = rde_fixed_point(cfg.weights, cfg.rde_pop_size, cfg.rde_iterations, cfg.seed)
     rows = [{"k": k, "gap": g, "seed": format_seed(cfg.seed),
              "config": cfg.config_hash()} for k, g in enumerate(diag.gaps)]
     path = os.path.join(out_dir, "rde_gaps.csv")
     _write_csv(path, rows)
     pop_path = os.path.join(out_dir, "rde_population.csv")
-    pop.to_csv(pop_path)
+    diag.final_even.to_csv(pop_path)
     _write_manifest(out_dir, cfg, [path, pop_path])
     print(f"wrote {path} (final gap {diag.gaps[-1]:.6g}, converged {diag.converged})")
     if check and not diag.converged:

@@ -283,7 +283,7 @@ def repair_independence(outcomes: list[CouplingOutcome], law: EmpiricalSizeBiase
 
 def couple_intermediate_to_limit(tree: RootedWeightedTree, law: EmpiricalSizeBiased,
                                  spec: WeightSpec, rng: np.random.Generator
-                                 ) -> tuple[RootedWeightedTree, bool, int | None]:
+                                 ) -> tuple[RootedWeightedTree, int | None]:
     """Redraw the empirical tree into the limit law, node by node.
 
     Types are coupled through a shared uniform positioned inside the
@@ -292,7 +292,8 @@ def couple_intermediate_to_limit(tree: RootedWeightedTree, law: EmpiricalSizeBia
     A matched child keeps its source node's label, the graph vertex it
     stands for; a fresh one has none.  The first node whose count differs
     breaks the coupling; the limit tree still grows to full depth with fresh
-    draws so its law is exact.
+    draws so its law is exact.  Returns the limit tree and the break level,
+    None when every count matched.
     """
     biased = spec.size_biased()
 
@@ -331,7 +332,7 @@ def couple_intermediate_to_limit(tree: RootedWeightedTree, law: EmpiricalSizeBia
                 what = float(biased.quantile(rng.random()))
             child = out.add_child(new_node, what, label=label)
             queue.append((child, child_src, what))
-    return out, break_level is None, break_level
+    return out, break_level
 
 
 # ---- weight overlay and the full pipeline -------------------------------------------
@@ -377,10 +378,10 @@ def couple_full(graph: WeightedGraph, roots: list[int], cfg: CouplingConfig,
     repaired = repair_independence(stage1, law, rng)
     final: list[CouplingOutcome] = []
     for out in repaired:
-        limit, ok3, lvl3 = couple_intermediate_to_limit(out.tree, law, spec, rng)
+        limit, level = couple_intermediate_to_limit(out.tree, law, spec, rng)
         res = replace(out, tree=limit, flags=set(out.flags))
-        if not ok3:
-            res.record_break(lvl3, BREAK_REDRAW)
+        if level is not None:
+            res.record_break(level, BREAK_REDRAW)
         _overlay_weights(res, graph, mu_e, mu_v, mu_e_n, mu_v_n, rng)
         final.append(res)
     return final

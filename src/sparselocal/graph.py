@@ -143,15 +143,12 @@ class WeightedGraph:
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
+    def edge_indicator(self, u: int, v: int) -> int:
+        """X_{uv}: 1 when {u, v} is an edge, else 0 (always 0 at u == v, as the
+        graph has no self-loops)."""
         row = self.neighbors(u)
         i = np.searchsorted(row, v)
-        return bool(i < row.size and row[i] == v)
-
-    def edge_indicator(self, u: int, v: int) -> int:
-        if u == v:
-            return 0
-        return int(self.has_edge(u, v))
+        return int(i < row.size and row[i] == v)
 
     def replacement_edge_indicator(self, u, v):
         """X'_{uv} = 1{U' < p_uv}, a pure site function; vectorized."""

@@ -1,14 +1,13 @@
-"""Samplers for the limiting objects and the matching recursion's operator.
+"""The intermediate tree's grower and the matching recursion's operator.
 
-Two tree laws appear downstream:
-
-* the delayed Galton-Watson limit tree: the root has Poi(W) children, every
-  other individual draws its type What from the size-biased law and then has
-  Poi(What) children;
-* the intermediate tree built from the empirical weights: the root of type
-  W_v has Poi(W_v Lambda_n/(n theta)) children, non-root individuals pick a
-  graph vertex with probability W_i/Lambda_n and have
-  Poi(Lambda_n W_i/(n theta)) children.
+The intermediate tree is built from the empirical weights: the root of type
+W_v has Poi(W_v Lambda_n/(n theta)) children, non-root individuals pick a
+graph vertex with probability W_i/Lambda_n and have
+Poi(Lambda_n W_i/(n theta)) children.  Stage 1 of the coupling grows what it
+leaves detached with this law; stage 3 redraws the tree into the delayed
+Galton-Watson limit, where the root has Poi(W) children and every other
+individual draws its type What from the size-biased law and then has
+Poi(What) children.
 
 The distributional operator of the matching recursion maps a particle
 population to max(0, max_i (xi_i - X_i)) with a mixed-Poisson number of
@@ -26,7 +25,7 @@ import numpy as np
 
 from .rng import stream_rng
 from .trees import RootedWeightedTree
-from .weights import EmpiricalSizeBiased, EmpiricalWeights, WeightSpec
+from .weights import EmpiricalSizeBiased, WeightSpec
 
 _RDE_TAG = 23
 
@@ -36,49 +35,6 @@ RDE_MIN_POP_SIZE = 1000
 
 class TreeBudgetExceeded(RuntimeError):
     """Raised when a sampled tree grows past the node budget."""
-
-
-def _maybe_weight(spec: WeightSpec | None, rng) -> float:
-    return float(spec.quantile(rng.random())) if spec is not None else np.nan
-
-
-def sample_limit_tree(W: float, spec: WeightSpec, mu_e: WeightSpec | None,
-                      mu_v: WeightSpec | None, depth: int, rng: np.random.Generator,
-                      max_nodes: int = DEFAULT_NODE_BUDGET) -> RootedWeightedTree:
-    """Draw the depth-``depth`` cut of the delayed Galton-Watson tree."""
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    biased = spec.size_biased()
-    tree = RootedWeightedTree(W, depth, _maybe_weight(mu_v, rng))
-    frontier = [(0, float(W))]  # (node id, offspring mean)
-    for d in range(depth):
-        nxt = []
-        for node, mean in frontier:
-            k = rng.poisson(mean)
-            if tree.node_count + k > max_nodes:
-                raise TreeBudgetExceeded(f"limit tree exceeded {max_nodes} nodes")
-            for _ in range(k):
-                what = float(biased.quantile(rng.random()))
-                child = tree.add_child(node, what, _maybe_weight(mu_e, rng),
-                                       _maybe_weight(mu_v, rng))
-                nxt.append((child, what))
-        frontier = nxt
-    return tree
-
-
-def sample_intermediate_tree(weights: EmpiricalWeights, v: int, depth: int,
-                             rng: np.random.Generator,
-                             max_nodes: int = DEFAULT_NODE_BUDGET) -> RootedWeightedTree:
-    """Draw the n-type intermediate tree rooted at vertex v.
-
-    Node labels are the graph vertex ids the types came from; the coupling
-    and the independence repair rely on them.
-    """
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    tree = RootedWeightedTree(weights.W[v], depth, root_label=int(v))
-    grow_intermediate(tree, [0], weights.size_biased, rng, max_nodes)
-    return tree
 
 
 def grow_intermediate(tree: RootedWeightedTree, frontier: list[int],
@@ -193,13 +149,14 @@ class RdeDiagnostics:
 
 
 def rde_fixed_point(spec: WeightSpec, pop_size: int, iterations: int,
-                    seed: tuple[int, int], stream: int = 0) -> tuple[Population, RdeDiagnostics]:
+                    seed: tuple[int, int], stream: int = 0) -> RdeDiagnostics:
     """Population dynamics from delta_0, tracking even/odd iterates.
 
     The recursion oscillates between even and odd levels, so convergence is
     reported as the W1 gap between consecutive even/odd iterates.  A stalled
     gap (no decrease over the last five pairs) flags non-convergence rather
-    than being silently accepted.
+    than being silently accepted.  The diagnostics carry the last even and
+    odd iterates; the ``rde`` command writes the even one.
 
     Only the previous and the current iterate are alive at any time: the
     gap W1(T^{2k} delta_0, T^{2k+1} delta_0) is taken as each odd iterate
@@ -225,5 +182,5 @@ def rde_fixed_point(spec: WeightSpec, pop_size: int, iterations: int,
     if len(gaps) >= 6:
         converged = min(gaps[-5:]) <= min(gaps[:-5]) + noise
     evens, odds = (cur, prev) if iterations % 2 == 0 else (prev, cur)
-    return evens, RdeDiagnostics(gaps=gaps, iterations=iterations, converged=converged,
-                                 final_even=evens, final_odd=odds)
+    return RdeDiagnostics(gaps=gaps, iterations=iterations, converged=converged,
+                          final_even=evens, final_odd=odds)

@@ -551,7 +551,9 @@ def _wasserstein_weighted_sample(s: np.ndarray, masses: np.ndarray,
 
     ``s`` holds the empirical values in ascending order and ``masses`` their
     masses.  The empirical quantile function is s_i on the step (lo_i, hi_i]
-    of the cumulative masses.  Split each step at c_i = clip(F(s_i), lo_i,
+    of the cumulative masses, clipped at 1 and ending at exactly 1: rounding
+    can carry a partial sum past 1 before the last step, and G is defined on
+    [0, 1] only.  Split each step at c_i = clip(F(s_i), lo_i,
     hi_i), where the spec's quantile Q crosses s_i; with G the spec's partial
     quantile integral, the step adds
 
@@ -581,6 +583,7 @@ def _wasserstein_weighted_sample(s: np.ndarray, masses: np.ndarray,
     all-points clip.
     """
     hi = np.cumsum(masses)
+    np.minimum(hi, 1.0, out=hi)
     hi[-1] = 1.0
     lo = np.concatenate(([0.0], hi[:-1]))
     if spec.family == "constant":
@@ -619,58 +622,9 @@ def _cdf_near_crossings(s, lo, hi, spec):
     return f
 
 
-def wasserstein_1d(a, b: WeightSpec) -> float:
-    """Exact 1-Wasserstein distance via the inverse-CDF coupling.
-
-    ``a`` is either a 1-d sample (uniform empirical masses) or a WeightSpec.
-    Discrete/discrete pairs are summed exactly over merged CDF breakpoints;
-    pairs involving a gamma law integrate |F_a - F_b| by adaptive quadrature.
-    """
-    if not isinstance(b, WeightSpec):
-        raise ValueError(f"unsupported Wasserstein combination: second argument "
-                         f"must be a WeightSpec, got {type(b).__name__}")
-    if isinstance(a, WeightSpec):
-        return _wasserstein_spec_spec(a, b)
-    sample = np.asarray(a, dtype=float)
-    if sample.ndim != 1 or sample.size == 0:
-        raise ValueError("sample must be a non-empty 1-d array")
-    masses = np.full(sample.size, 1.0 / sample.size)
-    return _wasserstein_weighted_sample(np.sort(sample), masses, b)
-
-
-def _wasserstein_spec_spec(a: WeightSpec, b: WeightSpec) -> float:
-    discrete = {"constant", "finite"}
-    if a.family in discrete and b.family in discrete:
-        va, pa = _as_discrete(a)
-        vb, pb = _as_discrete(b)
-        # merge the CDF breakpoints of both laws and sum |Qa - Qb| segment-wise
-        cuts = np.unique(np.concatenate((np.cumsum(pa), np.cumsum(pb), [0.0, 1.0])))
-        cuts = cuts[(cuts >= 0.0) & (cuts <= 1.0)]
-        mid = (cuts[:-1] + cuts[1:]) / 2.0
-        qa = a.quantile(mid)
-        qb = b.quantile(mid)
-        return float(np.sum(np.abs(qa - qb) * np.diff(cuts)))
-    if a.family == "gamma" or b.family == "gamma":
-        from scipy.integrate import quad
-
-        top = max(_upper_support(a), _upper_support(b))
-        val, _ = quad(lambda x: abs(float(a.cdf(x)) - float(b.cdf(x))), 0.0, top,
-                      limit=200)
-        return float(val)
-    raise ValueError(f"unsupported Wasserstein combination: {a.family}/{b.family}")
-
-
 def _as_discrete(spec: WeightSpec):
     if spec.family == "gamma":
         raise ValueError("the maximal coupling needs finite or constant laws, not gamma")
     if spec.family == "constant":
         return np.array([spec.c]), np.array([1.0])
     return np.asarray(spec.values), np.asarray(spec.probs)
-
-
-def _upper_support(spec: WeightSpec) -> float:
-    if spec.family == "constant":
-        return spec.c
-    if spec.family == "finite":
-        return max(spec.values)
-    return float(spec.quantile(1.0 - 1e-13))

@@ -4,12 +4,16 @@ import pytest
 from sparselocal.coupling import _COUPLE_TAG, poisson_icdf
 from sparselocal.graph import _GEN_TAG, WeightedGraph, _unrank_triangle
 from sparselocal.limit_trees import _RDE_TAG as RDE_TAG
+from sparselocal.limit_trees import (DEFAULT_NODE_BUDGET, TreeBudgetExceeded,
+                                     grow_intermediate)
 from sparselocal.rng import stream_rng
+from sparselocal.trees import RootedWeightedTree
+from sparselocal.weights import WeightSpec, _as_discrete, _wasserstein_weighted_sample
 
 # The purpose tags that the seeded sampler tests key their generators with,
 # so that each test keeps the draws its bounds and tolerances were set on.
-LIMIT_TAG = 21         # limit_trees.sample_limit_tree
-INTERMEDIATE_TAG = 22  # limit_trees.sample_intermediate_tree
+LIMIT_TAG = 21         # sample_limit_tree, below
+INTERMEDIATE_TAG = 22  # sample_intermediate_tree, below
 REPAIR_TAG = 32        # coupling.repair_independence
 
 
@@ -236,7 +240,7 @@ def _all_points_w1(s, masses, spec):
     c = clip(F(s), lo, hi) from all n values of F; the blocked CDF must give
     the same bits.
     """
-    hi = np.cumsum(masses)
+    hi = np.minimum(np.cumsum(masses), 1.0)
     hi[-1] = 1.0
     lo = np.concatenate(([0.0], hi[:-1]))
     if spec.family == "constant":
@@ -260,3 +264,104 @@ def _all_points_w1(s, masses, spec):
 def all_points_w1():
     """The oracle of the W1 that evaluates the CDF only near crossings."""
     return _all_points_w1
+
+
+# ---- the limiting objects, drawn directly ------------------------------------------
+
+
+def _maybe_weight(spec, rng):
+    return float(spec.quantile(rng.random())) if spec is not None else np.nan
+
+
+def sample_limit_tree(W, spec, mu_e, mu_v, depth, rng, max_nodes=DEFAULT_NODE_BUDGET):
+    """Draw the depth-``depth`` cut of the delayed Galton-Watson tree.
+
+    The root of type W has Poi(W) children; every other individual draws its
+    type What from the size-biased law and then has Poi(What) children.  The
+    oracle of the limit law that coupling stage 3 redraws into.
+    """
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    biased = spec.size_biased()
+    tree = RootedWeightedTree(W, depth, _maybe_weight(mu_v, rng))
+    frontier = [(0, float(W))]  # (node id, offspring mean)
+    for d in range(depth):
+        nxt = []
+        for node, mean in frontier:
+            k = rng.poisson(mean)
+            if tree.node_count + k > max_nodes:
+                raise TreeBudgetExceeded(f"limit tree exceeded {max_nodes} nodes")
+            for _ in range(k):
+                what = float(biased.quantile(rng.random()))
+                child = tree.add_child(node, what, _maybe_weight(mu_e, rng),
+                                       _maybe_weight(mu_v, rng))
+                nxt.append((child, what))
+        frontier = nxt
+    return tree
+
+
+def sample_intermediate_tree(weights, v, depth, rng, max_nodes=DEFAULT_NODE_BUDGET):
+    """Draw the n-type intermediate tree rooted at vertex v.
+
+    Node labels are the graph vertex ids the types came from.  The tree grows
+    with ``limit_trees.grow_intermediate``, the grower that coupling stage 1
+    uses for what it leaves detached.
+    """
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    tree = RootedWeightedTree(weights.W[v], depth, root_label=int(v))
+    grow_intermediate(tree, [0], weights.size_biased, rng, max_nodes)
+    return tree
+
+
+# ---- exact 1-Wasserstein distances ---------------------------------------------------
+
+
+def wasserstein_1d(a, b):
+    """Exact 1-Wasserstein distance via the inverse-CDF coupling.
+
+    ``a`` is either a 1-d sample (uniform empirical masses), which goes
+    through ``weights._wasserstein_weighted_sample``, or a WeightSpec.
+    Discrete/discrete pairs are summed exactly over merged CDF breakpoints;
+    pairs involving a gamma law integrate |F_a - F_b| by adaptive quadrature.
+    """
+    if not isinstance(b, WeightSpec):
+        raise ValueError(f"unsupported Wasserstein combination: second argument "
+                         f"must be a WeightSpec, got {type(b).__name__}")
+    if isinstance(a, WeightSpec):
+        return _wasserstein_spec_spec(a, b)
+    sample = np.asarray(a, dtype=float)
+    if sample.ndim != 1 or sample.size == 0:
+        raise ValueError("sample must be a non-empty 1-d array")
+    masses = np.full(sample.size, 1.0 / sample.size)
+    return _wasserstein_weighted_sample(np.sort(sample), masses, b)
+
+
+def _wasserstein_spec_spec(a, b):
+    discrete = {"constant", "finite"}
+    if a.family in discrete and b.family in discrete:
+        va, pa = _as_discrete(a)
+        vb, pb = _as_discrete(b)
+        # merge the CDF breakpoints of both laws and sum |Qa - Qb| segment-wise
+        cuts = np.unique(np.concatenate((np.cumsum(pa), np.cumsum(pb), [0.0, 1.0])))
+        cuts = cuts[(cuts >= 0.0) & (cuts <= 1.0)]
+        mid = (cuts[:-1] + cuts[1:]) / 2.0
+        qa = a.quantile(mid)
+        qb = b.quantile(mid)
+        return float(np.sum(np.abs(qa - qb) * np.diff(cuts)))
+    if a.family == "gamma" or b.family == "gamma":
+        from scipy.integrate import quad
+
+        top = max(_upper_support(a), _upper_support(b))
+        val, _ = quad(lambda x: abs(float(a.cdf(x)) - float(b.cdf(x))), 0.0, top,
+                      limit=200)
+        return float(val)
+    raise ValueError(f"unsupported Wasserstein combination: {a.family}/{b.family}")
+
+
+def _upper_support(spec):
+    if spec.family == "constant":
+        return spec.c
+    if spec.family == "finite":
+        return max(spec.values)
+    return float(spec.quantile(1.0 - 1e-13))

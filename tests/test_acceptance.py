@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import INTERMEDIATE_TAG, stage1_rng
+from conftest import INTERMEDIATE_TAG, sample_intermediate_tree, stage1_rng
 from sparselocal.bounds import BoundParams, VertexSetSummary, epsilon_v_bound, \
     default_k_n, degree_moment_bound, mean_pweight_bound, not_tree_bound, vertex_in_ball_bound
 from sparselocal.coupling import (CouplingConfig, couple_full,
@@ -22,7 +22,7 @@ from sparselocal.coupling import (CouplingConfig, couple_full,
 from sparselocal.explore import explore
 from sparselocal.graph import PerturbationSet, perturb, sample_graph
 from sparselocal.harness import ExperimentConfig, clt_experiment
-from sparselocal.limit_trees import rde_fixed_point, sample_intermediate_tree
+from sparselocal.limit_trees import rde_fixed_point
 from sparselocal.matching import (delta_N, dependent_edge_sum, h_k, matching_value,
                                   max_weight_matching)
 from sparselocal.rng import parse_seed, stream_rng
@@ -311,7 +311,7 @@ def test_criterion_09_clt_trend_edge_sum():
 def test_criterion_10_rde_gap_collapse():
     t0 = time.time()
     pop_size, iters = 100_000, 30
-    _, diag = rde_fixed_point(WeightSpec("constant", c=0.5), pop_size, iters, SEED)
+    diag = rde_fixed_point(WeightSpec("constant", c=0.5), pop_size, iters, SEED)
     band = 2 * 2.0 / np.sqrt(pop_size)
     running_min = diag.gaps[0]
     monotone = True

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import INTERMEDIATE_TAG, REPAIR_TAG, stage1_rng
+from conftest import (INTERMEDIATE_TAG, REPAIR_TAG, sample_intermediate_tree,
+                      sample_limit_tree, stage1_rng)
 from sparselocal.bounds import (BoundParams, VertexSetSummary, default_k_n,
                                 intermediate_coupling_bound, limit_redraw_bound,
                                 repeat_probability_bound)
@@ -15,7 +16,6 @@ from sparselocal.coupling import (BREAK_REPEAT, BREAK_WEIGHT, CouplingConfig,
                                   repair_independence)
 from sparselocal.explore import explore, is_tree, to_rooted_tree
 from sparselocal.graph import sample_graph
-from sparselocal.limit_trees import sample_intermediate_tree
 from sparselocal.rng import stream_rng
 from sparselocal.trees import canonical_code
 from sparselocal.weights import (EmpiricalWeights, WeightSpec, moments,
@@ -330,9 +330,9 @@ def test_constant_law_never_redraws():
     rng = stream_rng(SEED, 0, 9)
     for t in range(150):
         it = sample_intermediate_tree(w, 3, 2, rng=rng)
-        lt, ok, lvl = couple_intermediate_to_limit(it, law, WeightSpec("constant", c=1.5),
-                                                   rng=rng)
-        assert ok and lvl is None
+        lt, lvl = couple_intermediate_to_limit(it, law, WeightSpec("constant", c=1.5),
+                                               rng=rng)
+        assert lvl is None
         assert lt.node_count == it.node_count
 
 
@@ -342,7 +342,7 @@ def test_root_type_preserved():
     rng = stream_rng(SEED, 0, 10)
     for t in range(100):
         it = sample_intermediate_tree(w, 7, 2, rng=rng)
-        lt, _, _ = couple_intermediate_to_limit(it, law, GAMMA, rng=rng)
+        lt, _ = couple_intermediate_to_limit(it, law, GAMMA, rng=rng)
         assert lt.type_w[0] == w.W[7]
 
 
@@ -355,8 +355,8 @@ def test_limit_redraw_rate_below_bound():
     fails = 0
     for t in range(reps):
         it = sample_intermediate_tree(w, 3, ell, rng=rng)
-        _, ok, _ = couple_intermediate_to_limit(it, law, GAMMA, rng=rng)
-        fails += 0 if ok else 1
+        _, lvl = couple_intermediate_to_limit(it, law, GAMMA, rng=rng)
+        fails += lvl is not None
     rate = fails / reps
     params = BoundParams.from_summary(n, ell, summ, GAMMA, k_n=default_k_n(n))
     bound = limit_redraw_bound(params, VertexSetSummary.of(w, [3]))
@@ -366,8 +366,6 @@ def test_limit_redraw_rate_below_bound():
 
 def test_limit_tree_marginal_after_coupling():
     # the redraw output pooled over replicas is the limit tree law
-    from sparselocal.limit_trees import sample_limit_tree
-
     n, reps = 600, 2500
     w = sample_empirical_weights(GAMMA, n, SEED)
     law = w.size_biased
@@ -375,7 +373,7 @@ def test_limit_tree_marginal_after_coupling():
     coupled, direct = [], []
     for t in range(reps):
         it = sample_intermediate_tree(w, 3, 2, rng=rng)
-        lt, _, _ = couple_intermediate_to_limit(it, law, GAMMA, rng=rng)
+        lt, _ = couple_intermediate_to_limit(it, law, GAMMA, rng=rng)
         coupled.append(lt.node_count)
         direct.append(sample_limit_tree(float(w.W[3]), GAMMA, None, None, 2,
                                         rng=rng).node_count)

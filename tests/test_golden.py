@@ -12,12 +12,11 @@ import os
 
 import pytest
 
-from conftest import INTERMEDIATE_TAG
+from conftest import INTERMEDIATE_TAG, sample_intermediate_tree
 from sparselocal.bounds import default_k_n
 from sparselocal.cli import main
 from sparselocal.coupling import CouplingConfig, couple_full
 from sparselocal.graph import sample_graph
-from sparselocal.limit_trees import sample_intermediate_tree
 from sparselocal.rng import stream_rng
 from sparselocal.trees import canonical_code
 from sparselocal.weights import WeightSpec, sample_empirical_weights

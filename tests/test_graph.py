@@ -27,7 +27,8 @@ def test_no_self_loops_and_symmetry():
     g = sample_graph(w, SEED, 0)
     assert np.all(g.edge_u < g.edge_v)
     for u, v in zip(g.edge_u[:50], g.edge_v[:50]):
-        assert g.has_edge(int(u), int(v)) and g.has_edge(int(v), int(u))
+        assert g.edge_indicator(int(u), int(v)) == g.edge_indicator(int(v), int(u)) == 1
+        assert g.edge_indicator(int(u), int(u)) == 0
 
 
 def test_determinism_same_stream():

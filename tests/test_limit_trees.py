@@ -6,10 +6,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import INTERMEDIATE_TAG, LIMIT_TAG, RDE_TAG
-from sparselocal.limit_trees import (Population, TreeBudgetExceeded,
-                                     population_w1, rde_apply, rde_fixed_point,
-                                     sample_intermediate_tree, sample_limit_tree)
+from conftest import (INTERMEDIATE_TAG, LIMIT_TAG, RDE_TAG, sample_intermediate_tree,
+                      sample_limit_tree)
+from sparselocal.limit_trees import (Population, TreeBudgetExceeded, population_w1,
+                                     rde_apply, rde_fixed_point)
 from sparselocal.rng import stream_rng
 from sparselocal.weights import WeightSpec, sample_empirical_weights
 
@@ -86,6 +86,15 @@ def test_node_budget():
     with pytest.raises(TreeBudgetExceeded):
         sample_limit_tree(5.0, WeightSpec("constant", c=5.0), None, None, 10,
                           stream_rng(SEED, 0, LIMIT_TAG), max_nodes=50)
+
+
+def test_intermediate_node_budget():
+    # grow_intermediate is the grower of coupling stage 1: on a supercritical
+    # law (Poi(5) children per node) a depth-10 tree passes 50 nodes
+    w = sample_empirical_weights(WeightSpec("constant", c=5.0), 200, SEED)
+    with pytest.raises(TreeBudgetExceeded, match="intermediate tree exceeded 50 nodes"):
+        sample_intermediate_tree(w, 0, 10, stream_rng(SEED, 0, INTERMEDIATE_TAG),
+                                 max_nodes=50)
 
 
 def test_expected_node_count_bound():
@@ -174,7 +183,7 @@ def rde_all_iterates(spec, pop_size, iterations, seed):
                          ids=["constant", "finite"])
 @pytest.mark.parametrize("iterations", [1, 7, 8])
 def test_rde_fixed_point_matches_all_iterates(spec, iterations):
-    _, diag = rde_fixed_point(spec, 1500, iterations, SEED)
+    diag = rde_fixed_point(spec, 1500, iterations, SEED)
     gaps, even, odd = rde_all_iterates(spec, 1500, iterations, SEED)
     assert diag.gaps == gaps
     assert np.array_equal(diag.final_even.particles, even)
@@ -206,7 +215,7 @@ def test_rde_antitone_in_input():
 
 def test_rde_first_iterate_matches_apply():
     spec = WeightSpec("constant", c=0.5)
-    _, diag = rde_fixed_point(spec, 2000, 2, SEED)
+    diag = rde_fixed_point(spec, 2000, 2, SEED)
     direct = rde_apply(Population(np.zeros(2000)), spec, stream_rng(SEED, 0, RDE_TAG))
     assert np.array_equal(np.sort(diag.final_odd.particles),
                           np.sort(direct.particles))
@@ -214,7 +223,7 @@ def test_rde_first_iterate_matches_apply():
 
 def test_rde_gap_sequence():
     spec = WeightSpec("constant", c=0.5)
-    _, diag = rde_fixed_point(spec, 10_000, 14, SEED)
+    diag = rde_fixed_point(spec, 10_000, 14, SEED)
     band = 2 * 2.0 / np.sqrt(10_000)
     running_min = diag.gaps[0]
     for g in diag.gaps[1:]:

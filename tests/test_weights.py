@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from scipy import special
 
 import sparselocal
+from conftest import wasserstein_1d
 from sparselocal.weights import (_W1_BLOCK, EmpiricalWeights, WeightSpec,
                                  _wasserstein_weighted_sample, moments,
-                                 sample_empirical_weights, wasserstein_1d)
+                                 sample_empirical_weights)
 
 SEED = (2024, 7)
 
@@ -463,6 +464,23 @@ def test_weighted_sample_w1_takes_the_cdf_near_crossings_only(all_points_w1, mon
         got = _wasserstein_weighted_sample(values, masses, target)
         assert sum(points) < n // 3
         assert got == all_points_w1(values, masses, target)
+
+
+@pytest.mark.parametrize("spec", [WeightSpec("gamma", shape=2.0, scale=1.0),
+                                  WeightSpec("finite", values=(1.5, 2.5), probs=(0.5, 0.5)),
+                                  WeightSpec("constant", c=2.0)],
+                         ids=["gamma", "finite", "constant"])
+def test_weighted_sample_w1_clips_masses_that_pass_one_early(all_points_w1, spec):
+    # rounding can carry the cumulative masses past 1 before the last step:
+    # here they are (0.5, 1 + 2^-52, 1 + 2^-52); clipped at 1, the steps are
+    # those of the masses (0.5, 0.5, 0), where a gamma law read nan unclipped
+    s = np.array([1.0, 2.0, 3.0])
+    over = np.array([0.5, 0.5 + 2.0 ** -52, 2.0 ** -60])
+    assert np.cumsum(over)[1] > 1.0
+    got = _wasserstein_weighted_sample(s, over, spec)
+    assert np.isfinite(got)
+    assert got == _wasserstein_weighted_sample(s, np.array([0.5, 0.5, 0.0]), spec)
+    assert got == all_points_w1(s, over, spec)
 
 
 def test_wasserstein_unsupported_pair():
