@@ -14,14 +14,16 @@ and the weights in that order.  A graph then spends per bucket pair just
 the two generator calls the stream needs, the geometric gaps and one
 thinning uniform per candidate (a long run takes a few more gap blocks).
 Candidates of consecutive pairs are batched and handled in one vectorised
-pass once the batch holds ``_FLUSH`` candidates: each candidate is unranked
-to its two slots of the bucket order and thinned on the weights there,
-whose gathers run nearly in order, and only the kept ones, about half at
-n = 1e6, are mapped to vertices.  The many tiny pairs of a small graph cost
-one pass, and the temporaries of a large graph are those of one batch, not
-of all candidates.  The kept edges travel as packed keys u*n + v, one sort
-puts them in order, and the graph keeps the sorted endpoints it is handed,
-so no unsorted copy of the edge list lives through the CSR build.
+pass once the batch holds ``_FLUSH`` candidates; a pair that draws that
+many alone is its own batch and is unranked with its scalar offsets, no
+per-candidate gathers.  Each candidate is unranked to its two slots of the
+bucket order and thinned on the weights there, whose gathers run nearly in
+order, and only the kept ones, about half at n = 1e6, are mapped to
+vertices.  The many tiny pairs of a small graph cost one pass, and the
+temporaries of a large graph are those of one batch, not of all
+candidates.  The batches keep their edges as int32 vertex pairs; at the end
+both arcs u*n + v and v*n + u of every edge are packed into one array, and
+one sort of those 2m keys is the whole adjacency structure the graph keeps.
 
 Everything that is not the realized edge set -- replacement indicators X',
 decorative vertex/edge weights w, w' and the coupling auxiliaries -- is a
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,20 +78,25 @@ class WeightedGraph:
     """Realized sparse graph plus deterministic lazy access to all sites.
 
     Immutable after construction; replicate-level parallelism uses distinct
-    stream ids.  ``edge_u``/``edge_v`` hold the endpoints u < v of each edge
-    in any order; int64 arrays already sorted by (u, v) are kept, not
-    copied, so the caller must not write to them afterwards.
-    ``flipped_edges``/``flipped_vertices`` record the sites of a
-    perturbation G^F: flipped edge indicators are already baked into the
-    adjacency, flipped weight sites transparently read the replacement
+    stream ids.  The graph keeps one adjacency array, ``arcs``: each edge
+    {u, v} stored twice, as the keys u*n + v and v*n + u, sorted.  The row
+    of v is the run of keys in [v*n, (v + 1)*n), found by two binary
+    searches, so it comes out ascending.  ``edge_u``/``edge_v``, the
+    endpoints u < v of each edge in (u, v) order, are the forward arcs,
+    split off on first use.  The constructor takes the endpoints in any
+    order and packs and sorts the arcs; ``sample_graph`` hands over arcs it
+    has already sorted.  ``flipped_edges``/``flipped_vertices`` record the
+    sites of a perturbation G^F: flipped edge indicators are already baked
+    into the arcs, flipped weight sites transparently read the replacement
     stream.
     """
 
     def __init__(self, weights: EmpiricalWeights, seed: tuple[int, int], stream: int,
-                 edge_u: np.ndarray, edge_v: np.ndarray,
+                 edge_u: np.ndarray | None, edge_v: np.ndarray | None,
                  mu_v: WeightSpec | None = None, mu_e: WeightSpec | None = None,
                  flipped_edges: frozenset = frozenset(),
-                 flipped_vertices: frozenset = frozenset()):
+                 flipped_vertices: frozenset = frozenset(), *,
+                 _arcs: np.ndarray | None = None):
         self.weights = weights
         self.n = weights.n
         self.theta = weights.theta
@@ -99,56 +107,62 @@ class WeightedGraph:
         self.flipped_edges = flipped_edges
         self.flipped_vertices = flipped_vertices
         self._sites = SiteRandom(seed, stream)
-        n = np.int64(weights.n)
-        edge_u = np.asarray(edge_u, dtype=np.int64)
-        edge_v = np.asarray(edge_v, dtype=np.int64)
-        keys = edge_u * n
-        keys += edge_v
-        if np.all(keys[1:] > keys[:-1]):
-            # already in order, as sample_graph hands them over: keep them
-            self.edge_u, self.edge_v = edge_u, edge_v
-        else:
-            keys.sort()
-            self.edge_u, self.edge_v = np.divmod(keys, n)
-        del keys, edge_u, edge_v  # before the CSR build allocates its 2m keys
-        self._build_adjacency()
-
-    def _build_adjacency(self):
-        n = np.int64(self.n)
-        m = self.edge_u.size
-        counts = np.bincount(self.edge_u, minlength=self.n)
-        counts += np.bincount(self.edge_v, minlength=self.n)
-        self.indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.indptr[1:])
-        del counts
-        # one sort of the packed keys end*n + other orders the 2m endpoints by
-        # (end, other), so each row of indices comes out ascending
-        keys = np.empty(2 * m, dtype=np.int64)
-        np.multiply(self.edge_u, n, out=keys[:m])
-        keys[:m] += self.edge_v
-        np.multiply(self.edge_v, n, out=keys[m:])
-        keys[m:] += self.edge_u
-        keys.sort()
-        self.indices = np.remainder(keys, n, out=keys)
+        if _arcs is None:
+            edge_u = np.asarray(edge_u, dtype=np.int64)
+            _arcs = _pack_arcs(edge_u, np.asarray(edge_v, dtype=np.int64), np.int64(self.n),
+                               np.empty(2 * edge_u.size, dtype=np.int64))
+            _arcs.sort()
+        self.arcs = _arcs
 
     # ---- structure ------------------------------------------------------------
 
     @property
     def num_edges(self) -> int:
-        return int(self.edge_u.size)
+        return self.arcs.size // 2
+
+    @cached_property
+    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
+        n = np.int64(self.n)
+        end = self.arcs // n
+        other = self.arcs - end * n
+        forward = np.flatnonzero(end < other)  # sorted by (end, other): (u, v) order
+        return end[forward], other[forward]
+
+    @property
+    def edge_u(self) -> np.ndarray:
+        return self._edges[0]
+
+    @property
+    def edge_v(self) -> np.ndarray:
+        return self._edges[1]
+
+    def _check_vertex(self, v: int) -> None:
+        if not 0 <= v < self.n:
+            raise IndexError(f"vertex {v} out of range [0, {self.n})")
+
+    def _row(self, v: int) -> tuple[int, int]:
+        """Where the arcs of v start and end."""
+        self._check_vertex(v)
+        first = v * self.n
+        return (int(self.arcs.searchsorted(first)),
+                int(self.arcs.searchsorted(first + self.n)))
 
     def neighbors(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
+        start, stop = self._row(v)
+        return self.arcs[start:stop] - v * self.n
 
     def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
+        start, stop = self._row(v)
+        return stop - start
 
     def edge_indicator(self, u: int, v: int) -> int:
         """X_{uv}: 1 when {u, v} is an edge, else 0 (always 0 at u == v, as the
         graph has no self-loops)."""
-        row = self.neighbors(u)
-        i = np.searchsorted(row, v)
-        return int(i < row.size and row[i] == v)
+        self._check_vertex(u)
+        self._check_vertex(v)
+        key = u * self.n + v
+        i = int(self.arcs.searchsorted(key))
+        return int(i < self.arcs.size and self.arcs[i] == key)
 
     def replacement_edge_indicator(self, u, v):
         """X'_{uv} = 1{U' < p_uv}, a pure site function; vectorized."""
@@ -264,12 +278,19 @@ def sample_graph(weights: EmpiricalWeights, seed: tuple[int, int], stream: int =
     """Realize the edge set; expected O(n + edges) work, never n^2 memory."""
     plan = weights.bucket_plan
     gen = stream_rng(seed, stream, _GEN_TAG)
-    edges = [np.empty(0, dtype=np.int64)]  # so that the keys always concatenate
+    edges = []  # the kept vertex pairs of each batch
     pairs, positions, uniforms = [], [], []
     pending = 0
     for k, (pmax, total) in enumerate(plan.draws):
         pos = _bernoulli_positions(gen, total, pmax)
-        if pos.size:
+        if pos.size >= _FLUSH:
+            # a pair that fills a batch alone is mapped on its own; the batch
+            # holds the only reference to its positions, so they are freed
+            # once unranked
+            batch = [k], [pos], [gen.random(pos.size)]
+            del pos
+            edges.append(_map_and_thin(weights, *batch))
+        elif pos.size:
             pairs.append(k)
             positions.append(pos)
             uniforms.append(gen.random(pos.size))
@@ -279,55 +300,80 @@ def sample_graph(weights: EmpiricalWeights, seed: tuple[int, int], stream: int =
                 pending = 0
     if pending:
         edges.append(_map_and_thin(weights, pairs, positions, uniforms))
-    # the edges as packed keys u*n + v, sorted here, so that the graph keeps
-    # the endpoints it is given and no unsorted copy outlives this call
-    keys = np.concatenate(edges)
+    # both arcs of each edge, packed batch by batch into one array, so the
+    # batches keep 8 bytes per edge and no concatenated copy is made; one
+    # sort of the 2m keys is then the adjacency
+    n = np.int64(weights.n)
+    arcs = np.empty(2 * sum(u.size for u, _ in edges), dtype=np.int64)
+    end = 0
+    for u, v in edges:
+        _pack_arcs(u, v, n, arcs[end:end + 2 * u.size])
+        end += 2 * u.size
     del edges
-    keys.sort()
-    edge_u, edge_v = np.divmod(keys, np.int64(weights.n))
-    del keys
-    return WeightedGraph(weights, seed, stream, edge_u, edge_v, mu_v=mu_v, mu_e=mu_e)
+    arcs.sort()
+    return WeightedGraph(weights, seed, stream, None, None, mu_v=mu_v, mu_e=mu_e, _arcs=arcs)
 
 
 def _map_and_thin(weights: EmpiricalWeights, pairs: list[int], positions: list[np.ndarray],
-                  uniforms: list[np.ndarray]) -> np.ndarray:
+                  uniforms: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Keep each candidate of a batch with p_uv / pmax and map the kept ones to vertex pairs.
 
     ``positions[i]`` indexes the slot pairs of bucket pair ``pairs[i]``:
     the strict upper triangle in lexicographic order inside one bucket,
-    row-major across two; ``uniforms[i]`` are its thinning draws.  A
-    candidate is thinned on its two slots of the bucket order, and only the
-    kept ones are mapped through ``plan.order``.  The three lists are emptied
-    once concatenated, which frees the per-pair arrays.  Returns the kept
-    edges u < v as packed keys u*n + v.
+    row-major across two; ``uniforms[i]`` are its thinning draws.  A batch
+    of one pair is unranked with that pair's scalar offsets and bound; a
+    batch of many gathers them per candidate.  A candidate is thinned on
+    its two slots of the bucket order, and only the kept ones are mapped
+    through ``plan.order``.  The three lists are emptied once concatenated,
+    which frees the per-pair arrays.  Returns the endpoints of the kept
+    edges, as int32 vertex ids in no particular order within a pair.
     """
     plan = weights.bucket_plan
-    pair = np.repeat(pairs, [p.size for p in positions])
-    pos = np.concatenate(positions)
-    r = np.concatenate(uniforms)
-    del pairs[:], positions[:], uniforms[:]
-    cu = plan.start_a[pair]
-    cv = plan.start_b[pair]
-    same = plan.same[pair]
-    cross = ~same
-    rows, cols = np.divmod(pos[cross], plan.size_b[pair[cross]])
-    cu[cross] += rows
-    cv[cross] += cols
-    i, j = _unrank_triangle(pos[same], plan.size_a[pair[same]])
-    cu[same] += i
-    cv[same] += j
-    del pos
+    if len(pairs) == 1:
+        pair = pairs[0]
+        pos, r = positions[0], uniforms[0]
+        if plan.same[pair]:
+            cu, cv = _unrank_triangle(pos, plan.size_a[pair])
+        else:
+            cu, cv = np.divmod(pos, plan.size_b[pair])
+        cu += plan.start_a[pair]
+        cv += plan.start_b[pair]
+    else:
+        pair = np.repeat(pairs, [p.size for p in positions])
+        pos = np.concatenate(positions)
+        r = np.concatenate(uniforms)
+        cu = plan.start_a[pair]
+        cv = plan.start_b[pair]
+        same = plan.same[pair]
+        cross = ~same
+        rows, cols = np.divmod(pos[cross], plan.size_b[pair[cross]])
+        cu[cross] += rows
+        cv[cross] += cols
+        i, j = _unrank_triangle(pos[same], plan.size_a[pair[same]])
+        cu[same] += i
+        cv[same] += j
+    del pairs[:], positions[:], uniforms[:], pos
     # thin on the slots, where the weight gathers run nearly in order, and
     # map only the kept candidates to vertices
-    W = plan.weight
     r *= plan.pmax[pair]
-    accept = r < np.minimum(W[cu] * W[cv] / (weights.n * weights.theta), 1.0)
-    cu = plan.order[cu[accept]]
-    cv = plan.order[cv[accept]]
-    keys = np.minimum(cu, cv)
-    keys *= np.int64(weights.n)
-    keys += np.maximum(cu, cv)
-    return keys
+    p = plan.weight[cu]
+    p *= plan.weight[cv]
+    p /= weights.n * weights.theta
+    # the indices of the kept candidates, not a boolean mask: a mask that
+    # keeps about half at random makes each masked copy mispredict its branches
+    keep = np.flatnonzero(r < np.minimum(p, 1.0, out=p))
+    return plan.order[cu[keep]], plan.order[cv[keep]]
+
+
+def _pack_arcs(edge_u: np.ndarray, edge_v: np.ndarray, n: np.int64,
+               out: np.ndarray) -> np.ndarray:
+    """Write both arcs of each edge into ``out`` (2m int64): the keys u*n + v, then v*n + u."""
+    m = edge_u.size
+    np.multiply(edge_u, n, out=out[:m])
+    out[:m] += edge_v
+    np.multiply(edge_v, n, out=out[m:])
+    out[m:] += edge_u
+    return out
 
 
 def perturb(graph: WeightedGraph, sites: PerturbationSet) -> WeightedGraph:

@@ -268,7 +268,8 @@ def dependent_edge_sum(graph: WeightedGraph) -> float:
     if graph.num_edges == 0:
         return 0.0
     # one hash and quantile per vertex that an edge touches, gathered by endpoint
-    touched = np.flatnonzero(np.diff(graph.indptr))
+    touched = np.flatnonzero(np.bincount(graph.edge_u, minlength=graph.n)
+                             + np.bincount(graph.edge_v, minlength=graph.n))
     w = np.zeros(graph.n)
     w[touched] = graph.vertex_weight(touched)
     return float(np.sum(w[graph.edge_u]) + np.sum(w[graph.edge_v]))

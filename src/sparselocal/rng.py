@@ -29,38 +29,45 @@ REPLACEMENT = 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_M64 = 0xFFFFFFFFFFFFFFFF
 _U64 = np.uint64
 _BELOW_ONE = np.float64(1.0 - 2.0 ** -53)  # the largest double below 1
 
 
 def _mix(h):
-    """splitmix64 finalizer; h is uint64 scalar or array (wrapping is intended)."""
-    with np.errstate(over="ignore"):
-        h = (h ^ (h >> _U64(30))) * _MIX1
-        h = (h ^ (h >> _U64(27))) * _MIX2
-        return h ^ (h >> _U64(31))
+    """splitmix64 finalizer on uint64 scalars or arrays.  It wraps, as
+    intended, so callers silence numpy's overflow warnings around it."""
+    h = (h ^ (h >> _U64(30))) * _MIX1
+    h = (h ^ (h >> _U64(27))) * _MIX2
+    return h ^ (h >> _U64(31))
 
 
 def _absorb(h, word):
-    with np.errstate(over="ignore"):
-        return _mix((h + _GOLDEN) ^ np.asarray(word, dtype=np.uint64))
+    return _mix((h + _GOLDEN) ^ np.asarray(word, dtype=np.uint64))
+
+
+def _absorb_int(h: int, word: int) -> int:
+    """:func:`_absorb` on Python ints, for the scalar prefix of a site key."""
+    h = ((h + int(_GOLDEN)) & _M64) ^ word
+    h = ((h ^ (h >> 30)) * int(_MIX1)) & _M64
+    h = ((h ^ (h >> 27)) * int(_MIX2)) & _M64
+    return h ^ (h >> 31)
 
 
 class SiteRandom:
     """Pure-function uniforms for the sites of one (seed, stream) replicate."""
 
     def __init__(self, seed: tuple[int, int], stream: int):
-        self.seed = (int(seed[0]) & 0xFFFFFFFFFFFFFFFF,
-                     int(seed[1]) & 0xFFFFFFFFFFFFFFFF)
+        self.seed = (int(seed[0]) & _M64, int(seed[1]) & _M64)
         self.stream = int(stream)
-        h = _absorb(np.uint64(self.seed[0]), self.seed[1])
-        self._base = _absorb(h, self.stream)
+        self._base = _absorb_int(_absorb_int(self.seed[0], self.seed[1]), self.stream & _M64)
 
     def _hash_words(self, kind, a, b, flag):
-        h = _absorb(self._base, kind)
-        h = _absorb(h, a)
-        h = _absorb(h, b)
-        return _absorb(h, flag)
+        h = np.uint64(_absorb_int(self._base, int(kind)))
+        with np.errstate(over="ignore"):
+            h = _absorb(h, a)
+            h = _absorb(h, b)
+            return _absorb(h, flag)
 
     def uniform(self, kind: int, a, b=0, flag=PRIMARY):
         """Uniform(0,1) for site (kind, a, b, flag); broadcasts over a, b and flag.

@@ -394,7 +394,11 @@ class EmpiricalWeights:
         # floor(log2 W) lies in [-1074, 1023] for a positive double, so int16
         # holds it, and numpy's stable argsort of int16 is an O(n) radix sort
         bucket = np.floor(np.log2(self.W)).astype(np.int16)
-        order = np.argsort(bucket, kind="stable")
+        # int32 vertex ids halve what the sampler keeps per edge until it
+        # packs the arcs
+        if self.n > np.iinfo(np.int32).max:
+            raise ValueError("the graph sampler needs n below 2^31")
+        order = np.argsort(bucket, kind="stable").astype(np.int32)
         sizes = np.bincount(bucket - bucket.min())
         sizes = sizes[sizes > 0]
         starts = np.cumsum(sizes) - sizes
@@ -415,8 +419,8 @@ class EmpiricalWeights:
 class BucketPlan:
     """Bucket pairs of one weight vector, in the order the graph sampler visits them.
 
-    ``order`` lists the vertices bucket by bucket, ascending inside each
-    bucket, and ``weight`` their weights in that order.  Pair k covers the
+    ``order`` lists the vertices (int32) bucket by bucket, ascending inside
+    each bucket, and ``weight`` their weights in that order.  Pair k covers the
     slots ``start_a[k]:][:size_a[k]]`` against ``start_b[k]:][:size_b[k]]``
     of that order (the strict upper triangle when ``same[k]``).
     ``draws[k]`` is its (pmax, total) as Python numbers, which the per-pair

@@ -113,19 +113,33 @@ def test_pairwise_edge_independence():
 # ---- adjacency arrays -------------------------------------------------------------------
 
 
-def _lexsort_csr(edge_u, edge_v, n):
-    """indptr and indices from a lexsort of the 2m endpoints by (end, other)."""
-    ends = np.concatenate((edge_u, edge_v))
-    other = np.concatenate((edge_v, edge_u))
+def _lexsort_rows(edge_u, edge_v, n):
+    """Each vertex's neighbours from a lexsort of the 2m endpoints by (end, other)."""
+    ends = np.concatenate((edge_u, edge_v)).astype(np.int64)
+    other = np.concatenate((edge_v, edge_u)).astype(np.int64)
     order = np.lexsort((other, ends))
-    counts = np.bincount(ends, minlength=n)
-    return np.concatenate(([0], np.cumsum(counts))).astype(np.int64), other[order]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=n))))
+    other = other[order]
+    return [other[bounds[v]:bounds[v + 1]] for v in range(n)]
 
 
-def _assert_csr_matches_lexsort(g):
-    indptr, indices = _lexsort_csr(g.edge_u, g.edge_v, g.n)
-    assert g.indptr.dtype == indptr.dtype and g.indices.dtype == indices.dtype
-    assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
+def _assert_rows_match_lexsort(g, edge_u, edge_v, every_pair):
+    """neighbors, degree and edge_indicator of every vertex against the oracle's rows;
+    edge_indicator on every pair, or on each row and its gaps."""
+    rows = _lexsort_rows(edge_u, edge_v, g.n)
+    for v, row in enumerate(rows):
+        got = g.neighbors(v)
+        assert got.dtype == np.int64 and np.array_equal(got, row), v
+        assert g.degree(v) == row.size
+        if every_pair:
+            probe = range(g.n)
+        else:
+            probe = {v, 0, g.n - 1, *row.tolist(), *(row - 1).tolist(), *(row + 1).tolist()}
+        for u in probe:
+            if 0 <= u < g.n:
+                assert g.edge_indicator(v, u) == int(u in row), (v, u)
+    assert g.num_edges == len(edge_u)
+    assert g.arcs.size == 2 * g.num_edges and np.all(g.arcs[1:] > g.arcs[:-1])
 
 
 @st.composite
@@ -141,22 +155,41 @@ def _edge_lists(draw):
 @example((1, []))
 @example((7, []))
 @example((9, [(0, 8), (2, 8), (2, 5)]))  # isolated vertices 1, 3, 4, 6, 7
-def test_csr_matches_lexsort_oracle(case):
+def test_rows_match_lexsort_oracle(case):
     n, pairs = case
     edge_u = np.array([u for u, _ in pairs], dtype=np.int64)
     edge_v = np.array([v for _, v in pairs], dtype=np.int64)
-    _assert_csr_matches_lexsort(WeightedGraph(er_weights(n), SEED, 0, edge_u, edge_v))
+    g = WeightedGraph(er_weights(n), SEED, 0, edge_u, edge_v)
+    _assert_rows_match_lexsort(g, edge_u, edge_v, every_pair=True)
+    assert sorted(pairs) == list(zip(g.edge_u.tolist(), g.edge_v.tolist()))
 
 
-def test_csr_matches_lexsort_oracle_on_sampled_graphs():
+def test_rows_match_lexsort_oracle_on_sampled_graphs():
     w = sample_empirical_weights(WeightSpec("gamma", shape=2.0, scale=1.0), 5000, SEED)
     for stream in range(3):
-        _assert_csr_matches_lexsort(sample_graph(w, SEED, stream))
-    _assert_csr_matches_lexsort(sample_graph(er_weights(1), SEED, 0))
+        g = sample_graph(w, SEED, stream)
+        _assert_rows_match_lexsort(g, g.edge_u, g.edge_v, every_pair=False)
+    g = sample_graph(er_weights(1), SEED, 0)
+    _assert_rows_match_lexsort(g, g.edge_u, g.edge_v, every_pair=True)
+
+
+def test_vertex_outside_the_graph_raises():
+    g = WeightedGraph(er_weights(3), SEED, 0, np.array([0]), np.array([2]))
+    for v in (-1, 3, -4):
+        with pytest.raises(IndexError):
+            g.neighbors(v)
+        with pytest.raises(IndexError):
+            g.degree(v)
+        with pytest.raises(IndexError):
+            g.edge_indicator(v, 0)
+        with pytest.raises(IndexError):
+            g.edge_indicator(0, v)
+    assert g.neighbors(2).tolist() == [0] and g.neighbors(1).size == 0
 
 
 def test_sample_graph_peak_memory_is_bounded_by_graph_size():
-    # the build's temporaries stay below 1.6 times the arrays the graph keeps
+    # the build's temporaries, bucket plan included, stay below 1.6 times the
+    # arcs the graph keeps; the lazy edge split is read only afterwards
     w = sample_empirical_weights(WeightSpec("gamma", shape=2.0, scale=1.0), 100_000, SEED)
     tracemalloc.start()
     try:
@@ -164,9 +197,7 @@ def test_sample_graph_peak_memory_is_bounded_by_graph_size():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    resident = sum(a.nbytes for a in (g.edge_u, g.edge_v, g.indptr, g.indices))
-    assert peak / resident <= 2.6
-
+    assert peak / g.arcs.nbytes <= 2.6
 
 
 _CONSTANT = WeightSpec("constant", c=5.0)
@@ -194,8 +225,30 @@ def test_sample_graph_equals_per_pair_oracle(per_pair_sample_graph, spec, n, str
     w = sample_empirical_weights(spec, n, SEED, stream=stream)
     got = sample_graph(w, SEED, stream)
     want = per_pair_sample_graph(w, SEED, stream)
-    for name in ("edge_u", "edge_v", "indptr", "indices"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(got.arcs, want.arcs)
+    assert np.array_equal(got.edge_u, want.edge_u) and np.array_equal(got.edge_v, want.edge_v)
+    for v in range(n):
+        assert np.array_equal(got.neighbors(v), want.neighbors(v)), v
+
+
+def test_a_pair_that_fills_a_batch_is_mapped_alone(per_pair_sample_graph, monkeypatch):
+    # the oracle test's n = 30,000 example: some bucket pair draws _FLUSH
+    # candidates or more and takes the scalar path of _map_and_thin
+    from sparselocal import graph
+
+    batches = []
+    map_and_thin = graph._map_and_thin
+
+    def spy(weights, pairs, positions, uniforms):
+        batches.append([p.size for p in positions])
+        return map_and_thin(weights, pairs, positions, uniforms)
+
+    monkeypatch.setattr(graph, "_map_and_thin", spy)
+    w = sample_empirical_weights(_GAMMA, 30_000, SEED, stream=5)
+    got = sample_graph(w, SEED, 5)
+    assert any(len(b) == 1 and b[0] >= graph._FLUSH for b in batches)
+    assert any(len(b) > 1 for b in batches)
+    assert np.array_equal(got.arcs, per_pair_sample_graph(w, SEED, 5).arcs)
 
 
 # ---- perturbation ---------------------------------------------------------------------

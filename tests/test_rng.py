@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from sparselocal import rng as srng
@@ -59,6 +61,42 @@ def test_vectorized_matches_scalar():
     vec = s.uniform(srng.KIND_VERTEX_WEIGHT, a)
     sca = np.array([s.uniform(srng.KIND_VERTEX_WEIGHT, int(x)) for x in a])
     assert np.array_equal(vec, sca)
+
+
+_U64_WORDS = st.integers(0, 2**64 - 1)
+
+
+def _numpy_site_hash(seed, stream, kind, a, b, flag):
+    """The site hash as every word through numpy uint64 splitmix64: the reference
+    that SiteRandom's Python-int prefix must reproduce bit for bit."""
+    golden = np.uint64(0x9E3779B97F4A7C15)
+    mix1, mix2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+
+    def absorb(h, word):
+        h = (h + golden) ^ np.asarray(word, dtype=np.uint64)
+        h = (h ^ (h >> np.uint64(30))) * mix1
+        h = (h ^ (h >> np.uint64(27))) * mix2
+        return h ^ (h >> np.uint64(31))
+
+    with np.errstate(over="ignore"):
+        h = np.uint64(seed[0])
+        for word in (seed[1], stream, kind, a, b, flag):
+            h = absorb(h, word)
+    return srng._unit_interval(h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.tuples(_U64_WORDS, _U64_WORDS), stream=_U64_WORDS, kind=_U64_WORDS,
+       a=st.lists(_U64_WORDS, min_size=1, max_size=5), b=_U64_WORDS,
+       flag=st.sampled_from([srng.PRIMARY, srng.REPLACEMENT]))
+def test_site_uniform_bits_equal_numpy_hash(seed, stream, kind, a, b, flag):
+    s = SiteRandom(seed, stream)
+    a = np.array(a, dtype=np.uint64)
+    got = s.uniform(kind, a, b, flag)
+    assert np.array_equal(got, _numpy_site_hash(seed, stream, kind, a, b, flag))
+    scalar = s.uniform(kind, int(a[0]), b, flag)
+    want = _numpy_site_hash(seed, stream, kind, int(a[0]), b, flag)
+    assert type(scalar) is type(want) and scalar == want
 
 
 def test_edge_uniform_symmetric():
