@@ -141,3 +141,22 @@ def test_coupled_tree_digest():
         digest.update(canonical_code(tree))
     assert digest.hexdigest() == ("d9a9e74e0f63d3390bfa1f852a9fd434"
                                   "c91f0801b9b2ad1d1f1de6d60e1be5dc")
+
+
+def test_coupled_tree_digest_with_vertex_and_edge_weights():
+    # the overlay of both weight laws: a fully coupled tree copies the graph's
+    # vertex and edge weights, a broken one draws both laws fresh, node by node
+    spec = WeightSpec("gamma", shape=2.0, scale=1.0)
+    mu_v = WeightSpec("finite", values=(0.5, 2.0), probs=(0.6, 0.4))
+    mu_e = WeightSpec("gamma", shape=1.0, scale=1.0)
+    seed = (0x5CA1AB1E, 1)
+    w = sample_empirical_weights(spec, 300, seed)
+    digest = hashlib.sha256()
+    for depth in (1, 2):
+        cfg = CouplingConfig(k_n=default_k_n(300), depth=depth)
+        for t in range(40):
+            graph = sample_graph(w, seed, t, mu_v=mu_v, mu_e=mu_e)
+            for out in couple_full(graph, [0, 1, 2], cfg, spec, mu_e, mu_v):
+                digest.update(canonical_code(out.tree) + repr(sorted(out.flags)).encode())
+    assert digest.hexdigest() == ("047eb185e9b8d293fece7c6144f15d60"
+                                  "b99d3a8a40ace19afde38a74d193a4c2")
