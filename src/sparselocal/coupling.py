@@ -33,7 +33,7 @@ from .graph import WeightedGraph
 from .limit_trees import DEFAULT_NODE_BUDGET, grow_intermediate
 from .rng import stream_rng
 from .trees import RootedWeightedTree
-from .weights import EmpiricalSizeBiased, WeightSpec, _as_discrete
+from .weights import EmpiricalSizeBiased, WeightSpec
 
 _COUPLE_TAG = 31
 
@@ -43,9 +43,8 @@ BREAK_COMPLETED = "CompletedCollision"
 BREAK_OVERFLOW = "SizeOverflow"
 BREAK_REPEAT = "TypeRepeat"
 BREAK_REDRAW = "WassersteinRedraw"
-BREAK_WEIGHT = "WeightMismatch"
 BREAK_REASONS = (BREAK_X_NEQ_Z, BREAK_ACTIVE, BREAK_COMPLETED, BREAK_OVERFLOW,
-                 BREAK_REPEAT, BREAK_REDRAW, BREAK_WEIGHT)
+                 BREAK_REPEAT, BREAK_REDRAW)
 
 
 @dataclass(frozen=True)
@@ -338,41 +337,14 @@ def couple_intermediate_to_limit(tree: RootedWeightedTree, law: EmpiricalSizeBia
 # ---- weight overlay and the full pipeline -------------------------------------------
 
 
-def _tv_coupled_value(x: float, spec_n: WeightSpec, spec: WeightSpec,
-                      rng: np.random.Generator) -> tuple[float, bool]:
-    """Keep x with the maximal-coupling probability, else draw from the excess."""
-    x = float(x)
-    if spec_n == spec:
-        return x, True
-    vn, pn = _as_discrete(spec_n)
-    v, p = _as_discrete(spec)
-    fn = float(pn[vn == x].sum())
-    f = float(p[v == x].sum())
-    if fn <= 0:
-        raise ValueError("observed weight outside its own support")
-    if rng.random() < min(fn, f) / fn:
-        return x, True
-    excess = np.array([max(float(p[v == s].sum()) - float(pn[vn == s].sum()), 0.0)
-                       for s in v])
-    excess = excess / excess.sum()
-    return float(rng.choice(v, p=excess)), False
-
-
 def couple_full(graph: WeightedGraph, roots: list[int], cfg: CouplingConfig,
-                spec: WeightSpec, mu_e: WeightSpec | None, mu_v: WeightSpec | None,
-                mu_e_n: WeightSpec | None = None, mu_v_n: WeightSpec | None = None
-                ) -> list[CouplingOutcome]:
+                spec: WeightSpec) -> list[CouplingOutcome]:
     """Full pipeline: joint exploration, repair, limit redraw, weight overlay.
 
     Every stage draws from one generator keyed from the graph's (seed, stream).
-    mu_e_n/mu_v_n default to the limit laws mu_e/mu_v (no total-variation
-    penalty); when they differ, shared sites keep the graph's weight with the
-    maximal-coupling probability and flag WeightMismatch otherwise.
+    The overlay takes the weight laws mu_e and mu_v the graph was sampled with.
     """
     rng = stream_rng(graph.seed, graph.stream, _COUPLE_TAG)
-    mu_e_n = mu_e_n if mu_e_n is not None else mu_e
-    mu_v_n = mu_v_n if mu_v_n is not None else mu_v
-
     stage1 = [couple_neighbourhood_to_intermediate(graph, r, cfg, rng) for r in roots]
     law = graph.weights.size_biased
     repaired = repair_independence(stage1, law, rng)
@@ -382,39 +354,27 @@ def couple_full(graph: WeightedGraph, roots: list[int], cfg: CouplingConfig,
         res = replace(out, tree=limit, flags=set(out.flags))
         if level is not None:
             res.record_break(level, BREAK_REDRAW)
-        _overlay_weights(res, graph, mu_e, mu_v, mu_e_n, mu_v_n, rng)
+        _overlay_weights(res, graph, rng)
         final.append(res)
     return final
 
 
 def _overlay_weights(outcome: CouplingOutcome, graph: WeightedGraph,
-                     mu_e: WeightSpec | None, mu_v: WeightSpec | None,
-                     mu_e_n: WeightSpec | None, mu_v_n: WeightSpec | None,
                      rng: np.random.Generator) -> None:
     """Copy graph weights onto the tree where the coupling holds end to end.
 
     A fully coupled tree is the ball node for node, and each node's label is
     the graph vertex it stands for, so its shared sites receive exactly the
     graph's weights; otherwise the tree gets fresh i.i.d. weights, keeping
-    its marginal law intact.  Whether the outcome is coupled is read once,
-    before a WeightMismatch recorded here can clear ``outcome.ok``.  A law
-    that is None draws nothing.
+    its marginal law intact.  A law the graph lacks draws nothing.
     """
     tree = outcome.tree
     labels = tree.labels
-    coupled = outcome.ok
-
-    def draw(node, law_n, law, observe, *site):
-        if not coupled:
-            return float(law.quantile(rng.random()))
-        w, same = _tv_coupled_value(observe(*site), law_n, law, rng)
-        if not same:
-            outcome.record_break(tree.node_depth[node], BREAK_WEIGHT)
-        return w
-
+    mu_v, mu_e = graph.mu_v, graph.mu_e
     for node in range(tree.node_count):
         if mu_v is not None:
-            tree.vertex_w[node] = draw(node, mu_v_n, mu_v, graph.vertex_weight, labels[node])
+            tree.vertex_w[node] = (graph.vertex_weight(labels[node]) if outcome.ok
+                                   else float(mu_v.quantile(rng.random())))
         if node != 0 and mu_e is not None:
-            tree.edge_w[node] = draw(node, mu_e_n, mu_e, graph.edge_weight,
-                                     labels[tree.parent[node]], labels[node])
+            tree.edge_w[node] = (graph.edge_weight(labels[tree.parent[node]], labels[node])
+                                 if outcome.ok else float(mu_e.quantile(rng.random())))

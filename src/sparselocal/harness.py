@@ -246,7 +246,7 @@ def _coupling_replica(weights, seed, couplings, spec, mu_v, mu_e, roots, stream:
     try:
         graph = sample_graph(weights, seed, stream, mu_v=mu_v, mu_e=mu_e)
         return [[(o.root, o.ok, o.break_level, o.break_reason)
-                 for o in couple_full(graph, list(roots), cfg, spec, mu_e, mu_v)]
+                 for o in couple_full(graph, list(roots), cfg, spec)]
                 for cfg in couplings]
     except Exception as exc:
         raise ReplicaFailure(f"replica {stream}: {exc}") from exc

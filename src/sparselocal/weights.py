@@ -624,11 +624,3 @@ def _cdf_near_crossings(s, lo, hi, spec):
     near = np.repeat(~(up | down), sizes)
     f[near] = spec.cdf(s[near])
     return f
-
-
-def _as_discrete(spec: WeightSpec):
-    if spec.family == "gamma":
-        raise ValueError("the maximal coupling needs finite or constant laws, not gamma")
-    if spec.family == "constant":
-        return np.array([spec.c]), np.array([1.0])
-    return np.asarray(spec.values), np.asarray(spec.probs)

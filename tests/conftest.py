@@ -8,7 +8,7 @@ from sparselocal.limit_trees import (DEFAULT_NODE_BUDGET, TreeBudgetExceeded,
                                      grow_intermediate)
 from sparselocal.rng import stream_rng
 from sparselocal.trees import RootedWeightedTree
-from sparselocal.weights import WeightSpec, _as_discrete, _wasserstein_weighted_sample
+from sparselocal.weights import WeightSpec, _wasserstein_weighted_sample
 
 # The purpose tags that the seeded sampler tests key their generators with,
 # so that each test keeps the draws its bounds and tolerances were set on.
@@ -335,6 +335,13 @@ def wasserstein_1d(a, b):
         raise ValueError("sample must be a non-empty 1-d array")
     masses = np.full(sample.size, 1.0 / sample.size)
     return _wasserstein_weighted_sample(np.sort(sample), masses, b)
+
+
+def _as_discrete(spec):
+    """(atoms, masses) of a constant or finite law."""
+    if spec.family == "constant":
+        return np.array([spec.c]), np.array([1.0])
+    return np.asarray(spec.values), np.asarray(spec.probs)
 
 
 def _wasserstein_spec_spec(a, b):

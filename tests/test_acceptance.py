@@ -188,7 +188,7 @@ def test_criterion_06_break_rate_dominated_by_epsilon():
                 bad = 0
                 for t in range(reps):
                     g = sample_graph(w, SEED, t)
-                    outs = couple_full(g, [0, 1], cfg, spec, None, None)
+                    outs = couple_full(g, [0, 1], cfg, spec)
                     bad += 0 if all(o.ok for o in outs) else 1
                 rate = bad / reps
                 params = BoundParams.from_summary(n, ell, summ, spec, k_n=cfg.k_n)

@@ -9,8 +9,8 @@ from conftest import (INTERMEDIATE_TAG, REPAIR_TAG, sample_intermediate_tree,
 from sparselocal.bounds import (BoundParams, VertexSetSummary, default_k_n,
                                 intermediate_coupling_bound, limit_redraw_bound,
                                 repeat_probability_bound)
-from sparselocal.coupling import (BREAK_REPEAT, BREAK_WEIGHT, CouplingConfig,
-                                  couple_full, couple_intermediate_to_limit,
+from sparselocal.coupling import (BREAK_REPEAT, CouplingConfig, couple_full,
+                                  couple_intermediate_to_limit,
                                   couple_neighbourhood_to_intermediate,
                                   poisson_cdf_interval, poisson_icdf,
                                   repair_independence)
@@ -25,13 +25,6 @@ SEED = (404, 202)
 ER1 = WeightSpec("constant", c=1.0)
 GAMMA = WeightSpec("gamma", shape=2.0, scale=1.0)
 FINITE = WeightSpec("finite", values=(0.5, 2.0), probs=(0.6, 0.4))
-
-
-def tv_distance(a, b):
-    """Total-variation distance between two finite weight laws."""
-    pa = dict(zip(a.values, a.probs))
-    pb = dict(zip(b.values, b.probs))
-    return 0.5 * sum(abs(pa.get(x, 0.0) - pb.get(x, 0.0)) for x in set(pa) | set(pb))
 
 
 def test_poisson_icdf_matches_scipy():
@@ -392,7 +385,7 @@ def test_full_pipeline_shared_weights_isomorphic():
     ok_seen = 0
     for t in range(250):
         g = sample_graph(w, SEED, t, mu_v=mu_v, mu_e=mu_e)
-        outs = couple_full(g, [0, 1], cfg, ER1, mu_e, mu_v)
+        outs = couple_full(g, [0, 1], cfg, ER1)
         for o in outs:
             if o.ok and is_tree(o.neighbourhood):
                 nb_tree = to_rooted_tree(o.neighbourhood, w,
@@ -413,7 +406,7 @@ def test_full_pipeline_independence_chi_square():
     pairs = []
     for t in range(reps):
         g = sample_graph(w, SEED, t)
-        outs = couple_full(g, [0, 1], cfg, ER1, None, None)
+        outs = couple_full(g, [0, 1], cfg, ER1)
         pairs.append(tuple(canonical_code(o.tree, with_types=False) for o in outs))
     codes = [c for p in pairs for c in p]
     top = [c for c, _ in
@@ -435,7 +428,7 @@ def test_total_break_rate_below_epsilon_v():
     bad = 0
     for t in range(reps):
         g = sample_graph(w, SEED, t)
-        outs = couple_full(g, [0, 1], cfg, GAMMA, None, None)
+        outs = couple_full(g, [0, 1], cfg, GAMMA)
         if not all(o.ok for o in outs):
             bad += 1
     rate = bad / reps
@@ -443,31 +436,6 @@ def test_total_break_rate_below_epsilon_v():
     bound = epsilon_v_bound(params, VertexSetSummary.of(w, [0, 1]))
     sig = np.sqrt(max(rate * (1 - rate), 1e-9) / reps)
     assert rate <= bound + 3 * sig
-
-
-def test_weight_mismatch_tv_coupling():
-    # unequal finite weight laws: mismatches occur at rate <= the tv term
-    n = 800
-    w = sample_empirical_weights(ER1, n, SEED)
-    mu_v_n = WeightSpec("finite", values=(1.0, 2.0), probs=(0.5, 0.5))
-    mu_v = WeightSpec("finite", values=(1.0, 2.0), probs=(0.4, 0.6))
-    d_tv = tv_distance(mu_v_n, mu_v)
-    assert d_tv == pytest.approx(0.1)
-    cfg = CouplingConfig(k_n=default_k_n(n), depth=1)
-    mismatches, total = 0, 0
-    for t in range(400):
-        g = sample_graph(w, SEED, t, mu_v=mu_v_n)
-        outs = couple_full(g, [0], cfg, ER1, None, mu_v, mu_v_n=mu_v_n)
-        total += 1
-        if any(BREAK_WEIGHT in o.flags for o in outs):
-            mismatches += 1
-    # expected ballpark: sites-per-ball * d_tv; just require the coupling to
-    # flag at a plausible nonzero rate and never on equal laws
-    assert 0 < mismatches < total
-    for t in range(100):
-        g = sample_graph(w, SEED, t, mu_v=mu_v)
-        outs = couple_full(g, [0], cfg, ER1, None, mu_v)
-        assert not any(BREAK_WEIGHT in o.flags for o in outs)
 
 
 @pytest.mark.parametrize("spec", [ER1, GAMMA, FINITE], ids=["er", "gamma", "finite"])
@@ -484,7 +452,7 @@ def test_fully_coupled_tree_carries_the_ball_labels(spec):
         cfg = CouplingConfig(k_n=default_k_n(n), depth=ell)
         for t in range(40):
             g = sample_graph(w, SEED, t, mu_v=mu_v, mu_e=mu_e)
-            for o in couple_full(g, [0, 1], cfg, spec, mu_e, mu_v):
+            for o in couple_full(g, [0, 1], cfg, spec):
                 if not o.ok:
                     continue
                 labels = o.tree.labels
@@ -498,16 +466,6 @@ def test_fully_coupled_tree_carries_the_ball_labels(spec):
     assert checked >= 100
 
 
-def test_tv_path_refuses_continuous_laws():
-    # the maximal coupling of two weight laws is only built for atoms
-    w = sample_empirical_weights(ER1, 50, SEED)
-    mu_v_n = WeightSpec("gamma", shape=2.0, scale=1.1)
-    g = sample_graph(w, SEED, 0, mu_v=mu_v_n)
-    with pytest.raises(ValueError, match="finite or constant"):
-        couple_full(g, [0], CouplingConfig(k_n=1e9, depth=0), ER1, None, GAMMA,
-                    mu_v_n=mu_v_n)
-
-
 def test_monotone_improvement_in_n():
     # empirical union break rate at fixed depth does not grow with n
     rates = []
@@ -518,7 +476,7 @@ def test_monotone_improvement_in_n():
         reps = 500
         for t in range(reps):
             g = sample_graph(w, SEED, t)
-            outs = couple_full(g, [0, 1], cfg, ER1, None, None)
+            outs = couple_full(g, [0, 1], cfg, ER1)
             bad += 0 if all(o.ok for o in outs) else 1
         rates.append(bad / reps)
     noise = 2 * np.sqrt(max(rates[0] * (1 - rates[0]), 1e-9) / 500)

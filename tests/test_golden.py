@@ -134,7 +134,7 @@ def test_coupled_tree_digest():
                 CouplingConfig(k_n=1e9, depth=2)):
         for t in range(40):
             graph = sample_graph(w, seed, t, mu_e=mu_e)
-            for out in couple_full(graph, [0, 1, 2], cfg, spec, mu_e, None):
+            for out in couple_full(graph, [0, 1, 2], cfg, spec):
                 digest.update(canonical_code(out.tree) + repr(sorted(out.flags)).encode())
     for t in range(40):
         tree = sample_intermediate_tree(w, 5, 3, stream_rng(seed, t, INTERMEDIATE_TAG))
@@ -156,7 +156,7 @@ def test_coupled_tree_digest_with_vertex_and_edge_weights():
         cfg = CouplingConfig(k_n=default_k_n(300), depth=depth)
         for t in range(40):
             graph = sample_graph(w, seed, t, mu_v=mu_v, mu_e=mu_e)
-            for out in couple_full(graph, [0, 1, 2], cfg, spec, mu_e, mu_v):
+            for out in couple_full(graph, [0, 1, 2], cfg, spec):
                 digest.update(canonical_code(out.tree) + repr(sorted(out.flags)).encode())
     assert digest.hexdigest() == ("047eb185e9b8d293fece7c6144f15d60"
                                   "b99d3a8a40ace19afde38a74d193a4c2")

@@ -66,8 +66,6 @@ NEVER_ENTERED = {
     ],
     "no item": [
         "trees.RootedWeightedTree.__repr__",  # for interactive use
-        # the weight-law mismatch of couple_full: no command passes mu_e_n or mu_v_n
-        "weights._as_discrete",
     ],
 }
 
