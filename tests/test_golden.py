@@ -60,7 +60,7 @@ CASES = {
     }),
     "couple-er": ("couple", "couple-er.json", 20, {
         "coupling.csv":
-            "5249075d775de189809d58b225050162f065a3a0b416f6cbb95c4387bc03121b",
+            "5ea1893e5a9ef73dfbd9a974969bf41cfe45fb775344bc91d1911b88c3120d0f",
         "coupling_outcomes.csv":
             "0740f987f0139f4e2b0072dd30730db6f23ee73ea384418255ba121fe0a5c58e",
     }),
@@ -82,7 +82,7 @@ CASES = {
     }),
     "couple-gamma": ("couple", COUPLE_GAMMA, 30, {
         "coupling.csv":
-            "1309eafe2a8924b917e5f5081e6d9825e16a0de72834259d138a1e54d4082f45",
+            "9b875238506aeb610b75a5a794ffba34219607148b9d069406024a39acda2a99",
         "coupling_outcomes.csv":
             "12065272e7a889d62db8065624133effa10e545033188a335ae49efeb3de64a8",
     }),
