@@ -11,7 +11,8 @@ graph weights, edge sums, couplings and W1 distances alike.  Shapes 1, 2 and 3
 (the shipped laws and their size-biased laws) are solved here, within 2 ulp,
 from IEEE arithmetic, sqrt, frexp/ldexp and scipy.special's log1p/expm1 only:
 numpy's exp, log, log1p, expm1 and ``**`` return bits that follow the SIMD
-code path numpy dispatches to on the CPU.  Other shapes use gammaincinv.
+code path numpy dispatches to on the CPU.  Other shapes bisect gammainc, so
+that their quantile is non-decreasing in u (gammaincinv's bits are not).
 
 The empirical side lives in :class:`EmpiricalWeights` (a realized weight
 vector together with the model constant theta = E[W]) and
@@ -26,7 +27,7 @@ and the 1-Wasserstein distances between the empirical laws and their limits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import special
@@ -112,7 +113,8 @@ class WeightSpec:
         A gamma law of shape 1, 2 or 3 takes :func:`_integer_gamma_quantile`:
         within 2 ulp of the exact quantile for u from 1e-300 up to 1 - 2^-53,
         0 at u = 0 and inf at u = 1, built only from operations whose bits do
-        not depend on the CPU.  Any other shape takes ``gammaincinv``.
+        not depend on the CPU.  Any other shape takes
+        :func:`_bisected_gamma_quantile`, the least double the CDF reaches u at.
         """
         u = np.asarray(u, dtype=float)
         if self.family == "constant":
@@ -123,7 +125,7 @@ class WeightSpec:
             return np.asarray(self.values)[np.minimum(idx, len(self.values) - 1)]
         if self.shape in (1.0, 2.0, 3.0):
             return self.scale * _integer_gamma_quantile(int(self.shape), u)
-        return self.scale * special.gammaincinv(self.shape, u)
+        return self.scale * _bisected_gamma_quantile(self.shape, u)
 
     def partial_quantile_integral(self, u):
         """G(u) = integral of the quantile function over (0, u], exact.
@@ -240,6 +242,59 @@ _LN2 = 0.6931471805599453
 # values per pass: a pass holds some twenty temporaries of its length, so a
 # million-value draw in one pass would hold some 160 MB
 _BLOCK = 8192
+_INF_BITS = int(np.float64(np.inf).view(np.int64))  # above the pattern of every finite double
+
+
+def _bisected_gamma_quantile(shape: float, u):
+    """Quantile of gamma(shape, 1) at u in [0, 1], non-decreasing in u.
+
+    The bit patterns of the doubles in [0, inf] are ordered as the doubles are,
+    and :func:`_bisect_bits` bisects them.  Below u = 1/2 the answer is the
+    least y with P(shape, y) >= u, from 0 up to the median m; from 1/2 on it is
+    the least y with Q(shape, y) <= 1 - u (exact there), so the upper tail keeps
+    its relative precision, from 0 up to inf, and y = m at u = 1/2.  Within
+    either half every u halves the same bracket, and where two u first take
+    different halves the smaller u takes the lower one; so y is non-decreasing
+    in u whatever the rounding of P and Q, which gammaincinv does not give (at
+    shape 1.5 its value at 0.01 exceeds its value at the next double).
+    """
+    u = np.asarray(u, dtype=float)
+    flat = u.reshape(-1)
+    out = np.full(flat.shape, np.nan)
+    out[flat == 1.0] = np.inf
+    lower = (flat >= 0.0) & (flat < 0.5)
+    upper = (flat >= 0.5) & (flat < 1.0)
+    ul, uu = flat[lower], 1.0 - flat[upper]
+    out[lower] = _bisect_bits(lambda x: special.gammainc(shape, x) >= ul,
+                              np.full(ul.shape, _gamma_median_bits(shape)))
+    out[upper] = _bisect_bits(lambda x: special.gammaincc(shape, x) <= uu,
+                              np.full(uu.shape, _INF_BITS))
+    return out.reshape(u.shape)
+
+
+@lru_cache(maxsize=64)
+def _gamma_median_bits(shape: float) -> int:
+    """Bit pattern of the quantile of gamma(shape, 1) at u = 1/2."""
+    return int(_bisect_bits(lambda x: special.gammaincc(shape, x) <= 0.5,
+                            np.array([_INF_BITS])).view(np.int64)[0])
+
+
+def _bisect_bits(test, hi):
+    """A double x >= 0 where test turns true, by bisecting the bit patterns up to hi.
+
+    test is taken as true at the pattern hi and false at -1, one below the
+    pattern of 0 (it reads as nan, on which a comparison is false).  The result
+    passes test and the double below it does not, or it is 0; where test is
+    monotone it is the least double that passes.
+    """
+    lo = np.full(hi.shape, -1, dtype=np.int64)
+    # a bracket holds fewer than 2^63 patterns, so 63 halvings leave one
+    for _ in range(63):
+        mid = lo + (hi - lo) // 2
+        take = test(mid.view(np.float64))
+        hi = np.where(take, mid, hi)
+        lo = np.where(take, lo, mid)
+    return hi.view(np.float64)
 
 
 def _horner(coeffs, x):

@@ -66,6 +66,11 @@ NEVER_ENTERED = {
     ],
     "no item": [
         "trees.RootedWeightedTree.__repr__",  # for interactive use
+        # the quantile of gamma laws of shape other than 1, 2 and 3, which no
+        # shipped config or size-biased law of one has
+        "weights._bisect_bits",
+        "weights._bisected_gamma_quantile",
+        "weights._gamma_median_bits",
     ],
 }
 

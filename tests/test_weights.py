@@ -518,6 +518,7 @@ def test_exponential_helper():
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.2, 5.0), st.floats(0.2, 4.0),
        st.lists(st.floats(0.01, 0.99), min_size=3, max_size=6))
+@example(shape=1.5, scale=1.0, us=[0.5, 0.010000000000000002, 0.01])
 def test_quantile_monotone_and_cdf_consistent(shape, scale, us):
     spec = WeightSpec("gamma", shape=shape, scale=scale)
     q = spec.quantile(np.sort(np.asarray(us)))
@@ -602,11 +603,35 @@ def test_integer_gamma_quantile_monotone_and_cdf_consistent(shape, scale, us):
     assert np.allclose(spec.cdf(q), u, rtol=1e-12, atol=0)
 
 
-def test_non_integer_gamma_quantile_is_gammaincinv():
+def test_non_integer_gamma_quantile_is_the_least_double_the_cdf_reaches():
     u = np.linspace(0.0, 1.0, 101)
+    inner = u[1:-1]
     for shape in (0.5, 2.5, 1.0 + 2.0 ** -52):
+        y = WeightSpec("gamma", shape=shape, scale=1.0).quantile(u)
+        assert y[0] == 0.0 and y[-1] == np.inf
+        x, below = y[1:-1], np.nextafter(y[1:-1], 0.0)
+        lower = inner < 0.5
+        # P(x) >= u > P(below) under the median, Q(x) <= 1 - u < Q(below) from it on
+        assert np.all(special.gammainc(shape, x[lower]) >= inner[lower])
+        assert np.all(special.gammainc(shape, below[lower]) < inner[lower])
+        assert np.all(special.gammaincc(shape, x[~lower]) <= 1.0 - inner[~lower])
+        assert np.all(special.gammaincc(shape, below[~lower]) > 1.0 - inner[~lower])
+        assert np.allclose(x, special.gammaincinv(shape, inner), rtol=1e-13, atol=0)
         spec = WeightSpec("gamma", shape=shape, scale=1.5)
-        assert np.array_equal(spec.quantile(u), 1.5 * special.gammaincinv(shape, u))
+        assert np.array_equal(spec.quantile(u), 1.5 * y)
+
+
+@pytest.mark.parametrize("shape", [0.2, 1.5, 2.5, 4.5])
+def test_non_integer_gamma_quantile_is_monotone_over_adjacent_doubles(shape):
+    # gammaincinv(1.5, .) and gammaincinv(0.2, .) fall from 0.01 to the next double
+    centres = np.array([1e-300, 1e-12, 0.01, 0.3, 0.5, 0.7, 1.0 - 1e-12])
+    bits = centres.view(np.int64)[:, None] + np.arange(-300, 300)
+    u = np.sort(np.concatenate([bits.view(np.float64).ravel(), [0.0, 1.0]]))
+    q = WeightSpec("gamma", shape=shape, scale=0.7).quantile(u)
+    assert np.all(np.diff(q) >= 0)
+    # 0-d calls give the bits of the same u in a vector
+    assert [float(WeightSpec("gamma", shape=shape, scale=0.7).quantile(x))
+            for x in u[::97].tolist()] == q[::97].tolist()
 
 
 def test_integer_gamma_quantile_bits_do_not_follow_simd_dispatch():
