@@ -90,7 +90,6 @@ def eta_bound(p: BoundParams, vs: VertexSetSummary) -> float:
     """Failure bound for coupling the balls around a vertex set to
     independent limiting trees (no decorative weights)."""
     ell, kn = p.ell, p.k_n
-    g2lim = p.gamma_limit[2]
     main = (vs.weight_sq * p.G(2) / p.ntheta
             + vs.weight_excess * p.G(1)
             + vs.weight * (p.G(2) + 1.0) ** ell
@@ -98,9 +97,7 @@ def eta_bound(p: BoundParams, vs: VertexSetSummary) -> float:
                + (2.0 + p.G(1)) / kn + kn / p.ntheta))
     tail = (vs.count / kn
             + kn ** 2 / (p.ntheta * p.G(1))
-            + vs.weight * p.alpha
-            * (1.0 / p.theta + (g2lim + 1.0) ** (ell - 1)
-               * (p.G(2) / (p.theta * p.G(1)) + 1.0)))
+            + limit_redraw_bound(p, vs))
     return main + tail
 
 
@@ -142,14 +139,10 @@ def epsilon_rho_sequences(p: BoundParams) -> tuple[float, float]:
 def intermediate_coupling_bound(p: BoundParams, Wv: float) -> float:
     """Single-root bound for the ball/intermediate-tree coupling, with the
     expected neighbourhood norms replaced by their closed-form bounds."""
-    ell, kn = p.ell, p.k_n
-    mean_sq = Wv ** 2 + Wv * (p.G(2) + 1.0) ** (ell - 1) * p.G(3)
-    sqrt_nt = np.sqrt(p.ntheta)
-    mean_excess = Wv * (Wv > sqrt_nt) + Wv * (p.G(2) + 1.0) ** (ell - 1) * p.K(2)
-    mean_weight = Wv * (p.G(2) + 1.0) ** ell
-    return (mean_sq * p.G(2) / p.ntheta
-            + mean_excess * p.G(1)
-            + mean_weight * (p.K(1) + 1.0 / kn + kn / p.ntheta))
+    kn = p.k_n
+    return (mean_pweight_bound(p, Wv, 2) * p.G(2) / p.ntheta
+            + excess_weight_bound(p, Wv) * p.G(1)
+            + mean_pweight_bound(p, Wv, 1) * (p.K(1) + 1.0 / kn + kn / p.ntheta))
 
 
 def repeat_probability_bound(p: BoundParams, vs: VertexSetSummary) -> float:

@@ -163,7 +163,6 @@ def couple_neighbourhood_to_intermediate(graph: WeightedGraph, root: int,
     """
     nb = explore(graph, root, cfg.depth)
     W = graph.weights.W
-    scale = graph.n * graph.theta
     position = {v: i for i, v in enumerate(nb.vertices())}
     tree = RootedWeightedTree(W[root], cfg.depth, root_label=int(root))
     outcome = CouplingOutcome(root=root, depth=cfg.depth, neighbourhood=nb, tree=tree,
@@ -178,11 +177,11 @@ def couple_neighbourhood_to_intermediate(graph: WeightedGraph, root: int,
         for i, vj in enumerate(nb.levels[r]):
             sites = np.array([u for u in graph.neighbors(vj).tolist()
                               if position[u] > position[vj]], dtype=np.int64)
-            pprime = W[vj] * W[sites] / scale
+            pprime = graph.p_prime(vj, sites)
             pe = np.minimum(pprime, 1.0)
             z = poisson_icdf(pprime, 1.0 - pe + graph.coupling_uniform(vj, sites) * pe)
             stars = np.append(np.array(completed, dtype=np.int64), vj)
-            zstar = poisson_icdf(W[vj] * W[stars] / scale,
+            zstar = poisson_icdf(graph.p_prime(vj, stars),
                                  graph.zstar_uniform(root, vj, stars))
             if np.any(z != 1):
                 reason = BREAK_X_NEQ_Z

@@ -27,10 +27,8 @@ class Neighbourhood:
     root: int
     depth: int
     levels: list[list[int]]                      # D_0 .. D_depth in discovery order
-    tree_edges: list[tuple[int, int, int]]       # (parent, child, child level)
     extra_edges: list[tuple[int, int, int]]      # (explored vertex, active vertex, level)
-    parent: dict[int, int]
-    children: dict[int, list[int]]
+    children: dict[int, list[int]]               # tree children in discovery order
 
     @property
     def vertex_count(self) -> int:
@@ -38,7 +36,7 @@ class Neighbourhood:
 
     @property
     def edge_count(self) -> int:
-        return len(self.tree_edges) + len(self.extra_edges)
+        return self.vertex_count - 1 + len(self.extra_edges)
 
     def vertices(self) -> list[int]:
         return [v for level in self.levels for v in level]
@@ -54,9 +52,7 @@ def explore(graph: WeightedGraph, v: int, depth: int) -> Neighbourhood:
     level_of = {v: 0}
     completed: set[int] = set()
     levels: list[list[int]] = [[v]]
-    tree_edges: list[tuple[int, int, int]] = []
     extra_edges: list[tuple[int, int, int]] = []
-    parent: dict[int, int] = {}
     children: dict[int, list[int]] = {v: []}
 
     frontier = [v]
@@ -69,10 +65,8 @@ def explore(graph: WeightedGraph, v: int, depth: int) -> Neighbourhood:
                     continue  # edge already recorded from u's side
                 if u not in level_of:
                     level_of[u] = r + 1
-                    parent[u] = vj
                     children[vj].append(u)
                     children[u] = []
-                    tree_edges.append((vj, u, r + 1))
                     nxt.append(u)
                 else:
                     extra_edges.append((vj, u, r))
@@ -82,13 +76,12 @@ def explore(graph: WeightedGraph, v: int, depth: int) -> Neighbourhood:
             break
         levels.append(nxt)
         frontier = nxt
-    return Neighbourhood(root=v, depth=depth, levels=levels, tree_edges=tree_edges,
-                         extra_edges=extra_edges, parent=parent, children=children)
+    return Neighbourhood(root=v, depth=depth, levels=levels, extra_edges=extra_edges,
+                         children=children)
 
 
 def is_tree(nb: Neighbourhood) -> bool:
     """True iff the explored ball is acyclic (no extra edges were found)."""
-    assert nb.edge_count == nb.vertex_count - 1 + len(nb.extra_edges)
     return not nb.extra_edges
 
 
@@ -111,8 +104,7 @@ def to_rooted_tree(nb: Neighbourhood, weights: EmpiricalWeights,
 
     tree = RootedWeightedTree(W[nb.root], nb.depth, vw(nb.root), root_label=nb.root)
     ids = {nb.root: 0}
-    for level in nb.levels[1:]:
-        for u in level:
-            p = nb.parent[u]
+    for p in nb.vertices():
+        for u in nb.children[p]:
             ids[u] = tree.add_child(ids[p], W[u], ew(p, u), vw(u), label=u)
     return tree

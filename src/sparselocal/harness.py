@@ -169,13 +169,7 @@ _PARSERS = {
 # ---- estimators -----------------------------------------------------------------------
 
 
-@dataclass
-class KSReport:
-    statistic: float
-    sample_size: int
-
-
-def ks_to_normal(samples) -> KSReport:
+def ks_to_normal(samples) -> float:
     """Exact one-sample Kolmogorov statistic against the standard normal.
 
     Both one-sided gaps are evaluated at the sorted sample; the normal CDF
@@ -190,7 +184,7 @@ def ks_to_normal(samples) -> KSReport:
     phi = ndtr(x)
     d_plus = float(np.max(grid - phi))
     d_minus = float(np.max(phi - (grid - 1.0 / n)))
-    return KSReport(statistic=max(d_plus, d_minus), sample_size=n)
+    return max(d_plus, d_minus)
 
 
 @dataclass
@@ -296,7 +290,7 @@ def clt_experiment(cfg: ExperimentConfig) -> list[dict]:
             }
             if not degenerate:
                 z = (values - values.mean()) / np.sqrt(est.value)
-                row["ks"] = ks_to_normal(z).statistic
+                row["ks"] = ks_to_normal(z)
             rows.append(row)
     return rows
 
@@ -318,6 +312,7 @@ def coupling_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
         for n in cfg.n_grid:
             weights = cfg.empirical_weights(n)
             summ = moments(weights, spec=cfg.weights)
+            vs = VertexSetSummary.of(weights, roots)
             couplings = [CouplingConfig(k_n=cfg.k_n(n), depth=ell) for ell in depths]
             replica = partial(_coupling_replica, weights, cfg.seed, couplings, cfg.weights,
                               cfg.vertex_weights, cfg.edge_weights, roots)
@@ -339,7 +334,7 @@ def coupling_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
                             replica_bad = True
                     breaks += int(replica_bad)
                 params = BoundParams.from_summary(n, ell, summ, cfg.weights, k_n=cfg.k_n(n))
-                bound = epsilon_v_bound(params, VertexSetSummary.of(weights, roots))
+                bound = epsilon_v_bound(params, vs)
                 rate = breaks / cfg.replicas
                 half = float(3.0 * np.sqrt(max(rate * (1.0 - rate), 1e-12) / cfg.replicas))
                 rows.append({
@@ -360,10 +355,10 @@ def bounds_grid(cfg: ExperimentConfig) -> list[dict]:
     for n in cfg.n_grid:
         weights = cfg.empirical_weights(n)
         summ = moments(weights, spec=cfg.weights)
+        vs = VertexSetSummary.of(weights, range(cfg.roots))
         for ell in range(1, cfg.depth + 1):
             params = BoundParams.from_summary(n, ell, summ, cfg.weights, k_n=cfg.k_n(n))
             eps, rho = epsilon_rho_sequences(params)
-            vs = VertexSetSummary.of(weights, range(cfg.roots))
             row = {"n": n, "ell": ell, "k_n": cfg.k_n(n), "alpha_n": summ.alpha_n,
                    "eta": eta_bound(params, vs),
                    "epsilon_v": epsilon_v_bound(params, vs),

@@ -142,14 +142,13 @@ def rde_apply(pop: Population, spec: WeightSpec, rng: np.random.Generator) -> Po
 @dataclass
 class RdeDiagnostics:
     gaps: list[float]                 # W1(T^{2k} delta_0, T^{2k+1} delta_0) per k
-    iterations: int
     converged: bool
     final_even: Population
     final_odd: Population
 
 
 def rde_fixed_point(spec: WeightSpec, pop_size: int, iterations: int,
-                    seed: tuple[int, int], stream: int = 0) -> RdeDiagnostics:
+                    seed: tuple[int, int]) -> RdeDiagnostics:
     """Population dynamics from delta_0, tracking even/odd iterates.
 
     The recursion oscillates between even and odd levels, so convergence is
@@ -172,7 +171,7 @@ def rde_fixed_point(spec: WeightSpec, pop_size: int, iterations: int,
     gaps = []
     for it in range(iterations):
         prev = cur  # drops the iterate before it
-        cur = rde_apply(prev, spec, stream_rng(seed, stream * 100003 + it, _RDE_TAG))
+        cur = rde_apply(prev, spec, stream_rng(seed, it, _RDE_TAG))
         if it % 2 == 0:  # cur is T^{it+1} delta_0, an odd iterate
             gaps.append(population_w1(prev, cur))
     # stalled means: the last five gaps all sit above the best earlier gap by
@@ -182,5 +181,4 @@ def rde_fixed_point(spec: WeightSpec, pop_size: int, iterations: int,
     if len(gaps) >= 6:
         converged = min(gaps[-5:]) <= min(gaps[:-5]) + noise
     evens, odds = (cur, prev) if iterations % 2 == 0 else (prev, cur)
-    return RdeDiagnostics(gaps=gaps, iterations=iterations, converged=converged,
-                          final_even=evens, final_odd=odds)
+    return RdeDiagnostics(gaps=gaps, converged=converged, final_even=evens, final_odd=odds)

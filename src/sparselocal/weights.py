@@ -113,8 +113,10 @@ class WeightSpec:
         A gamma law of shape 1, 2 or 3 takes :func:`_integer_gamma_quantile`:
         within 2 ulp of the exact quantile for u from 1e-300 up to 1 - 2^-53,
         0 at u = 0 and inf at u = 1, built only from operations whose bits do
-        not depend on the CPU.  Any other shape takes
-        :func:`_bisected_gamma_quantile`, the least double the CDF reaches u at.
+        not depend on the CPU.  Within 2 ulp is not monotone: at shapes 2 and
+        3 the value can fall by an ulp as u grows to the next double.  Any
+        other shape takes :func:`_bisected_gamma_quantile`, the least double
+        the CDF reaches u at, which is non-decreasing in u by construction.
         """
         u = np.asarray(u, dtype=float)
         if self.family == "constant":
@@ -422,15 +424,9 @@ class EmpiricalWeights:
         """
         lam = self.lambda_n
         upper = np.divide(self.ascending, lam)
-        np.cumsum(upper, out=upper)
-        upper[-1] = 1.0
-        # rounding can leave the cumulative table short of 1, or past 1 before
-        # its last entry; capped and ending at 1, it maps every uniform in (0, 1)
-        # to a label
+        _capped_cdf(upper, out=upper)
         cum = np.divide(self.W, lam)
-        np.cumsum(cum, out=cum)
-        np.minimum(cum, 1.0, out=cum)
-        cum[-1] = 1.0
+        _capped_cdf(cum, out=cum)
         return EmpiricalSizeBiased(W=self.W, scale=lam / (self.n * self.theta),
                                    cum=cum, ascending=self.ascending, upper=upper)
 
@@ -560,7 +556,6 @@ class MomentSummary:
     lambda_n: float
     alpha_n: float
     theta: float
-    n: int = field(default=0)
 
 
 def sample_empirical_weights(spec: WeightSpec, n: int, seed: tuple[int, int],
@@ -598,10 +593,19 @@ def moments(weights: EmpiricalWeights, spec: WeightSpec | None = None) -> Moment
         a_biased = _wasserstein_weighted_sample(s, s / W.sum(), spec.size_biased())
         alpha = max(a_plain, a_biased)
     return MomentSummary(gamma=gamma, kappa=kappa, lambda_n=weights.lambda_n,
-                         alpha_n=alpha, theta=theta, n=n)
+                         alpha_n=alpha, theta=theta)
 
 
 # ---- exact 1-Wasserstein distances ---------------------------------------------------
+
+
+def _capped_cdf(masses: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Cumulative sum of ``masses`` (into ``out``, which may be ``masses``), capped
+    at 1 and ending at 1: rounding can leave it short of 1, or past 1 too early."""
+    cum = np.cumsum(masses, out=out)
+    np.minimum(cum, 1.0, out=cum)
+    cum[-1] = 1.0
+    return cum
 
 
 def _wasserstein_weighted_sample(s: np.ndarray, masses: np.ndarray,
@@ -641,9 +645,7 @@ def _wasserstein_weighted_sample(s: np.ndarray, masses: np.ndarray,
     monotone to a few ulp.  So each c_i, and the sum, keep every bit of the
     all-points clip.
     """
-    hi = np.cumsum(masses)
-    np.minimum(hi, 1.0, out=hi)
-    hi[-1] = 1.0
+    hi = _capped_cdf(masses)
     lo = np.concatenate(([0.0], hi[:-1]))
     if spec.family == "constant":
         # G(u) = c u, so each step adds (hi - lo)|s - c|: exactly 0 on a constant sample

@@ -16,7 +16,7 @@ def make_params(n=1000, ell=2, k_n=10.0, gamma=None, kappa=None, alpha=0.0,
     gamma = gamma or {0: 1.0 / theta, 1: 1.0, 2: 2.0, 3: 5.0}
     kappa = kappa or {1: 0.0, 2: 0.0}
     summ = MomentSummary(gamma=gamma, kappa=kappa,
-                         lambda_n=n * theta * gamma[1], alpha_n=alpha, theta=theta, n=n)
+                         lambda_n=n * theta * gamma[1], alpha_n=alpha, theta=theta)
     glim = {1: gamma[1], 2: g2_limit if g2_limit is not None else gamma[2],
             3: gamma[3]}
     return BoundParams(n=n, ell=ell, k_n=k_n, moments=summ, gamma_limit=glim,

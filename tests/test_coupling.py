@@ -9,13 +9,14 @@ from conftest import (INTERMEDIATE_TAG, REPAIR_TAG, sample_intermediate_tree,
 from sparselocal.bounds import (BoundParams, VertexSetSummary, default_k_n,
                                 intermediate_coupling_bound, limit_redraw_bound,
                                 repeat_probability_bound)
-from sparselocal.coupling import (BREAK_REPEAT, CouplingConfig, couple_full,
+from sparselocal.coupling import (BREAK_ACTIVE, BREAK_COMPLETED, BREAK_OVERFLOW,
+                                  BREAK_REPEAT, BREAK_X_NEQ_Z, CouplingConfig, couple_full,
                                   couple_intermediate_to_limit,
                                   couple_neighbourhood_to_intermediate,
                                   poisson_cdf_interval, poisson_icdf,
                                   repair_independence)
 from sparselocal.explore import explore, is_tree, to_rooted_tree
-from sparselocal.graph import sample_graph
+from sparselocal.graph import WeightedGraph, sample_graph
 from sparselocal.rng import stream_rng
 from sparselocal.trees import canonical_code
 from sparselocal.weights import (EmpiricalWeights, WeightSpec, moments,
@@ -158,6 +159,33 @@ def test_exhausted_component_deep_exploration():
     assert out.neighbourhood.vertex_count == 2
 
 
+# hand-built balls at n = 3, theta = 1, one per stage-1 break reason:
+# (weights, edges, k_n, depth, reason, level)
+STAGE1_BREAKS = {
+    # both leaves of the triangle are active when vertex 1 is explored
+    "active": ((1e-4, 1e-4, 1e-4), [(0, 1), (0, 2), (1, 2)], 10.0, 2, BREAK_ACTIVE, 2),
+    # the root's own fresh copy Z* has mean 20^2 / 3
+    "completed": ((20.0, 1e-4, 1e-4), [(0, 1)], 10.0, 1, BREAK_COMPLETED, 1),
+    # the edge's Poisson Z has mean 10^2 / 3, so it is not 1
+    "x-neq-z": ((10.0, 10.0, 1e-4), [(0, 1)], 100.0, 1, BREAK_X_NEQ_Z, 1),
+    # the first level's weight 0.01 takes the ball past k_n
+    "overflow": ((0.01, 0.01, 0.01), [(0, 1), (1, 2)], 0.015, 2, BREAK_OVERFLOW, 1),
+}
+
+
+@pytest.mark.parametrize("case", STAGE1_BREAKS)
+def test_stage1_break_reason(case):
+    W, edges, k_n, depth, reason, level = STAGE1_BREAKS[case]
+    w = EmpiricalWeights(n=3, W=np.array(W), theta=1.0)
+    g = WeightedGraph(w, SEED, 0, np.array([u for u, _ in edges]),
+                      np.array([v for _, v in edges]))
+    out = couple_neighbourhood_to_intermediate(g, 0, CouplingConfig(k_n=k_n, depth=depth),
+                                               stage1_rng(g, 0))
+    assert not out.ok
+    assert (out.break_reason, out.break_level) == (reason, level)
+    assert out.flags == {reason}
+
+
 def test_tiny_weights_give_root_only_coupling():
     w = EmpiricalWeights(n=5, W=np.full(5, 1e-8), theta=1e-8)
     g = sample_graph(w, SEED, 0)
@@ -177,7 +205,7 @@ def test_graph_side_equals_plain_exploration():
                 g, t % n, CouplingConfig(k_n=default_k_n(n), depth=2), stage1_rng(g, t % n))
             nb = explore(g, t % n, 2)
             assert out.neighbourhood.levels == nb.levels
-            assert out.neighbourhood.tree_edges == nb.tree_edges
+            assert out.neighbourhood.children == nb.children
             assert out.neighbourhood.extra_edges == nb.extra_edges
 
 

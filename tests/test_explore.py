@@ -21,7 +21,7 @@ def restricted_degree(graph, v, ignore):
 def edge_list_text(nb):
     """Plain edge-list dump of an explored ball."""
     lines = [f"# root {nb.root} depth {nb.depth}"]
-    lines += [f"{p} {c}" for p, c, _ in nb.tree_edges]
+    lines += [f"{p} {c}" for p in nb.vertices() for c in nb.children[p]]
     lines += [f"{u} {v} extra" for u, v, _ in nb.extra_edges]
     return "\n".join(lines) + "\n"
 

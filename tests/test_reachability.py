@@ -31,7 +31,6 @@ NEVER_ENTERED = {
         "graph.PerturbationSet.validate",
         "graph.WeightedGraph.degree",
         "graph.WeightedGraph.edge_indicator",
-        "graph.WeightedGraph.p_prime",
         "graph.WeightedGraph.replacement_edge_indicator",
         "graph.perturb",
         "matching.SandwichResult.__post_init__",
@@ -47,7 +46,6 @@ NEVER_ENTERED = {
     ],
     "item 8, per-stage coupling checks": [
         "bounds.intermediate_coupling_bound",
-        "bounds.limit_redraw_bound",
         "bounds.repeat_probability_bound",
     ],
     "items 7 and 9, tree-shaped balls and their codes": [
@@ -66,11 +64,6 @@ NEVER_ENTERED = {
     ],
     "no item": [
         "trees.RootedWeightedTree.__repr__",  # for interactive use
-        # the quantile of gamma laws of shape other than 1, 2 and 3, which no
-        # shipped config or size-biased law of one has
-        "weights._bisect_bits",
-        "weights._bisected_gamma_quantile",
-        "weights._gamma_median_bits",
     ],
 }
 
@@ -90,6 +83,9 @@ RDE = {"n_grid": [1], "replicas": 1, "rde_pop_size": 1000, "rde_iterations": 12,
 # (command, config, extra arguments)
 MATRIX = [
     ("generate", {"weights": GAMMA, "n_grid": [200], **SEED}, []),
+    # a gamma shape other than 1, 2 and 3 takes the bisected quantile
+    ("generate", {"weights": {"family": "gamma", "shape": 1.5, "scale": 1.0},
+                  "n_grid": [200], **SEED}, []),
     *[(command, {"weights": law, **COUPLE}, [])
       for law in LAWS for command in ("couple", "bounds")],
     ("clt", EDGE_SUM, []),
