@@ -49,7 +49,7 @@ def explore(graph: WeightedGraph, v: int, depth: int) -> Neighbourhood:
     if depth < 0:
         raise ValueError("depth must be non-negative")
 
-    level_of = {v: 0}
+    discovered = {v}
     completed: set[int] = set()
     levels: list[list[int]] = [[v]]
     extra_edges: list[tuple[int, int, int]] = []
@@ -63,8 +63,8 @@ def explore(graph: WeightedGraph, v: int, depth: int) -> Neighbourhood:
                 u = int(u)
                 if u in completed:
                     continue  # edge already recorded from u's side
-                if u not in level_of:
-                    level_of[u] = r + 1
+                if u not in discovered:
+                    discovered.add(u)
                     children[vj].append(u)
                     children[u] = []
                     nxt.append(u)
