@@ -9,7 +9,7 @@ from .coupling import (CouplingConfig, CouplingOutcome, couple_full,
                        couple_intermediate_to_limit,
                        couple_neighbourhood_to_intermediate, repair_independence)
 from .explore import Neighbourhood, explore, is_tree, to_rooted_tree
-from .graph import PerturbationSet, WeightedGraph, perturb, sample_graph
+from .graph import LazyGraph, PerturbationSet, WeightedGraph, perturb, sample_graph
 from .harness import (ExperimentConfig, clt_experiment, coupling_experiment,
                       estimate_variance, ks_to_normal)
 from .limit_trees import Population, rde_apply, rde_fixed_point
@@ -29,7 +29,7 @@ __all__ = [
     "couple_intermediate_to_limit", "couple_neighbourhood_to_intermediate",
     "repair_independence",
     "Neighbourhood", "explore", "is_tree", "to_rooted_tree",
-    "PerturbationSet", "WeightedGraph", "perturb", "sample_graph",
+    "LazyGraph", "PerturbationSet", "WeightedGraph", "perturb", "sample_graph",
     "ExperimentConfig", "clt_experiment", "coupling_experiment", "estimate_variance",
     "ks_to_normal",
     "Population", "rde_apply", "rde_fixed_point",

@@ -25,6 +25,13 @@ candidates.  The batches keep their edges as int32 vertex pairs; at the end
 both arcs u*n + v and v*n + u of every edge are packed into one array, and
 one sort of those 2m keys is the whole adjacency structure the graph keeps.
 
+``couple`` needs only a few balls per replica, so it samples no whole graph.
+A :class:`LazyGraph` draws the row of a vertex when a ball first reads it,
+with the same bucket plan: per weight bucket, geometric skips at the
+bucket's bound for that vertex, then thinning to the exact p_uv.  A row
+costs O(degree + number of buckets), so a coupled root costs O(its ball),
+not O(n + edges); the plan is built once per n, on the first row.
+
 Everything that is not the realized edge set -- replacement indicators X',
 decorative vertex/edge weights w, w' and the coupling auxiliaries -- is a
 pure function of (seed, stream, site) through :mod:`sparselocal.rng`, so the
@@ -47,6 +54,7 @@ from .rng import SiteRandom, stream_rng
 from .weights import EmpiricalWeights, WeightSpec
 
 _GEN_TAG = 12
+_ROW_TAG = 13  # the lazy rows' generator
 _FLUSH = 4096  # candidates mapped and thinned per vectorised pass
 
 
@@ -229,6 +237,74 @@ class WeightedGraph:
         return np.asarray([(int(a), int(b)) in flipped for a, b in
                            zip(np.atleast_1d(lo), np.atleast_1d(hi))]
                           ).reshape(np.shape(lo))
+
+
+class LazyGraph(WeightedGraph):
+    """A graph whose rows are drawn when first read: the ball sampler of ``couple``.
+
+    It has the site functions of :class:`WeightedGraph` (the same (seed,
+    stream) gives the same site uniforms and decorative weights) but no
+    arcs, so only ``neighbors`` and the site methods apply.  The first call
+    of ``neighbors(v)`` draws v's whole row and keeps it.  The pairs {v, u}
+    with u's row already drawn were decided then; of those, the edges are
+    the ones u recorded.  Every other pair is decided now: per weight bucket,
+    geometric skips at the bucket's bound min(W_v wmax / (n theta), 1), each
+    candidate thinned to its exact p_vu, then u = v and the already drawn u
+    dropped.  So each pair is decided once, independently of every other,
+    and the drawn rows are those of one graph with the law of
+    :func:`sample_graph`, though not its realization: the draws come from
+    their own generator, in the order the rows are read.  A row costs
+    O(deg v + number of buckets), so a ball costs O(its size), whatever n.
+    Every root and depth that reads the same object explores the same graph.
+    """
+
+    flipped_edges = flipped_vertices = frozenset()
+
+    def __init__(self, weights: EmpiricalWeights, seed: tuple[int, int], stream: int,
+                 mu_v: WeightSpec | None = None, mu_e: WeightSpec | None = None):
+        self.weights = weights
+        self.n = weights.n
+        self.theta = weights.theta
+        self.seed = seed
+        self.stream = stream
+        self.mu_v = mu_v
+        self.mu_e = mu_e
+        self._sites = SiteRandom(seed, stream)
+        self._gen = stream_rng(seed, stream, _ROW_TAG)
+        self._rows: dict[int, np.ndarray] = {}  # the drawn rows, ascending
+        self._found: dict[int, list[int]] = {}  # undrawn u -> drawn rows that hold u
+
+    def neighbors(self, v: int) -> np.ndarray:
+        row = self._rows.get(v)
+        if row is None:
+            row = self._rows[v] = self._draw_row(v)
+        return row
+
+    def _draw_row(self, v: int) -> np.ndarray:
+        self._check_vertex(v)
+        plan = self.weights.bucket_plan
+        scale = self.n * self.theta
+        w = self.weights.W[v]
+        bounds = np.minimum(w * plan.wmax / scale, 1.0)
+        slots, caps = [], []
+        for (start, stop), q in zip(plan.buckets, bounds.tolist()):
+            pos = _bernoulli_positions(self._gen, stop - start, q)
+            if pos.size:
+                slots.append(pos + start)
+                caps.append(np.full(pos.size, q))
+        fresh = []
+        if slots:
+            slots = np.concatenate(slots)
+            r = self._gen.random(slots.size) * np.concatenate(caps)
+            p = np.minimum(w * plan.weight[slots] / scale, 1.0)
+            drawn = self._rows
+            fresh = [u for u in plan.order[slots[r < p]].tolist()
+                     if u != v and u not in drawn]
+        for u in fresh:
+            self._found.setdefault(u, []).append(v)
+        row = np.array(self._found.pop(v, []) + fresh, dtype=np.int64)
+        row.sort()
+        return row
 
 
 def _bernoulli_positions(gen: np.random.Generator, total: int, p: float) -> np.ndarray:

@@ -26,7 +26,7 @@ from . import matching as app
 from .bounds import (BoundParams, VertexSetSummary, default_k_n, epsilon_rho_sequences,
                      epsilon_v_bound, eta_bound, structural_bounds)
 from .coupling import BREAK_REASONS, CouplingConfig, couple_full
-from .graph import sample_graph
+from .graph import LazyGraph, sample_graph
 from .limit_trees import RDE_MIN_POP_SIZE
 from .rng import format_seed, parse_seed
 from .weights import EmpiricalWeights, WeightSpec, moments, sample_empirical_weights
@@ -234,11 +234,15 @@ def _coupling_replica(weights, seed, couplings, spec, mu_v, mu_e, roots, stream:
                       ) -> list[list[tuple[int, bool, int | None, str | None]]]:
     """Per depth, one (root, ok, break level, reason) tuple per root.
 
-    The graph depends only on (seed, stream), so it is sampled once and
-    coupled at every depth.
+    The replica's graph is a :class:`LazyGraph` on (seed, stream): it draws
+    the row of a vertex when a ball first reads it and keeps it, so every
+    root and every depth explores the same graph, and the depth-l ball is
+    the depth-(l + 1) ball cut at level l.  A root costs O(its ball), not
+    O(n + m); what a replica shares with the others of its n (the bucket
+    plan, the size-biased law) is built once per n, on the first replica.
     """
     try:
-        graph = sample_graph(weights, seed, stream, mu_v=mu_v, mu_e=mu_e)
+        graph = LazyGraph(weights, seed, stream, mu_v=mu_v, mu_e=mu_e)
         return [[(o.root, o.ok, o.break_level, o.break_reason)
                  for o in couple_full(graph, list(roots), cfg, spec)]
                 for cfg in couplings]

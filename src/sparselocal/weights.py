@@ -432,15 +432,18 @@ class EmpiricalWeights:
 
     @cached_property
     def bucket_plan(self) -> "BucketPlan":
-        """The graph sampler's bucket pairs, built on first use and kept with the weights.
+        """The graph samplers' buckets and bucket pairs, built on first use and kept
+        with the weights.
 
         Vertices are grouped by floor(log2 W) into power-of-two buckets.  For
         each pair of buckets a <= b that has a vertex pair, the plan keeps
         where both buckets start in the vertex order, their sizes, whether
         a == b, the probability bound pmax = min(wmax_a wmax_b / (n theta), 1)
-        and the number of vertex pairs.  All of it depends on the weights
+        and the number of vertex pairs; for each bucket, where it starts and
+        stops and its largest weight.  All of it depends on the weights
         alone, so every replica graph of one n reads this one plan and spends
-        per bucket pair only its generator draws.
+        per bucket pair (or, for a lazy row, per bucket) only its generator
+        draws.
         """
         # floor(log2 W) lies in [-1074, 1023] for a positive double, so int16
         # holds it, and numpy's stable argsort of int16 is an O(n) radix sort
@@ -463,7 +466,9 @@ class EmpiricalWeights:
         pmax = np.minimum(wmax[a] * wmax[b] / (self.n * self.theta), 1.0)
         return BucketPlan(order=order, weight=weight, start_a=starts[a], start_b=starts[b],
                           size_a=sizes[a], size_b=sizes[b], same=same, pmax=pmax,
-                          draws=list(zip(pmax.tolist(), total.tolist())))
+                          draws=list(zip(pmax.tolist(), total.tolist())),
+                          buckets=list(zip(starts.tolist(), (starts + sizes).tolist())),
+                          wmax=wmax)
 
 
 @dataclass(frozen=True, eq=False)
@@ -477,7 +482,10 @@ class BucketPlan:
     ``draws[k]`` is its (pmax, total) as Python numbers, which the per-pair
     loop hands to the generator; the arrays are gathered per candidate when
     candidates are thinned on their slots and the kept ones mapped through
-    ``order`` to vertices.
+    ``order`` to vertices.  ``buckets[b]`` is where bucket b starts and stops
+    in that order, as Python ints, and ``wmax[b]`` its largest weight: the
+    lazy rows of :class:`~sparselocal.graph.LazyGraph` skip over one bucket
+    at a time.
     """
 
     order: np.ndarray
@@ -489,6 +497,8 @@ class BucketPlan:
     same: np.ndarray
     pmax: np.ndarray
     draws: list[tuple[float, int]]
+    buckets: list[tuple[int, int]]
+    wmax: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)

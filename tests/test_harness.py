@@ -8,7 +8,7 @@ from scipy.special import ndtr
 from sparselocal.harness import (ExperimentConfig, bounds_grid,
                                  clt_experiment, coupling_experiment,
                                  estimate_variance, ks_to_normal)
-from sparselocal.graph import sample_graph
+from sparselocal.graph import LazyGraph
 from sparselocal.rng import parse_seed
 from sparselocal.weights import WeightSpec
 
@@ -238,15 +238,21 @@ def test_one_process_pool_per_command(monkeypatch):
 
 
 def test_coupling_samples_each_replica_graph_once(monkeypatch):
+    # one lazy graph per (n, replica), shared by every depth and root; no
+    # whole graph is sampled
     from sparselocal import harness
 
     streams = []
 
     def counted(weights, seed, stream, **kw):
         streams.append((weights.n, stream))
-        return sample_graph(weights, seed, stream, **kw)
+        return LazyGraph(weights, seed, stream, **kw)
 
-    monkeypatch.setattr(harness, "sample_graph", counted)
+    def whole(*args, **kw):
+        raise AssertionError("couple sampled a whole graph")
+
+    monkeypatch.setattr(harness, "LazyGraph", counted)
+    monkeypatch.setattr(harness, "sample_graph", whole)
     cfg = ExperimentConfig(weights=WeightSpec("gamma", shape=2.0, scale=1.0),
                            n_grid=[80, 120], replicas=5, seed=SEED, depth=3)
     rows, outcomes = coupling_experiment(cfg)

@@ -54,6 +54,8 @@ NEVER_ENTERED = {
         "explore.to_rooted_tree",
         "explore.to_rooted_tree.<locals>.ew",
         "explore.to_rooted_tree.<locals>.vw",
+        "graph.WeightedGraph._row",  # couple explores a LazyGraph's rows
+        "graph.WeightedGraph.neighbors",
         "trees.RootedWeightedTree.address",
         "trees.RootedWeightedTree.height",
         "trees.canonical_code",
