@@ -60,9 +60,9 @@ CASES = {
     }),
     "couple-er": ("couple", "couple-er.json", 20, {
         "coupling.csv":
-            "5ea1893e5a9ef73dfbd9a974969bf41cfe45fb775344bc91d1911b88c3120d0f",
+            "e30f23534e5ed9b1600108d22829a54c08023cdf26ac4d5384b8ef5f16dfdde3",
         "coupling_outcomes.csv":
-            "0740f987f0139f4e2b0072dd30730db6f23ee73ea384418255ba121fe0a5c58e",
+            "c2d86c5efcf1277657d925a5a9fc32cb4e4ed957ca7c76c73ae2102623c763dd",
     }),
     "bounds-er": ("bounds", "couple-er.json", 20, {
         "bounds_grid.csv":
@@ -82,9 +82,9 @@ CASES = {
     }),
     "couple-gamma": ("couple", COUPLE_GAMMA, 30, {
         "coupling.csv":
-            "9b875238506aeb610b75a5a794ffba34219607148b9d069406024a39acda2a99",
+            "9efea3f7121c80f21ca339d21e74e37a16bb89ca7d3b1d3463b3ab2b0105d152",
         "coupling_outcomes.csv":
-            "12065272e7a889d62db8065624133effa10e545033188a335ae49efeb3de64a8",
+            "cd9b40dd4def65c36925ada7bb60938056acb4d7d61112ad1a0ec656a21286ee",
     }),
 }
 
