@@ -258,7 +258,7 @@ class LazyGraph(WeightedGraph):
     Every root and depth that reads the same object explores the same graph.
     """
 
-    flipped_edges = flipped_vertices = frozenset()
+    flipped_edges = flipped_vertices = frozenset()  # the site methods read these
 
     def __init__(self, weights: EmpiricalWeights, seed: tuple[int, int], stream: int,
                  mu_v: WeightSpec | None = None, mu_e: WeightSpec | None = None):
