@@ -105,6 +105,19 @@ class WeightedGraph:
                  flipped_edges: frozenset = frozenset(),
                  flipped_vertices: frozenset = frozenset(), *,
                  _arcs: np.ndarray | None = None):
+        self._set_sites(weights, seed, stream, mu_v, mu_e)
+        self.flipped_edges = flipped_edges
+        self.flipped_vertices = flipped_vertices
+        if _arcs is None:
+            edge_u = np.asarray(edge_u, dtype=np.int64)
+            _arcs = _pack_arcs(edge_u, np.asarray(edge_v, dtype=np.int64), np.int64(self.n),
+                               np.empty(2 * edge_u.size, dtype=np.int64))
+            _arcs.sort()
+        self.arcs = _arcs
+
+    def _set_sites(self, weights: EmpiricalWeights, seed: tuple[int, int], stream: int,
+                   mu_v: WeightSpec | None, mu_e: WeightSpec | None) -> None:
+        """What the site functions read: the weights, (seed, stream) and the laws."""
         self.weights = weights
         self.n = weights.n
         self.theta = weights.theta
@@ -112,15 +125,7 @@ class WeightedGraph:
         self.stream = stream
         self.mu_v = mu_v
         self.mu_e = mu_e
-        self.flipped_edges = flipped_edges
-        self.flipped_vertices = flipped_vertices
         self._sites = SiteRandom(seed, stream)
-        if _arcs is None:
-            edge_u = np.asarray(edge_u, dtype=np.int64)
-            _arcs = _pack_arcs(edge_u, np.asarray(edge_v, dtype=np.int64), np.int64(self.n),
-                               np.empty(2 * edge_u.size, dtype=np.int64))
-            _arcs.sort()
-        self.arcs = _arcs
 
     # ---- structure ------------------------------------------------------------
 
@@ -262,14 +267,7 @@ class LazyGraph(WeightedGraph):
 
     def __init__(self, weights: EmpiricalWeights, seed: tuple[int, int], stream: int,
                  mu_v: WeightSpec | None = None, mu_e: WeightSpec | None = None):
-        self.weights = weights
-        self.n = weights.n
-        self.theta = weights.theta
-        self.seed = seed
-        self.stream = stream
-        self.mu_v = mu_v
-        self.mu_e = mu_e
-        self._sites = SiteRandom(seed, stream)
+        self._set_sites(weights, seed, stream, mu_v, mu_e)
         self._gen = stream_rng(seed, stream, _ROW_TAG)
         self._rows: dict[int, np.ndarray] = {}  # the drawn rows, ascending
         self._found: dict[int, list[int]] = {}  # undrawn u -> drawn rows that hold u

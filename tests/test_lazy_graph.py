@@ -9,6 +9,7 @@ against balls of :func:`sample_graph` graphs.
 """
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -62,15 +63,11 @@ def pooled_two_sample(a: list, b: list) -> float:
 
     Values seen fewer than 10 times in both samples together are pooled.
     """
-    ca, cb = {}, {}
-    for x in a:
-        ca[x] = ca.get(x, 0) + 1
-    for x in b:
-        cb[x] = cb.get(x, 0) + 1
+    ca, cb = Counter(a), Counter(b)
     rare = [0, 0]
     table = []
     for x in set(ca) | set(cb):
-        row = [ca.get(x, 0), cb.get(x, 0)]
+        row = [ca[x], cb[x]]
         if sum(row) < 10:
             rare = [rare[0] + row[0], rare[1] + row[1]]
         else:
@@ -123,10 +120,8 @@ def test_lazy_balls_match_enumerated_law(case):
     law = enumerated_law(weights)
     assert sum(law.values()) == pytest.approx(1.0)
     replicas = 20_000
-    counts = {}
-    for t in range(replicas):
-        key = tuple(recorded_edges(nb) for nb in harness_balls(LazyGraph(weights, SEED, t)))
-        counts[key] = counts.get(key, 0) + 1
+    counts = Counter(tuple(recorded_edges(nb) for nb in harness_balls(LazyGraph(weights, SEED, t)))
+                     for t in range(replicas))
     assert pooled_g_test(counts, law, replicas) > ALPHA
 
 
@@ -147,12 +142,11 @@ def test_root_degree_matches_poisson_binomial():
     weights = sample_empirical_weights(GAMMA, n, SEED)
     W = weights.W
     replicas = 20_000
-    degrees = {0: {}, 1: {}}
+    degrees = {0: Counter(), 1: Counter()}
     for t in range(replicas):
         graph = LazyGraph(weights, SEED, t)
         for v in (0, 1):
-            d = int(graph.neighbors(v).size)
-            degrees[v][d] = degrees[v].get(d, 0) + 1
+            degrees[v][int(graph.neighbors(v).size)] += 1
     for v in (0, 1):
         p = np.minimum(W[v] * np.delete(W, v) / (n * weights.theta), 1.0)
         law = dict(enumerate(poisson_binomial(p)))
