@@ -120,8 +120,9 @@ def test_lazy_balls_match_enumerated_law(case):
     law = enumerated_law(weights)
     assert sum(law.values()) == pytest.approx(1.0)
     replicas = 20_000
-    counts = Counter(tuple(recorded_edges(nb) for nb in harness_balls(LazyGraph(weights, SEED, t)))
-                     for t in range(replicas))
+    counts = Counter(
+        tuple(recorded_edges(nb) for nb in harness_balls(LazyGraph(weights, SEED, t)))
+        for t in range(replicas))
     assert pooled_g_test(counts, law, replicas) > ALPHA
 
 
