@@ -10,9 +10,10 @@ Every weight is drawn by inverse CDF, so the gamma quantile sets the bits of
 graph weights, edge sums, couplings and W1 distances alike.  Shapes 1, 2 and 3
 (the shipped laws and their size-biased laws) are solved here, within 2 ulp,
 from IEEE arithmetic, sqrt, frexp/ldexp and scipy.special's log1p/expm1 only:
-numpy's exp, log, log1p, expm1 and ``**`` return bits that follow the SIMD
-code path numpy dispatches to on the CPU.  Other shapes bisect gammainc, so
-that their quantile is non-decreasing in u (gammaincinv's bits are not).
+numpy's exp, log, log2, log1p, expm1 and ``**`` return bits that follow the
+SIMD code path numpy dispatches to on the CPU.  The moments and the weight
+buckets keep to the same operations.  Other shapes bisect gammainc, so that
+their quantile is non-decreasing in u (gammaincinv's bits are not).
 
 The empirical side lives in :class:`EmpiricalWeights` (a realized weight
 vector together with the model constant theta = E[W]) and
@@ -241,9 +242,23 @@ _GAMMA_SERIES = {
 }
 _SPLITTER = 134217729.0  # 2^27 + 1: a * _SPLITTER - (a * _SPLITTER - a) keeps 26 bits of a
 _LN2 = 0.6931471805599453
-# values per pass: a pass holds some twenty temporaries of its length, so a
-# million-value draw in one pass would hold some 160 MB
-_BLOCK = 8192
+# Values per pass.  A pass holds some twenty temporaries of its length, so a
+# million-value draw in one pass would hold some 160 MB; and a pass makes some
+# ninety numpy calls, so short passes pay per call.  From 8192 values per pass
+# on, glibc's malloc also hands the freed temporaries back to the kernel and
+# maps them again, pass after pass: in a fresh process on a 2-core x86 VM, a
+# draw of 10^6 shape-2 values took some 22,000 page faults and a median of
+# 118 ms at 8192 values per pass, against some 500 faults and 95 and 83 ms at
+# 4096 and 6144 (10 runs each).
+_BLOCK = 6144
+# From this many values on, a pass evaluates each branch of T only on its own
+# values, which it gathers and scatters back: 83 against 91 ms for that draw at
+# 6144 values per pass.  A shorter call (a tree node's weight, a few dozen edge
+# weights, a small graph's vertex weights) pays per numpy call more than per
+# value, and evaluates both branches everywhere: in-process, both forms took
+# about 250 us at 2000 values and 305 us at 3000, and the gathering form 9%
+# more at 500 values.
+_MASKED_FROM = 4096
 _INF_BITS = int(np.float64(np.inf).view(np.int64))  # above the pattern of every finite double
 
 
@@ -315,6 +330,12 @@ def _cbrt(a):
     return np.ldexp(special.expm1((special.log1p(m - 1.0) + r * _LN2) / 3.0) + 1.0, q)
 
 
+def _series_tv(series, x, xk, v):
+    """T v below the split: T = x^k (S_0 + x S_1(x)), with S_0 v (exact for
+    k = 2) kept apart from the smaller part."""
+    return xk * (series[-1] * v + (x * _horner(series[:-1], x)) * v)
+
+
 def _integer_gamma_quantile(k: int, u):
     """Quantile of gamma(k, 1) for k in {1, 2, 3} at u in [0, 1], in blocks."""
     u = np.asarray(u, dtype=float)
@@ -366,11 +387,16 @@ def _integer_gamma_block(k: int, u: np.ndarray):
         else:
             e1, xk, hx = x + 0.5 * xx, xx * x, 0.5 * xx
         e = 1.0 + e1
-        # T (1 - u) / (1 - c); below the split T = x^k (S_0 + x S_1(x)), and
-        # S_0 v (exact for k = 2) is kept apart from the smaller part
-        tv = np.where(x < split,
-                      xk * (series[-1] * v + (x * _horner(series[:-1], x)) * v),
-                      (special.expm1(x) - e1) * v)
+        # T (1 - u) / (1 - c) = T v, from the series below the split and from
+        # expm1 above it; either way each value takes the same operations
+        below = x < split
+        if u.size < _MASKED_FROM:
+            tv = np.where(below, _series_tv(series, x, xk, v), (special.expm1(x) - e1) * v)
+        else:
+            tv = np.empty_like(x)
+            i, j = np.flatnonzero(below), np.flatnonzero(~below)
+            tv[i] = _series_tv(series, x[i], xk[i], v[i])
+            tv[j] = (special.expm1(x[j]) - e1[j]) * v[j]
         f = special.log1p(((((tv - u) - uh * e1) - ul * e1) - tv * c) / e)
         r = f * e / hx                    # Newton step f / D'
         # D'' / (2 D') x = (k - 1 - x e_{k-2} / e_{k-1}) / 2
@@ -398,8 +424,9 @@ class EmpiricalWeights:
         if not self.theta > 0:
             raise ValueError("theta must be positive")
 
-    @property
+    @cached_property
     def lambda_n(self) -> float:
+        """Lambda_n = sum_v W_v, summed once per n."""
         return float(self.W.sum())
 
     def __getstate__(self):
@@ -423,10 +450,8 @@ class EmpiricalWeights:
         depth, and in stage 1's detached growth) reads this one law.
         """
         lam = self.lambda_n
-        upper = np.divide(self.ascending, lam)
-        _capped_cdf(upper, out=upper)
-        cum = np.divide(self.W, lam)
-        _capped_cdf(cum, out=cum)
+        upper = _capped_cdf(np.divide(self.ascending, lam))
+        cum = _capped_cdf(np.divide(self.W, lam))
         return EmpiricalSizeBiased(W=self.W, scale=lam / (self.n * self.theta),
                                    cum=cum, ascending=self.ascending, upper=upper)
 
@@ -445,9 +470,11 @@ class EmpiricalWeights:
         per bucket pair (or, for a lazy row, per bucket) only its generator
         draws.
         """
-        # floor(log2 W) lies in [-1074, 1023] for a positive double, so int16
-        # holds it, and numpy's stable argsort of int16 is an O(n) radix sort
-        bucket = np.floor(np.log2(self.W)).astype(np.int16)
+        # floor(log2 W) is frexp's exponent less one: exact for every positive
+        # double, subnormals too, where np.log2's bits follow the SIMD dispatch.
+        # It lies in [-1074, 1023], so int16 holds it, and numpy's stable
+        # argsort of int16 is an O(n) radix sort
+        bucket = (np.frexp(self.W)[1] - 1).astype(np.int16)
         # int32 vertex ids halve what the sampler keeps per edge until it
         # packs the arcs
         if self.n > np.iinfo(np.int32).max:
@@ -580,94 +607,128 @@ def sample_empirical_weights(spec: WeightSpec, n: int, seed: tuple[int, int],
 def moments(weights: EmpiricalWeights, spec: WeightSpec | None = None) -> MomentSummary:
     """Gamma_{p,n} for p in {0,1,2,3}, kappa_{p,n} for p in {1,2}, Lambda_n.
 
+    The powers are products, W^2 = W W and W^3 = W^2 W, whose bits are the
+    same on every CPU: numpy's ``W ** 3`` is a pow whose bits follow the SIMD
+    dispatch.  Gamma_1 is Lambda_n, summed once per n
+    (:attr:`EmpiricalWeights.lambda_n`).
+
     When spec is given, alpha_n is the larger of the exact 1-Wasserstein
     distances W1(nu_n, nu) and W1(nu_hat_n, nu_hat); otherwise 0.  Both read
     the one ascending copy of W that the weights keep
-    (:attr:`EmpiricalWeights.ascending`, shared with the size-biased law):
-    nu_n puts mass 1/n and nu_hat_n mass W_v / Lambda_n on each sorted
-    weight.  Each distance costs O(n) arithmetic, plus the spec's CDF on the
-    blocks of sorted weights where the empirical and limiting quantile
-    functions may cross and its quantile at the crossings themselves (see
-    :func:`_wasserstein_weighted_sample`).
+    (:attr:`EmpiricalWeights.ascending`): nu_n puts mass 1/n and nu_hat_n
+    mass W_v / Lambda_n on each sorted weight, and the cumulative table of
+    the latter is the size-biased law's ``upper``
+    (:attr:`EmpiricalWeights.size_biased`), built once per n.  Each distance
+    costs a few O(n) passes of arithmetic, plus the spec's CDF at the ends of
+    blocks of sorted weights and inside the blocks where the empirical and
+    limiting quantile functions may cross, and its partial quantile integral
+    at O(crossings) points (see :func:`_wasserstein_steps`).
     """
     W = weights.W
     n, theta = weights.n, weights.theta
-    norm = n * theta
-    excess = W > np.sqrt(norm)
-    gamma = {p: float((W ** p).sum() / norm) for p in (0, 1, 2, 3)}
-    kappa = {p: float((W[excess] ** p).sum() / norm) for p in (1, 2)}
     alpha = 0.0
     if spec is not None:
+        # the plain table is dropped before the size-biased law, built here on
+        # first use, adds its two
         s = weights.ascending
-        a_plain = _wasserstein_weighted_sample(s, np.full(n, 1.0 / n), spec)
-        a_biased = _wasserstein_weighted_sample(s, s / W.sum(), spec.size_biased())
-        alpha = max(a_plain, a_biased)
-    return MomentSummary(gamma=gamma, kappa=kappa, lambda_n=weights.lambda_n,
-                         alpha_n=alpha, theta=theta)
+        alpha = _wasserstein_steps(s, _capped_cdf(np.full(n, 1.0 / n)), spec)
+        alpha = max(alpha, _wasserstein_steps(s, weights.size_biased.upper, spec.size_biased()))
+    norm = n * theta
+    lam = weights.lambda_n
+    power = W * W
+    excess = W > np.sqrt(norm)
+    kappa = {1: float(W[excess].sum() / norm), 2: float(power[excess].sum() / norm)}
+    gamma = {0: n / norm, 1: lam / norm, 2: float(power.sum() / norm)}
+    power *= W
+    gamma[3] = float(power.sum() / norm)
+    return MomentSummary(gamma=gamma, kappa=kappa, lambda_n=lam, alpha_n=alpha, theta=theta)
 
 
 # ---- exact 1-Wasserstein distances ---------------------------------------------------
 
 
-def _capped_cdf(masses: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Cumulative sum of ``masses`` (into ``out``, which may be ``masses``), capped
-    at 1 and ending at 1: rounding can leave it short of 1, or past 1 too early."""
-    cum = np.cumsum(masses, out=out)
-    np.minimum(cum, 1.0, out=cum)
-    cum[-1] = 1.0
-    return cum
+def _capped_cdf(masses: np.ndarray) -> np.ndarray:
+    """Cumulative sum of the float array ``masses``, in place, capped at 1 and
+    ending at 1: rounding can leave it short of 1, or past 1 too early."""
+    np.cumsum(masses, out=masses)
+    np.minimum(masses, 1.0, out=masses)
+    masses[-1] = 1.0
+    return masses
 
 
-def _wasserstein_weighted_sample(s: np.ndarray, masses: np.ndarray,
-                                 spec: WeightSpec) -> float:
+def _wasserstein_steps(s: np.ndarray, hi: np.ndarray, spec: WeightSpec) -> float:
     """W1 between a weighted empirical law and a spec, by quantile coupling.
 
-    ``s`` holds the empirical values in ascending order and ``masses`` their
-    masses.  The empirical quantile function is s_i on the step (lo_i, hi_i]
-    of the cumulative masses, clipped at 1 and ending at exactly 1: rounding
-    can carry a partial sum past 1 before the last step, and G is defined on
-    [0, 1] only.  Split each step at c_i = clip(F(s_i), lo_i,
-    hi_i), where the spec's quantile Q crosses s_i; with G the spec's partial
-    quantile integral, the step adds
+    ``s`` holds the empirical values (non-negative) in ascending order and
+    ``hi`` the cumulative masses of their steps, capped at 1 and ending at
+    exactly 1 (:func:`_capped_cdf`): rounding can carry a partial sum past 1
+    before the last step, and G is defined on [0, 1] only.  ``hi`` is read,
+    not written.  The empirical quantile function is s_i on the step
+    (lo_i, hi_i], lo_i = hi_{i-1} and lo_0 = 0.  Split each step at
+    c_i = clip(F(s_i), lo_i, hi_i), where the spec's quantile Q crosses s_i;
+    with G the spec's partial quantile integral, the step adds
 
         s_i ((c_i - lo_i) - (hi_i - c_i)) + G(lo_i) + G(hi_i) - 2 G(c_i).
 
     Where c_i == hi_i the G part is G(lo_i) - G(hi_i), where c_i == lo_i it is
     G(hi_i) - G(lo_i), and lo_i = hi_{i-1}.  So over a run of steps clipped
     the same way the G parts telescope to the G values at the run's two ends.
-    Each unclipped step is a run of its own.  The O(n) part is plain
-    arithmetic; G runs only at the run ends and the unclipped c_i, O(crossings)
-    points (one to two thousand at n = 1e6 for a sample from the spec), and
-    each run's linear sum and G part nearly cancel, so nothing large is summed.
+    Each unclipped step is a run of its own.  G runs only at the run ends and
+    the unclipped c_i, O(crossings) points (one to two thousand at n = 1e6
+    for a sample from the spec), and each run's linear sum and G part nearly
+    cancel, so nothing large is summed.
+
+    The linear part of a clipped step is +-s_i (hi_i - lo_i): where c_i ==
+    hi_i, (c_i - lo_i) - (hi_i - c_i) is (hi_i - lo_i) - 0, and where c_i ==
+    lo_i < hi_i it is 0 - (hi_i - lo_i), both exact.  So the step masses
+    times s, each negated where the step is clipped down, are the linear
+    parts of every clipped step, bit for bit, in two passes; a step of no
+    mass reads as clipped up (c_i == hi_i is tested first).  Only the steps
+    of the leaves below that may hold a crossing take c_i and the formula.
 
     F itself is evaluated only near the crossings.  The steps are cut into
-    blocks of ``_W1_BLOCK``, and F is taken at each block's first and last
-    points a and b.  If F(s_a) and F(s_b) are both at least the block's top
-    hi_b, every step of the block is clipped up; if both are at most lo_a,
-    every step is clipped down; only the other blocks take F point by point.
-    The ends are exact.  An interior step i has hi_i <= hi_{b-1} and
-    lo_i >= lo_{a+1}, so it sits a step mass inside the end values, and
-    masses do not fall along the sorted sample (1/n, or s_i / Lambda_n), so
-    a step's mass is at least 1/n of the cumulative mass at its end.  The
-    clip of every interior step is therefore the one F(s_i) itself gives as
-    long as the computed F is monotone in s up to a relative error below
-    1/n.  F is a step function for a finite law, and scipy's gammainc is
-    monotone to a few ulp.  So each c_i, and the sum, keep every bit of the
-    all-points clip.
+    blocks of ``_W1_BLOCK`` + 1, each block's last step the next one's first,
+    and F is taken at the block ends a and b (:func:`_block_clips`).  If
+    F(s_a) and F(s_b) are both at least the block's top hi_b, every step of
+    the block is clipped up; if both are at most lo_a, every step is clipped
+    down or has no mass.  The other blocks are cut the same way into leaves
+    of ``_W1_LEAF`` + 1 steps and F is taken at their ends, and only the
+    leaves that their ends do not decide take F point by point.  At n = 1e6,
+    on gamma(2, 1) samples from three seeds, a distance took F at 38,000 to
+    107,000 points in all, where blocks of 32 without shared ends or leaves
+    took 83,000 to 254,000.  The ends are exact.  An interior step i of a
+    block or leaf from a to b has hi_i <= hi_{b-1} and lo_i >= lo_{a+1}, so
+    it sits a step mass inside the end values, and masses do not fall along
+    the sorted sample (1/n, or s_i / Lambda_n), so a step's mass is at least
+    1/n of the cumulative mass at its end.  The clip of every interior step
+    is therefore the one F(s_i) itself gives as long as the computed F is
+    monotone in s up to a relative error below 1/n.  F is a step function
+    for a finite law, and scipy's gammainc is monotone to a few ulp.  So each
+    c_i, and the sum, keep every bit of the all-points clip.
     """
-    hi = _capped_cdf(masses)
-    lo = np.concatenate(([0.0], hi[:-1]))
+    linear = np.empty(s.size)  # the step masses hi - lo, then the linear parts
+    linear[0] = hi[0]
+    np.subtract(hi[1:], hi[:-1], out=linear[1:])
     if spec.family == "constant":
         # G(u) = c u, so each step adds (hi - lo)|s - c|: exactly 0 on a constant sample
-        return float(np.dot(hi - lo, np.abs(s - spec.c)))
-    c = np.clip(_cdf_near_crossings(s, lo, hi, spec), lo, hi)
-    linear = s * ((c - lo) - (hi - c))
-    up = c == hi
-    sign = up.view(np.int8) - ((c == lo) & ~up).view(np.int8)  # +1 hi, -1 lo, 0 unclipped
-    starts = np.flatnonzero(np.concatenate(([True], (sign[1:] != sign[:-1]) | (sign[1:] == 0))))
+        return float(np.dot(linear, np.abs(s - spec.c)))
+    sign, near = _block_clips(s, hi, spec)
+    sign[linear == 0.0] = 1
+    np.multiply(linear, s, out=linear)
+    linear *= sign
+    lo, top = np.where(near > 0, hi[near - 1], 0.0), hi[near]
+    c = np.clip(spec.cdf(s[near]), lo, top)
+    up = c == top
+    near_sign = up.view(np.int8) - ((c == lo) & ~up).view(np.int8)  # +1 hi, -1 lo, 0 unclipped
+    sign[near] = near_sign
+    linear[near] = s[near] * ((c - lo) - (top - c))
+    unclipped = near_sign == 0
+    # a run starts at step 0, where the clip changes, and at each unclipped step
+    starts = np.union1d(np.flatnonzero(sign[1:] != sign[:-1]) + 1,
+                        np.append(near[unclipped], 0))
     run_sign = sign[starts]
     g = spec.partial_quantile_integral(
-        np.concatenate((lo[starts], [1.0], c[sign == 0])))
+        np.concatenate((np.where(starts > 0, hi[starts - 1], 0.0), [1.0], c[unclipped])))
     g_start, g_end, g_c = g[:starts.size], g[1:starts.size + 1], g[starts.size + 1:]
     g_part = np.where(run_sign > 0, g_start - g_end, g_end - g_start)
     flat = run_sign == 0
@@ -675,19 +736,46 @@ def _wasserstein_weighted_sample(s: np.ndarray, masses: np.ndarray,
     return float((np.add.reduceat(linear, starts) + g_part).sum())
 
 
-_W1_BLOCK = 32  # sorted points per block whose clip is decided from its two ends
+_W1_BLOCK = 32  # steps from one block end to the next
+_W1_LEAF = 8    # steps from one leaf end to the next, within a block
 
 
-def _cdf_near_crossings(s, lo, hi, spec):
-    """F(s_i) where a block of steps may hold a crossing, else +inf (a block
-    clipped up) or -inf (clipped down): either clips to the same c_i as F."""
-    first = np.arange(0, s.size, _W1_BLOCK)
-    last = np.minimum(first + _W1_BLOCK, s.size) - 1
-    f_first, f_last = np.split(spec.cdf(s[np.concatenate((first, last))]), 2)
-    up = (f_first >= hi[last]) & (f_last >= hi[last])
-    down = (f_first <= lo[first]) & (f_last <= lo[first])
-    sizes = last - first + 1
-    f = np.repeat(np.where(up, np.inf, -np.inf), sizes)
-    near = np.repeat(~(up | down), sizes)
-    f[near] = spec.cdf(s[near])
-    return f
+def _block_clips(s, hi, spec):
+    """The clips that block and leaf ends decide, and the steps of the leaves they do not.
+
+    Leaf j runs from step j * ``_W1_LEAF`` to the next leaf's first step
+    (the last leaf to step n - 1), and each block is ``_W1_BLOCK`` /
+    ``_W1_LEAF`` leaves.  F is taken once at each block end, and at the leaf
+    ends of the blocks whose ends do not decide their clip.  Returns
+    ``sign``, int8 per step: +1 in a leaf clipped up and -1 in one clipped
+    down (which a step of no mass there does not follow), an end that two
+    leaves share taking the clip of the leaf it starts; and ``near``, the
+    ascending steps of the leaves whose ends do not decide their clip, both
+    ends included, which ``sign`` does not give.
+    """
+    n = s.size
+    ends = np.append(np.arange(0, max(n - 1, 1), _W1_LEAF), n - 1)
+    f = np.full(ends.size, np.nan)
+    outer = np.append(np.arange(0, ends.size - 1, _W1_BLOCK // _W1_LEAF), ends.size - 1)
+    f[outer] = spec.cdf(s[ends[outer]])
+    clip = np.repeat(_end_clips(ends, f, hi, outer[:-1], outer[1:]), np.diff(outer))
+    open_leaves = np.flatnonzero(clip == 0)
+    inner = open_leaves[np.isnan(f[open_leaves])]
+    f[inner] = spec.cdf(s[ends[inner]])
+    clip[open_leaves] = _end_clips(ends, f, hi, open_leaves, open_leaves + 1)
+    sizes = np.diff(ends)
+    sizes[-1] += 1
+    sign = np.repeat(np.where(clip > 0, 1, -1).astype(np.int8), sizes)
+    near = (ends[:-1][clip == 0, None] + np.arange(_W1_LEAF + 1)).ravel()
+    near = near[near < n]
+    return sign, near[np.diff(near, prepend=-1) > 0]  # an end two such leaves share, once
+
+
+def _end_clips(ends, f, hi, a, b):
+    """+1 where F at ends a and b clips every step from ends[a] to ends[b] up,
+    -1 where it clips them down, 0 where it does not decide."""
+    top = hi[ends[b]]
+    bottom = np.where(ends[a] > 0, hi[ends[a] - 1], 0.0)
+    up = (f[a] >= top) & (f[b] >= top)
+    down = (f[a] <= bottom) & (f[b] <= bottom) & ~up
+    return up.view(np.int8) - down.view(np.int8)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import special
 
 from sparselocal.coupling import _COUPLE_TAG, poisson_icdf
 from sparselocal.graph import _GEN_TAG, WeightedGraph, _unrank_triangle
@@ -8,7 +9,8 @@ from sparselocal.limit_trees import (DEFAULT_NODE_BUDGET, TreeBudgetExceeded,
                                      grow_intermediate)
 from sparselocal.rng import stream_rng
 from sparselocal.trees import RootedWeightedTree
-from sparselocal.weights import WeightSpec, _wasserstein_weighted_sample
+from sparselocal.weights import (_GAMMA_SERIES, _GAMMA_START, _SPLITTER, WeightSpec,
+                                 _capped_cdf, _cbrt, _horner, _wasserstein_steps)
 
 # The purpose tags that the seeded sampler tests key their generators with,
 # so that each test keeps the draws its bounds and tolerances were set on.
@@ -162,7 +164,12 @@ def _per_pair_sample_graph(weights, seed, stream=0, mu_v=None, mu_e=None):
                              np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
                              mu_v=mu_v, mu_e=mu_e)
 
-    bucket = np.floor(np.log2(W)).astype(np.int64)
+    # floor(log2 W), made exact where the rounding of log2 lands on the wrong
+    # side of a power of two
+    bucket = np.floor(np.log2(W))
+    bucket -= np.ldexp(1.0, bucket.astype(np.int64)) > W
+    bucket += np.ldexp(1.0, bucket.astype(np.int64) + 1) <= W
+    bucket = bucket.astype(np.int64)
     labels = np.unique(bucket)
     members = {b: np.flatnonzero(bucket == b) for b in labels}
     wmax = {b: float(W[members[b]].max()) for b in labels}
@@ -236,9 +243,10 @@ def size_biased_intervals():
 def _all_points_w1(s, masses, spec):
     """The weighted-sample W1 with the spec's CDF taken at every sorted point.
 
-    The same telescoped sum as ``weights._wasserstein_weighted_sample``, with
-    c = clip(F(s), lo, hi) from all n values of F; the blocked CDF must give
-    the same bits.
+    The same telescoped sum as ``weights._wasserstein_steps``, with
+    c = clip(F(s), lo, hi) from all n values of F and the linear part
+    s ((c - lo) - (hi - c)) at every step; the blocked CDF and the fused
+    linear part must give the same bits.
     """
     hi = np.minimum(np.cumsum(masses), 1.0)
     hi[-1] = 1.0
@@ -264,6 +272,54 @@ def _all_points_w1(s, masses, spec):
 def all_points_w1():
     """The oracle of the W1 that evaluates the CDF only near crossings."""
     return _all_points_w1
+
+
+def weighted_sample_w1(s, masses, spec):
+    """W1 between the law with ``masses`` on the ascending values ``s`` and a
+    spec: ``weights._wasserstein_steps`` on the capped cumulative masses."""
+    return _wasserstein_steps(s, _capped_cdf(np.array(masses, dtype=float)), spec)
+
+
+# ---- the integer-shape gamma quantile, both branches everywhere ----------------------
+
+
+def where_integer_gamma_block(k, u):
+    """Quantile of gamma(k, 1) for k in {1, 2, 3}: the one-pass form, which takes
+    T(x) from both its series and expm1 at every value and picks with np.where.
+
+    The oracle of ``weights._integer_gamma_quantile``, which evaluates each
+    branch only on its own values in long calls: both must give the same bits.
+    """
+    u = np.asarray(u, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = 1.0 - u
+        w = v - 1.0
+        c = (w + u) / np.maximum(v, 0.5)
+        L = c - special.log1p(w)
+        if k == 1:
+            return L
+        split, series = _GAMMA_SERIES[k]
+        s = np.sqrt(L + L) if k == 2 else _cbrt(6.0 * L)
+        x = s * _horner(_GAMMA_START[k], s)
+        g = x * _SPLITTER
+        x = g - (g - x)
+        g = u * _SPLITTER
+        uh = g - (g - u)
+        ul = u - uh
+        xx = x * x
+        if k == 2:
+            e1, xk, hx = x, xx, x
+        else:
+            e1, xk, hx = x + 0.5 * xx, xx * x, 0.5 * xx
+        e = 1.0 + e1
+        tv = np.where(x < split,
+                      xk * (series[-1] * v + (x * _horner(series[:-1], x)) * v),
+                      (special.expm1(x) - e1) * v)
+        f = special.log1p(((((tv - u) - uh * e1) - ul * e1) - tv * c) / e)
+        r = f * e / hx
+        a = 0.5 / e if k == 2 else 1.0 - 0.5 * x * (1.0 + x) / e
+        x = x - r * (1.0 + r / x * a)
+        return np.fmax(x, L)
 
 
 # ---- the limiting objects, drawn directly ------------------------------------------
@@ -321,7 +377,7 @@ def wasserstein_1d(a, b):
     """Exact 1-Wasserstein distance via the inverse-CDF coupling.
 
     ``a`` is either a 1-d sample (uniform empirical masses), which goes
-    through ``weights._wasserstein_weighted_sample``, or a WeightSpec.
+    through ``weights._wasserstein_steps``, or a WeightSpec.
     Discrete/discrete pairs are summed exactly over merged CDF breakpoints;
     pairs involving a gamma law integrate |F_a - F_b| by adaptive quadrature.
     """
@@ -334,7 +390,7 @@ def wasserstein_1d(a, b):
     if sample.ndim != 1 or sample.size == 0:
         raise ValueError("sample must be a non-empty 1-d array")
     masses = np.full(sample.size, 1.0 / sample.size)
-    return _wasserstein_weighted_sample(np.sort(sample), masses, b)
+    return weighted_sample_w1(np.sort(sample), masses, b)
 
 
 def _as_discrete(spec):

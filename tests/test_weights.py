@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 from scipy import special
 
 import sparselocal
-from conftest import wasserstein_1d
-from sparselocal.weights import (_W1_BLOCK, EmpiricalWeights, WeightSpec,
-                                 _wasserstein_weighted_sample, moments,
-                                 sample_empirical_weights)
+from conftest import wasserstein_1d, weighted_sample_w1, where_integer_gamma_block
+from sparselocal.weights import (_BLOCK, _GAMMA_SERIES, _MASKED_FROM, _W1_BLOCK, _W1_LEAF,
+                                 EmpiricalWeights, WeightSpec, _integer_gamma_quantile,
+                                 moments, sample_empirical_weights)
 
 SEED = (2024, 7)
 
@@ -32,6 +33,22 @@ def test_edge_probability_er_embedding():
     assert edge_probability(w, w, n, lam) == pytest.approx(lam_n / n, abs=0, rel=1e-15)
     plan = EmpiricalWeights(n=n, W=np.full(n, w), theta=lam).bucket_plan
     assert plan.pmax.tolist() == [edge_probability(w, w, n, lam)]
+
+
+def test_bucket_plan_groups_by_the_exact_binary_exponent():
+    # floor(log2 W) at powers of two, at the doubles next to them and at
+    # subnormals, where a rounded log2 can land on the wrong side
+    k = np.concatenate((np.arange(-1074, -1064), np.arange(-1026, -1020), np.arange(-3, 4),
+                        np.arange(1019, 1024)))
+    p = np.ldexp(1.0, k)
+    W = np.concatenate((p, np.nextafter(p, np.inf), np.nextafter(p[1:], 0.0),
+                        [3 * 5e-324, 1e-310, 2.2250738585072009e-308]))
+    exponent = np.array([math.frexp(w)[1] - 1 for w in W.tolist()])
+    with np.errstate(over="ignore"):  # pmax of the top buckets is inf before its cap
+        plan = EmpiricalWeights(n=W.size, W=W, theta=1.0).bucket_plan
+    groups = [set(exponent[plan.order[a:b]].tolist()) for a, b in plan.buckets]
+    assert all(len(g) == 1 for g in groups)
+    assert [g.pop() for g in groups] == sorted(set(exponent.tolist()))
 
 
 def test_edge_probability_cap_and_direct():
@@ -279,8 +296,8 @@ def _forward_error_bound(values, masses, spec):
 def _w1(values, masses, spec):
     """The weighted-sample W1 on unsorted values, as the reference takes them."""
     order = np.argsort(values)
-    return _wasserstein_weighted_sample(np.asarray(values, dtype=float)[order],
-                                        np.asarray(masses, dtype=float)[order], spec)
+    return weighted_sample_w1(np.asarray(values, dtype=float)[order],
+                              np.asarray(masses, dtype=float)[order], spec)
 
 
 @pytest.mark.parametrize("spec", [WeightSpec("constant", c=2.0),
@@ -412,7 +429,8 @@ def _midpoint_sample(spec, n):
     return spec.quantile((np.arange(n) + 0.5) / n)
 
 
-@pytest.mark.parametrize("n", [1, _W1_BLOCK - 1, _W1_BLOCK, _W1_BLOCK + 1, 100_000])
+@pytest.mark.parametrize("n", [1, 2, _W1_LEAF + 2, _W1_BLOCK - 1, _W1_BLOCK, _W1_BLOCK + 1,
+                               _W1_BLOCK + 2, 2 * _W1_BLOCK + 1, 100_000])
 @pytest.mark.parametrize("shape", [1.0, 2.0, 3.0, 2.5])
 def test_weighted_sample_w1_equals_all_points_oracle(all_points_w1, shape, n):
     # the blocked CDF gives every bit of the all-points clip, on a sample from
@@ -426,7 +444,7 @@ def test_weighted_sample_w1_equals_all_points_oracle(all_points_w1, shape, n):
     for name, s in samples.items():
         for masses, target in ((np.full(n, 1.0 / n), spec),
                                (s / s.sum(), spec.size_biased())):
-            assert _wasserstein_weighted_sample(s, masses, target) == \
+            assert weighted_sample_w1(s, masses, target) == \
                 all_points_w1(s, masses, target), name
 
 
@@ -461,7 +479,7 @@ def test_weighted_sample_w1_takes_the_cdf_near_crossings_only(all_points_w1, mon
     for masses, target in ((np.full(n, 1.0 / n), spec),
                            (values / values.sum(), spec.size_biased())):
         points.clear()
-        got = _wasserstein_weighted_sample(values, masses, target)
+        got = weighted_sample_w1(values, masses, target)
         assert sum(points) < n // 3
         assert got == all_points_w1(values, masses, target)
 
@@ -477,10 +495,75 @@ def test_weighted_sample_w1_clips_masses_that_pass_one_early(all_points_w1, spec
     s = np.array([1.0, 2.0, 3.0])
     over = np.array([0.5, 0.5 + 2.0 ** -52, 2.0 ** -60])
     assert np.cumsum(over)[1] > 1.0
-    got = _wasserstein_weighted_sample(s, over, spec)
+    got = weighted_sample_w1(s, over, spec)
     assert np.isfinite(got)
-    assert got == _wasserstein_weighted_sample(s, np.array([0.5, 0.5, 0.0]), spec)
+    assert got == weighted_sample_w1(s, np.array([0.5, 0.5, 0.0]), spec)
     assert got == all_points_w1(s, over, spec)
+
+
+_ALPHA_LAWS = [WeightSpec("gamma", shape=1.0, scale=1.5), WeightSpec("gamma", shape=2.0, scale=1.5),
+               WeightSpec("gamma", shape=3.0, scale=1.5),
+               WeightSpec("finite", values=(0.5, 1.0, 3.0), probs=(0.2, 0.5, 0.3))]
+
+
+@pytest.mark.parametrize("n", [1, 2, _W1_BLOCK + 1, 1000, 100_000])
+@pytest.mark.parametrize("spec", _ALPHA_LAWS, ids=["exp", "gamma2", "gamma3", "finite"])
+def test_moments_alpha_equals_all_points_oracle(all_points_w1, spec, n):
+    # alpha_n reads the size-biased law's cumulative table as the biased W1's
+    # steps; both distances keep every bit of the all-points form, on a sample
+    # from the law and on one from another law
+    rng = np.random.default_rng(n)
+    for W in (spec.sample(rng, n), rng.gamma(0.5, 4.0, size=n)):
+        w = EmpiricalWeights(n=n, W=W, theta=spec.mean())
+        s = np.sort(W)
+        expected = max(all_points_w1(s, np.full(n, 1.0 / n), spec),
+                       all_points_w1(s, s / W.sum(), spec.size_biased()))
+        assert moments(w, spec).alpha_n == expected
+
+
+@pytest.mark.parametrize("spec", [WeightSpec("gamma", shape=2.0, scale=1.0),
+                                  WeightSpec("finite", values=(1.5, 2.5), probs=(0.5, 0.5))],
+                         ids=["gamma", "finite"])
+def test_weighted_sample_w1_steps_of_no_mass_in_blocks_clipped_down(all_points_w1, monkeypatch,
+                                                                   spec):
+    # F(s) is below every lo after the first step, so every block but the
+    # first is clipped down; a step of no mass there still reads as clipped up
+    # (c == hi is tested first), a run of its own, and so do runs of them, at
+    # block ends and inside blocks
+    n = 20 * _W1_BLOCK
+    rng = np.random.default_rng(3)
+    s = np.sort(rng.uniform(0.01, 0.02, n))
+    masses = rng.uniform(0.5, 1.5, n) * np.geomspace(1.0, 1e3, n)
+    gone = np.concatenate((np.arange(_W1_BLOCK, n, _W1_BLOCK), [40, 41, 42, 77, 300, n - 1],
+                           rng.choice(np.arange(1, n), 60, replace=False)))
+    masses[gone] = 0.0
+    masses /= masses.sum()
+    points = []
+    original = WeightSpec.cdf
+
+    def counted(self, x):
+        points.append(np.size(x))
+        return original(self, x)
+
+    monkeypatch.setattr(WeightSpec, "cdf", counted)
+    got = weighted_sample_w1(s, masses, spec)
+    assert sum(points) < n // 4  # the blocks, not the points, decide the clips
+    assert got == all_points_w1(s, masses, spec)
+
+
+@pytest.mark.parametrize("spec", [WeightSpec("gamma", shape=2.0, scale=1.0),
+                                  WeightSpec("finite", values=(1.5, 2.5), probs=(0.5, 0.5))],
+                         ids=["gamma", "finite"])
+def test_weighted_sample_w1_clips_masses_that_pass_one_long_before_the_end(all_points_w1, spec):
+    # the cumulative masses pass 1 some three blocks before the last step and
+    # are capped there: those steps have no mass
+    n = 10 * _W1_BLOCK
+    s = np.sort(spec.sample(np.random.default_rng(4), n))
+    masses = np.full(n, 1.0 / (n - 3 * _W1_BLOCK - 0.5))
+    assert np.cumsum(masses)[n - 3 * _W1_BLOCK - 1] > 1.0
+    got = weighted_sample_w1(s, masses, spec)
+    assert np.isfinite(got)
+    assert got == all_points_w1(s, masses, spec)
 
 
 def test_wasserstein_unsupported_pair():
@@ -634,14 +717,74 @@ def test_non_integer_gamma_quantile_is_monotone_over_adjacent_doubles(shape):
             for x in u[::97].tolist()] == q[::97].tolist()
 
 
-def test_integer_gamma_quantile_bits_do_not_follow_simd_dispatch():
-    # numpy picks a SIMD code path per CPU for its own transcendental ufuncs,
-    # and their bits follow it; the quantile must give the same bits on all
+def _quantile_edge_points(k):
+    """u at the ends of the quantile's range, at 1/2 (where the rounding
+    error c of 1 - u turns 0), and in a band on both sides of the u whose
+    quantile is the series split, so both branches of T run."""
+    if k == 1:
+        band = np.linspace(0.4, 0.6, 21)
+    else:
+        band = special.gammainc(k, _GAMMA_SERIES[k][0]) * (1.0 + np.linspace(-1e-4, 1e-4, 201))
+    return np.concatenate(([0.0, 1.0, 1e-300, 0.5, 1.0 - 2.0 ** -53], band))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_quantile_edge_points_straddle_the_series_split(k):
+    q = where_integer_gamma_block(k, _quantile_edge_points(k))
+    split = _GAMMA_SERIES[k][0]
+    assert np.any(q < split) and np.any(q[np.isfinite(q)] > split)
+
+
+@pytest.mark.parametrize("size", [1, 20, _MASKED_FROM - 1, _MASKED_FROM, _BLOCK - 1, _BLOCK,
+                                  _BLOCK + 1, 100_000])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_integer_gamma_quantile_equals_where_oracle(k, size):
+    # a short call evaluates both branches of T everywhere; a long one each
+    # branch on its own values, in blocks: both keep the one-pass bits
+    rng = np.random.default_rng(size + k)
+    u = rng.random(size)
+    edge = _quantile_edge_points(k)
+    at = rng.choice(size, size=min(size, edge.size), replace=False)
+    u[at] = edge[:at.size]
+    assert _integer_gamma_quantile(k, u).tobytes() == where_integer_gamma_block(k, u).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_integer_gamma_quantile_equals_where_oracle_at_0d_and_2d(k):
+    edge = _quantile_edge_points(k)
+    for x in edge.tolist():
+        got = _integer_gamma_quantile(k, x)
+        assert np.ndim(got) == 0
+        assert got.tobytes() == where_integer_gamma_block(k, x).tobytes()
+    u = np.random.default_rng(k).random((3, _BLOCK))
+    u[1, :edge.size] = edge
+    got = _integer_gamma_quantile(k, u)
+    assert got.shape == u.shape
+    assert got.tobytes() == where_integer_gamma_block(k, u).tobytes()
+
+
+def _digests_under_dispatch(script):
+    """The stdout of ``script`` run with the default SIMD dispatch, then without
+    the top targets (AVX-512 on x86), then without any target above the
+    baseline (AVX2 too)."""
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
     targets = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
     if not targets:
         pytest.skip("no SIMD target above the baseline to disable")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sparselocal.__file__)))
+    digests = []
+    for disabled in ("", " ".join(targets[1:]), " ".join(targets)):
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=dict(env, NPY_DISABLE_CPU_FEATURES=disabled), timeout=120)
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.strip())
+    return digests
+
+
+def test_integer_gamma_quantile_bits_do_not_follow_simd_dispatch():
+    # numpy picks a SIMD code path per CPU for its own transcendental ufuncs,
+    # and their bits follow it; the quantile must give the same bits on all
     script = (
         "import hashlib, numpy as np\n"
         "from sparselocal.weights import WeightSpec\n"
@@ -652,16 +795,24 @@ def test_integer_gamma_quantile_bits_do_not_follow_simd_dispatch():
         "for k in (1.0, 2.0, 3.0):\n"
         "    h.update(WeightSpec('gamma', shape=k, scale=1.0).quantile(u).tobytes())\n"
         "print(h.hexdigest())\n")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sparselocal.__file__)))
-    digests = []
-    # the default dispatch, then without the top targets (AVX-512 on x86), then
-    # without any target above the baseline (AVX2 too)
-    for disabled in ("", " ".join(targets[1:]), " ".join(targets)):
-        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                             env=dict(env, NPY_DISABLE_CPU_FEATURES=disabled), timeout=120)
-        assert run.returncode == 0, run.stderr
-        digests.append(run.stdout.strip())
-    assert len(set(digests)) == 1
+    assert len(set(_digests_under_dispatch(script))) == 1
+
+
+def test_moments_bits_do_not_follow_simd_dispatch():
+    # Gamma_3 was W ** 3, a pow whose bits follow the dispatch, on some of these
+    # seeds; every moment and alpha_n must give the same bits on every path
+    script = (
+        "import hashlib, numpy as np\n"
+        "from sparselocal.weights import WeightSpec, moments, sample_empirical_weights\n"
+        "spec = WeightSpec('gamma', shape=2.0, scale=1.0)\n"
+        "h = hashlib.sha256()\n"
+        "for n in (20, 100, 1000):\n"
+        "    for seed in range(300):\n"
+        "        m = moments(sample_empirical_weights(spec, n, (seed, n)), spec)\n"
+        "        h.update(np.array([*m.gamma.values(), *m.kappa.values(),\n"
+        "                           m.alpha_n]).tobytes())\n"
+        "print(h.hexdigest())\n")
+    assert len(set(_digests_under_dispatch(script))) == 1
 
 
 def test_config_round_trip():
