@@ -799,8 +799,9 @@ def test_integer_gamma_quantile_bits_do_not_follow_simd_dispatch():
 
 
 def test_moments_bits_do_not_follow_simd_dispatch():
-    # Gamma_3 was W ** 3, a pow whose bits follow the dispatch, on some of these
-    # seeds; every moment and alpha_n must give the same bits on every path
+    # numpy's W ** 3 is a pow whose bits follow the dispatch, and a Gamma_3
+    # taken from it differs on some of these seeds; every moment and alpha_n
+    # must give the same bits on every path
     script = (
         "import hashlib, numpy as np\n"
         "from sparselocal.weights import WeightSpec, moments, sample_empirical_weights\n"
