@@ -247,9 +247,10 @@ _LN2 = 0.6931471805599453
 # ninety numpy calls, so short passes pay per call.  From 8192 values per pass
 # on, glibc's malloc also hands the freed temporaries back to the kernel and
 # maps them again, pass after pass: in a fresh process on a 2-core x86 VM, a
-# draw of 10^6 shape-2 values took some 22,000 page faults and a median of
-# 118 ms at 8192 values per pass, against some 500 faults and 95 and 83 ms at
-# 4096 and 6144 (10 runs each).
+# draw of 10^6 shape-2 values took some 22,000 page faults at 8192 values per
+# pass and some 500 at 4096 and 6144, and a median of 118 ms at 8192 in the
+# one-pass form of T below against 95 and 83 ms at 4096 and 6144 (10 runs
+# each).
 _BLOCK = 6144
 # From this many values on, a pass evaluates each branch of T only on its own
 # values, which it gathers and scatters back: 83 against 91 ms for that draw at
