@@ -13,8 +13,7 @@ from .graph import LazyGraph, PerturbationSet, WeightedGraph, perturb, sample_gr
 from .harness import (ExperimentConfig, clt_experiment, coupling_experiment,
                       estimate_variance, ks_to_normal)
 from .limit_trees import Population, rde_apply, rde_fixed_point
-from .matching import (Matching, SandwichResult, delta_N, dependent_edge_sum,
-                       envelope_bound, h_k, h_value, matching_sandwich,
+from .matching import (Matching, delta_N, dependent_edge_sum, envelope_bound,
                        max_weight_matching)
 from .trees import RootedWeightedTree, canonical_code
 from .weights import (EmpiricalSizeBiased, EmpiricalWeights, MomentSummary, WeightSpec,
@@ -33,8 +32,8 @@ __all__ = [
     "ExperimentConfig", "clt_experiment", "coupling_experiment", "estimate_variance",
     "ks_to_normal",
     "Population", "rde_apply", "rde_fixed_point",
-    "Matching", "SandwichResult", "delta_N", "dependent_edge_sum", "envelope_bound",
-    "h_k", "h_value", "matching_sandwich", "max_weight_matching",
+    "Matching", "delta_N", "dependent_edge_sum", "envelope_bound",
+    "max_weight_matching",
     "RootedWeightedTree", "canonical_code",
     "EmpiricalSizeBiased", "EmpiricalWeights", "MomentSummary", "WeightSpec",
     "moments", "sample_empirical_weights",

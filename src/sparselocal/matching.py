@@ -4,20 +4,15 @@ maximum weight matching.
 The edge-weight sum N(G) adds, over realized edges, the decorative weights
 of the two endpoints; its perturbation effects have exact closed forms.
 
-Maximum weight matching is solved exactly: on trees by the linear-time
-bottom-up recursion, on general graphs at desk scale (<= 24 vertices) one
-connected component at a time.  The edge weights come from one vectorised
-site hash; each component is relabelled in breadth-first order and solved by
-the memoized remove-or-match recursion over vertex bitmasks
+Maximum weight matching is solved exactly at desk scale (<= 24 vertices),
+one connected component at a time.  The edge weights come from one
+vectorised site hash; each component is relabelled in breadth-first order
+and solved by the memoized remove-or-match recursion over vertex bitmasks
 
     M(G) = max( M(G - v), max_u w_{vu} + M(G - {v, u}) ),
 
 and M(G) is the right fold w_1 + (w_2 + (... + w_k)) over the matched edges
 in sorted order, the same sum the recursion on the whole graph returns.
-
-The finite-depth recursion h_k on a rooted tree brackets the matching
-increment h(G, v) = M(G) - M(G - v) between consecutive even and odd
-depths, which is what the sandwich evaluator returns.
 """
 
 from __future__ import annotations
@@ -26,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .explore import Neighbourhood, is_tree, to_rooted_tree
 from .graph import WeightedGraph
-from .trees import RootedWeightedTree
 
 EXACT_SOLVER_LIMIT = 24
 
@@ -46,18 +39,6 @@ class Matching:
             if u in used or v in used or u == v:
                 raise ValueError("matching edges must be vertex-disjoint")
             used.update((u, v))
-
-
-@dataclass
-class SandwichResult:
-    gL: float
-    gU: float
-    kL: int
-    kU: int
-
-    def __post_init__(self):
-        if self.gL > self.gU + 1e-12:
-            raise ValueError("sandwich is inverted")
 
 
 # ---- exact solver on small general graphs -------------------------------------------
@@ -160,102 +141,15 @@ def _edge_list(graph: WeightedGraph) -> list[tuple[int, int, float]]:
     return list(zip(graph.edge_u.tolist(), graph.edge_v.tolist(), w.tolist()))
 
 
-def matching_value(n: int, edges: list[tuple[int, int, float]],
-                   exclude: frozenset[int] = frozenset()) -> float:
-    """M(G - exclude) for an explicit edge list; exact."""
-    kept = [e for e in edges if e[0] not in exclude and e[1] not in exclude]
-    return _exact_matching(n, kept).value
+def max_weight_matching(graph: WeightedGraph) -> Matching:
+    """Exact maximum weight matching of a graph with an edge-weight law.
 
-
-def max_weight_matching(obj, edges: list[tuple[int, int, float]] | None = None) -> Matching:
-    """Exact maximum weight matching.
-
-    Accepts a RootedWeightedTree (linear-time recursion), a WeightedGraph
-    with an edge-weight law (desk-scale exact search), or an explicit
-    (n, edges) pair.  Sizes beyond the exact-solver limit raise; there is no
-    heuristic fallback.  On general graphs the witness and the value come
-    from the per-component search of ``_exact_matching``, which says how
-    weight ties are settled.
+    The graph must have at most 24 vertices; larger graphs raise, and there
+    is no heuristic fallback.  The witness and the value come from the
+    per-component search of ``_exact_matching``, which says how weight ties
+    are settled.
     """
-    if isinstance(obj, RootedWeightedTree):
-        value, matched = _tree_matching(obj)
-        return Matching(edges=matched, value=value)
-    if isinstance(obj, WeightedGraph):
-        return _exact_matching(obj.n, _edge_list(obj))
-    return _exact_matching(int(obj), edges or [])
-
-
-def _bottom_up(tree: RootedWeightedTree) -> tuple[np.ndarray, np.ndarray, list[int | None]]:
-    """Leaves first, per node u: h_u = max(0, max_c (w_c - h_c)), the best
-    such child c (None when h_u = 0) and M(T_u) = sum_c M(T_c) + h_u."""
-    n = tree.node_count
-    h = np.zeros(n)
-    m = np.zeros(n)
-    pick: list[int | None] = [None] * n
-    for node in range(n - 1, -1, -1):
-        best, arg, total = 0.0, None, 0.0
-        for c in tree.children[node]:
-            total += m[c]
-            gain = tree.edge_w[c] - h[c]
-            if gain > best:
-                best, arg = gain, c
-        h[node] = best
-        m[node] = total + best
-        pick[node] = arg
-    return h, m, pick
-
-
-def _tree_matching(tree: RootedWeightedTree) -> tuple[float, list[tuple[int, int]]]:
-    """Bottom-up: M(T_u) = sum_c M(T_c) + max(0, max_c (w_c - h_c))."""
-    h, m, pick = _bottom_up(tree)
-    # reconstruct a witness top-down: a free node takes its best child edge
-    matched: list[tuple[int, int]] = []
-    used = np.zeros(tree.node_count, dtype=bool)
-    for node in range(tree.node_count):  # parents precede children
-        c = pick[node]
-        if c is not None and h[node] > 0 and not used[node]:
-            matched.append((node, c))
-            used[node] = used[c] = True
-    return float(m[0]), matched
-
-
-def h_value(obj, v: int, edges: list[tuple[int, int, float]] | None = None) -> float:
-    """h(G, v) = M(G) - M(G - v); nonnegative.
-
-    Accepts a WeightedGraph with an edge-weight law or an explicit
-    (n, edges) pair.
-    """
-    if isinstance(obj, WeightedGraph):
-        n, edges = obj.n, _edge_list(obj)
-    else:
-        n, edges = int(obj), edges or []
-    return _exact_matching(n, edges).value - matching_value(n, edges, frozenset({v}))
-
-
-def h_k(tree: RootedWeightedTree, k: int) -> float:
-    """Finite-depth matching recursion at the root of the depth-k cut.
-
-    Nodes at depth k (and genuine leaves) start at zero; each internal node
-    takes max(0, max over children of edge weight minus the child's value).
-    """
-    h, _, _ = _bottom_up(tree.truncate(min(k, tree.depth)))
-    return float(h[0])
-
-
-def matching_sandwich(nb: Neighbourhood, k: int, graph: WeightedGraph) -> SandwichResult:
-    """h_{kL} and h_{kU} on the ball, kU the largest odd <= k, kL = kU - 1.
-
-    For tree-shaped balls these bracket the matching increment of the root:
-    even depths from below, odd depths from above.
-    """
-    if k < 1:
-        raise ValueError("sandwich needs k >= 1")
-    if not is_tree(nb):
-        raise ValueError("sandwich requires a tree-shaped neighbourhood")
-    kU = k if k % 2 == 1 else k - 1
-    kL = kU - 1
-    tree = to_rooted_tree(nb, graph.weights, edge_weight=graph.edge_weight)
-    return SandwichResult(gL=h_k(tree, kL), gU=h_k(tree, kU), kL=kL, kU=kU)
+    return _exact_matching(graph.n, _edge_list(graph))
 
 
 # ---- dependent edge-weight sum -------------------------------------------------------

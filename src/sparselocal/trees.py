@@ -68,20 +68,6 @@ class RootedWeightedTree:
             node = p
         return tuple(reversed(path))
 
-    def truncate(self, depth: int) -> "RootedWeightedTree":
-        """The subtree of all nodes at depth <= depth (a copy)."""
-        out = RootedWeightedTree(self.type_w[0], depth, self.vertex_w[0], self.labels[0])
-        mapping = {0: 0}
-        for node in range(1, self.node_count):  # parents precede children by construction
-            if self.node_depth[node] > depth:
-                continue
-            p = mapping.get(self.parent[node])
-            if p is None:
-                continue
-            mapping[node] = out.add_child(p, self.type_w[node], self.edge_w[node],
-                                          self.vertex_w[node], self.labels[node])
-        return out
-
     def __repr__(self):
         return (f"RootedWeightedTree(nodes={self.node_count}, depth={self.depth}, "
                 f"height={self.height})")

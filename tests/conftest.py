@@ -1,12 +1,16 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from scipy import special
 
 from sparselocal.coupling import _COUPLE_TAG, poisson_icdf
+from sparselocal.explore import is_tree, to_rooted_tree
 from sparselocal.graph import _GEN_TAG, WeightedGraph, _unrank_triangle
 from sparselocal.limit_trees import _RDE_TAG as RDE_TAG
 from sparselocal.limit_trees import (DEFAULT_NODE_BUDGET, TreeBudgetExceeded,
                                      grow_intermediate)
+from sparselocal.matching import _edge_list, _exact_matching
 from sparselocal.rng import stream_rng
 from sparselocal.trees import RootedWeightedTree
 from sparselocal.weights import (_GAMMA_SERIES, _GAMMA_START, _SPLITTER, WeightSpec,
@@ -102,6 +106,99 @@ class WholeGraphMatcher:
 def whole_graph_matcher():
     """The oracle of the per-component solver."""
     return WholeGraphMatcher
+
+
+# ---- the matching sandwich: the oracle of ROADMAP item 7b ---------------------------
+
+
+def matching_value(n, edges, exclude=frozenset()):
+    """M(G - exclude) for an explicit edge list; exact."""
+    kept = [e for e in edges if e[0] not in exclude and e[1] not in exclude]
+    return _exact_matching(n, kept).value
+
+
+def h_value(obj, v, edges=None):
+    """h(G, v) = M(G) - M(G - v); nonnegative.
+
+    Accepts a WeightedGraph with an edge-weight law or an explicit
+    (n, edges) pair.
+    """
+    if isinstance(obj, WeightedGraph):
+        n, edges = obj.n, _edge_list(obj)
+    else:
+        n, edges = int(obj), edges or []
+    return matching_value(n, edges) - matching_value(n, edges, frozenset({v}))
+
+
+def truncate(tree, depth):
+    """A copy of the subtree of all nodes at depth <= depth."""
+    out = RootedWeightedTree(tree.type_w[0], depth, tree.vertex_w[0], tree.labels[0])
+    mapping = {0: 0}
+    for node in range(1, tree.node_count):  # parents precede children by construction
+        p = mapping.get(tree.parent[node])
+        if p is None or tree.node_depth[node] > depth:
+            continue
+        mapping[node] = out.add_child(p, tree.type_w[node], tree.edge_w[node],
+                                      tree.vertex_w[node], tree.labels[node])
+    return out
+
+
+def _bottom_up(tree):
+    """Leaves first, per node u: h_u = max(0, max_c (w_c - h_c)) and
+    M(T_u) = sum_c M(T_c) + h_u."""
+    h = np.zeros(tree.node_count)
+    m = np.zeros(tree.node_count)
+    for node in range(tree.node_count - 1, -1, -1):
+        best, total = 0.0, 0.0
+        for c in tree.children[node]:
+            total += m[c]
+            best = max(best, tree.edge_w[c] - h[c])
+        h[node] = best
+        m[node] = total + best
+    return h, m
+
+
+def tree_matching(tree):
+    """M(T) by the linear-time bottom-up recursion."""
+    return float(_bottom_up(tree)[1][0])
+
+
+def h_k(tree, k):
+    """Finite-depth matching recursion at the root of the depth-k cut.
+
+    Nodes at depth k (and genuine leaves) start at zero; each internal node
+    takes max(0, max over children of edge weight minus the child's value).
+    """
+    h, _ = _bottom_up(truncate(tree, min(k, tree.depth)))
+    return float(h[0])
+
+
+@dataclass
+class SandwichResult:
+    gL: float
+    gU: float
+    kL: int
+    kU: int
+
+    def __post_init__(self):
+        if self.gL > self.gU + 1e-12:
+            raise ValueError("sandwich is inverted")
+
+
+def matching_sandwich(nb, k, graph):
+    """h_{kL} and h_{kU} on the ball, kU the largest odd <= k, kL = kU - 1.
+
+    For tree-shaped balls these bracket the matching increment of the root,
+    h_{kL} <= h(G, v) <= h_{kU}: even depths from below, odd depths from above.
+    """
+    if k < 1:
+        raise ValueError("sandwich needs k >= 1")
+    if not is_tree(nb):
+        raise ValueError("sandwich requires a tree-shaped neighbourhood")
+    kU = k if k % 2 == 1 else k - 1
+    kL = kU - 1
+    tree = to_rooted_tree(nb, graph.weights, edge_weight=graph.edge_weight)
+    return SandwichResult(gL=h_k(tree, kL), gU=h_k(tree, kU), kL=kL, kU=kU)
 
 
 def _couple_bernoulli_poisson(p_prime, u):

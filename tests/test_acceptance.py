@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import INTERMEDIATE_TAG, sample_intermediate_tree, stage1_rng
+from conftest import (INTERMEDIATE_TAG, h_k, matching_value, sample_intermediate_tree,
+                      stage1_rng)
 from sparselocal.bounds import BoundParams, VertexSetSummary, epsilon_v_bound, \
     default_k_n, degree_moment_bound, mean_pweight_bound, not_tree_bound, vertex_in_ball_bound
 from sparselocal.coupling import (CouplingConfig, couple_full,
@@ -23,8 +24,7 @@ from sparselocal.explore import explore
 from sparselocal.graph import PerturbationSet, perturb, sample_graph
 from sparselocal.harness import ExperimentConfig, clt_experiment
 from sparselocal.limit_trees import rde_fixed_point
-from sparselocal.matching import (delta_N, dependent_edge_sum, h_k, matching_value,
-                                  max_weight_matching)
+from sparselocal.matching import _exact_matching, delta_N, dependent_edge_sum
 from sparselocal.rng import parse_seed, stream_rng
 from sparselocal.trees import RootedWeightedTree
 from sparselocal.weights import WeightSpec, moments, sample_empirical_weights
@@ -54,7 +54,7 @@ def test_criterion_01_exact_matching_oracle(brute_force_matching):
     for _ in range(500):
         n = int(rng.integers(1, 9))
         edges = random_edges(rng, n)
-        if max_weight_matching(n, edges).value != pytest.approx(
+        if _exact_matching(n, edges).value != pytest.approx(
                 brute_force_matching(n, edges), abs=1e-12):
             bad += 1
     report(1, "exact matching equals brute force", bad == 0,

@@ -4,12 +4,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from conftest import (h_k, h_value, matching_sandwich, matching_value, tree_matching,
+                      truncate)
 from sparselocal import matching
 from sparselocal.explore import explore
 from sparselocal.graph import WeightedGraph, sample_graph
 from sparselocal.matching import (EXACT_SOLVER_LIMIT, Matching, delta_N,
-                                  dependent_edge_sum, envelope_bound, h_k, h_value,
-                                  matching_sandwich, matching_value, max_weight_matching)
+                                  dependent_edge_sum, envelope_bound, max_weight_matching)
 from sparselocal.rng import SiteRandom
 from sparselocal.trees import RootedWeightedTree
 from sparselocal.weights import EmpiricalWeights, WeightSpec, sample_empirical_weights
@@ -26,25 +27,30 @@ def random_instance(rng, n_max=8, p=0.5):
 
 
 def test_single_edge():
-    m = max_weight_matching(2, [(0, 1, 0.8)])
+    m = matching._exact_matching(2, [(0, 1, 0.8)])
     assert m.value == pytest.approx(0.8)
     assert m.edges == [(0, 1)]
 
 
 def test_triangle():
-    m = max_weight_matching(3, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)])
+    m = matching._exact_matching(3, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)])
     assert m.value == pytest.approx(3.0)
 
 
 def test_path_2_3_2():
-    m = max_weight_matching(4, [(0, 1, 2.0), (1, 2, 3.0), (2, 3, 2.0)])
+    m = matching._exact_matching(4, [(0, 1, 2.0), (1, 2, 3.0), (2, 3, 2.0)])
     assert m.value == pytest.approx(4.0)
     assert sorted(m.edges) == [(0, 1), (2, 3)]
 
 
 def test_solver_limit():
+    n = EXACT_SOLVER_LIMIT + 1
+    w = EmpiricalWeights(n=n, W=np.full(n, 1.0), theta=1.0)
+    g = WeightedGraph(w, SEED, 0, np.arange(n - 1), np.arange(1, n), mu_e=EXP1)
     with pytest.raises(ValueError):
-        matching_value(EXACT_SOLVER_LIMIT + 1, [])
+        max_weight_matching(g)
+    with pytest.raises(ValueError):
+        matching._exact_matching(n, [])
 
 
 def test_matching_invariant():
@@ -56,7 +62,7 @@ def test_against_brute_force(brute_force_matching):
     rng = np.random.default_rng(5)
     for _ in range(150):
         n, edges = random_instance(rng)
-        got = max_weight_matching(n, edges)
+        got = matching._exact_matching(n, edges)
         assert got.value == pytest.approx(brute_force_matching(n, edges), abs=1e-9)
         # the witness realizes the value
         assert sum(w for u, v, w in edges if (min(u, v), max(u, v))
@@ -127,7 +133,7 @@ def small_graphs(draw, dyadic):
 
 
 def _check_against_whole_graph(n, edges, oracle):
-    got = max_weight_matching(n, edges)
+    got = matching._exact_matching(n, edges)
     assert got.value == oracle(n, edges).value((1 << n) - 1)
     # the witness is a matching on realized edges, listed in sorted order,
     # whose weights folded from the right give the value bit for bit
@@ -200,7 +206,7 @@ def test_disjoint_edges_are_solved_one_component_at_a_time(monkeypatch):
 
     monkeypatch.setattr(matching._ExactMatcher, "value", counted)
     n, edges = _EXAMPLES[4]
-    got = max_weight_matching(n, edges)
+    got = matching._exact_matching(n, edges)
     assert got.edges == [(i, i + 12) for i in range(12)]
     assert got.value == sum(1.0 + i / 4 for i in range(12))
     assert len(calls) <= 60
@@ -270,7 +276,27 @@ def test_h_k_depends_only_on_depth_k_subtree():
     for _ in range(50):
         t = random_tree(rng, 25, depth=7)
         for k in (1, 2, 3):
-            assert h_k(t, k) == h_k(t.truncate(k), k)
+            assert h_k(t, k) == h_k(truncate(t, k), k)
+
+
+def random_forest(rng, n):
+    """Random trees of 1 to 8 vertices on shuffled labels, as one graph on n
+    vertices with Exp(1) edge weights; the trees of one vertex are isolated
+    vertices.  Returns the graph and one vertex of each tree."""
+    labels = rng.permutation(n).tolist()
+    roots, eu, ev = [], [], []
+    while labels:
+        size = int(rng.integers(1, 9))
+        part, labels = labels[:size], labels[size:]
+        roots.append(part[0])
+        for i in range(1, len(part)):
+            a, b = part[int(rng.integers(0, i))], part[i]
+            eu.append(min(a, b))
+            ev.append(max(a, b))
+    w = EmpiricalWeights(n=n, W=np.full(n, 1.0), theta=1.0)
+    g = WeightedGraph(w, (int(rng.integers(1 << 30)), 7), 0, np.array(eu, dtype=np.int64),
+                      np.array(ev, dtype=np.int64), mu_e=EXP1)
+    return g, roots
 
 
 def test_tree_matching_equals_exact_solver():
@@ -280,9 +306,14 @@ def test_tree_matching_equals_exact_solver():
         t = random_tree(rng, n)
         edges = [(int(t.parent[c]), c, float(t.edge_w[c]))
                  for c in range(1, t.node_count)]
-        direct = max_weight_matching(t)
-        solver = matching_value(t.node_count, edges)
-        assert direct.value == pytest.approx(solver, abs=1e-9)
+        assert tree_matching(t) == pytest.approx(matching_value(t.node_count, edges),
+                                                 abs=1e-9)
+    # forests through the graph path that clt runs, one tree recursion per
+    # component; the two fold the matched weights in different orders
+    for _ in range(80):
+        g, roots = random_forest(rng, int(rng.integers(1, EXACT_SOLVER_LIMIT + 1)))
+        by_tree = sum(tree_matching(_nb_tree(explore(g, r, g.n), g)) for r in roots)
+        assert max_weight_matching(g).value == pytest.approx(by_tree, abs=1e-9)
 
 
 # ---- the sandwich ----------------------------------------------------------------------

@@ -19,13 +19,15 @@ import sys
 import types
 from inspect import CO_NEWLOCALS
 
+import sparselocal
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 PACKAGE = os.path.join(SRC, "sparselocal")
 
 # qualnames (module.qualname) that no command enters, by the ROADMAP item that
 # will wire them into a command
 NEVER_ENTERED = {
-    "item 7, the stein command: perturbation, the matching sandwich, clt_bound": [
+    "item 7a, the stein command: perturbation, the edge-sum increments, clt_bound": [
         "bounds.clt_bound",
         "graph.PerturbationSet.__post_init__",
         "graph.PerturbationSet.validate",
@@ -33,16 +35,8 @@ NEVER_ENTERED = {
         "graph.WeightedGraph.edge_indicator",
         "graph.WeightedGraph.replacement_edge_indicator",
         "graph.perturb",
-        "matching.SandwichResult.__post_init__",
-        "matching._bottom_up",
-        "matching._tree_matching",
         "matching.delta_N",
         "matching.envelope_bound",
-        "matching.h_k",
-        "matching.h_value",
-        "matching.matching_sandwich",
-        "matching.matching_value",
-        "trees.RootedWeightedTree.truncate",
     ],
     "item 8, per-stage coupling checks": [
         "bounds.intermediate_coupling_bound",
@@ -187,3 +181,8 @@ def test_every_function_is_entered_or_pinned(tmp_path):
     assert len(pinned) == len(set(pinned)), "a name is pinned twice"
     assert sorted(never - set(pinned)) == [], "never entered and not pinned"
     assert sorted(set(pinned) - never) == [], "pinned but entered (or gone): unpin"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in sparselocal.__all__ if not hasattr(sparselocal, name)]
+    assert missing == []

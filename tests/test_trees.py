@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import truncate
 from sparselocal.trees import RootedWeightedTree, canonical_code
 
 
@@ -101,7 +102,7 @@ def test_type_sensitivity_and_type_agnostic_mode():
 def test_truncate_and_height():
     t = tree_from_parents([0, 1, 2])  # a path of depth 3
     assert t.height == 3
-    cut = t.truncate(2)
+    cut = truncate(t, 2)
     assert cut.height == 2 and cut.node_count == 3
     assert cut.depth == 2
 
