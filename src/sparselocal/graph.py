@@ -138,7 +138,7 @@ class WeightedGraph:
         n = np.int64(self.n)
         end = self.arcs // n
         other = self.arcs - end * n
-        forward = np.flatnonzero(end < other)  # sorted by (end, other): (u, v) order
+        forward = (end < other).nonzero()[0]  # sorted by (end, other): (u, v) order
         return end[forward], other[forward]
 
     @property
@@ -201,8 +201,7 @@ class WeightedGraph:
     def vertex_weight(self, v, replacement: bool = False):
         spec = self._needs(self.mu_v, "vertex weight")
         v_arr = np.asarray(v, dtype=np.int64)
-        flag = np.where(self._flipped_vertex_mask(v_arr) ^ replacement,
-                        srng.REPLACEMENT, srng.PRIMARY)
+        flag = self._vertex_flag(v_arr, replacement)
         out = spec.quantile(self._sites.uniform(srng.KIND_VERTEX_WEIGHT, v_arr, 0, flag))
         return out if out.ndim else float(out)
 
@@ -210,8 +209,7 @@ class WeightedGraph:
         spec = self._needs(self.mu_e, "edge weight")
         u_arr = np.asarray(u, dtype=np.int64)
         v_arr = np.asarray(v, dtype=np.int64)
-        flag = np.where(self._flipped_edge_mask(u_arr, v_arr) ^ replacement,
-                        srng.REPLACEMENT, srng.PRIMARY)
+        flag = self._edge_flag(u_arr, v_arr, replacement)
         out = spec.quantile(self._sites.edge_uniform(srng.KIND_EDGE_WEIGHT, u_arr, v_arr,
                                                      flag))
         return out if out.ndim else float(out)
@@ -226,22 +224,25 @@ class WeightedGraph:
         key = (np.uint64(root) << np.uint64(32)) | np.uint64(explored)
         return self._sites.uniform(srng.KIND_ZSTAR, key, u_arr)
 
-    def _flipped_vertex_mask(self, v_arr):
+    def _vertex_flag(self, v_arr, replacement: bool):
+        """The site flag of each vertex: REPLACEMENT where it is flipped xor
+        ``replacement``.  With no flipped vertex it is one flag for all."""
         if not self.flipped_vertices:
-            return np.zeros(np.shape(v_arr), dtype=bool)
+            return srng.REPLACEMENT if replacement else srng.PRIMARY
         table = np.zeros(self.n, dtype=bool)
         table[list(self.flipped_vertices)] = True
-        return table[v_arr]
+        return np.where(table[v_arr] ^ replacement, srng.REPLACEMENT, srng.PRIMARY)
 
-    def _flipped_edge_mask(self, u_arr, v_arr):
+    def _edge_flag(self, u_arr, v_arr, replacement: bool):
+        """The site flag of each edge, as :meth:`_vertex_flag` gives it for vertices."""
         if not self.flipped_edges:
-            return np.zeros(np.broadcast(u_arr, v_arr).shape, dtype=bool)
+            return srng.REPLACEMENT if replacement else srng.PRIMARY
         lo = np.minimum(u_arr, v_arr)
         hi = np.maximum(u_arr, v_arr)
         flipped = self.flipped_edges
-        return np.asarray([(int(a), int(b)) in flipped for a, b in
-                           zip(np.atleast_1d(lo), np.atleast_1d(hi))]
-                          ).reshape(np.shape(lo))
+        mask = np.asarray([(int(a), int(b)) in flipped for a, b in
+                           zip(np.atleast_1d(lo), np.atleast_1d(hi))]).reshape(np.shape(lo))
+        return np.where(mask ^ replacement, srng.REPLACEMENT, srng.PRIMARY)
 
 
 class LazyGraph(WeightedGraph):
@@ -316,17 +317,22 @@ def _bernoulli_positions(gen: np.random.Generator, total: int, p: float) -> np.n
     while True:
         expect = (total - pos) * p
         block = int(expect + 10.0 * math.sqrt(expect + 1.0) + 16)
+        gaps = gen.geometric(p, size=block)
+        if gaps[0] >= total - pos:  # the next success is past total: none is left
+            break
         # a gap past total ends the run either way; capping it keeps the
         # cumulative sum inside int64 when p is tiny (geometric saturates
         # at the int64 maximum below p ~ 1e-18)
-        gaps = np.minimum(gen.geometric(p, size=block), total + 1)
+        np.minimum(gaps, total + 1, out=gaps)
         gaps[0] += pos  # so the cumulative sum is pos + cumsum(gaps)
-        positions = gaps.cumsum()
+        positions = gaps.cumsum(out=gaps)
         inside = int(positions.searchsorted(total))  # the positions increase
         out.append(positions[:inside])
         if inside < block:
             break
         pos = int(positions[-1])
+    if not out:
+        return np.empty(0, dtype=np.int64)
     return out[0] if len(out) == 1 else np.concatenate(out)
 
 
@@ -416,16 +422,12 @@ def _map_and_thin(weights: EmpiricalWeights, pairs: list[int], positions: list[n
         pair = np.repeat(pairs, [p.size for p in positions])
         pos = np.concatenate(positions)
         r = np.concatenate(uniforms)
-        cu = plan.start_a[pair]
-        cv = plan.start_b[pair]
-        same = plan.same[pair]
-        cross = ~same
-        rows, cols = np.divmod(pos[cross], plan.size_b[pair[cross]])
-        cu[cross] += rows
-        cv[cross] += cols
-        i, j = _unrank_triangle(pos[same], plan.size_a[pair[same]])
-        cu[same] += i
-        cv[same] += j
+        size = plan.size_b[pair]  # both sizes of a same-bucket pair are equal
+        cu, cv = np.divmod(pos, size)  # row-major, right for the cross pairs
+        same = plan.same[pair].nonzero()[0]
+        cu[same], cv[same] = _unrank_triangle(pos[same], size[same])
+        cu += plan.start_a[pair]
+        cv += plan.start_b[pair]
     del pairs[:], positions[:], uniforms[:], pos
     # thin on the slots, where the weight gathers run nearly in order, and
     # map only the kept candidates to vertices
@@ -433,9 +435,11 @@ def _map_and_thin(weights: EmpiricalWeights, pairs: list[int], positions: list[n
     p = plan.weight[cu]
     p *= plan.weight[cv]
     p /= weights.n * weights.theta
-    # the indices of the kept candidates, not a boolean mask: a mask that
-    # keeps about half at random makes each masked copy mispredict its branches
-    keep = np.flatnonzero(r < np.minimum(p, 1.0, out=p))
+    # r pmax < 1, so comparing with p keeps what comparing with min(p, 1)
+    # keeps; the indices of the kept candidates, not a boolean mask: a mask
+    # that keeps about half at random makes each masked copy mispredict its
+    # branches
+    keep = (r < p).nonzero()[0]
     return plan.order[cu[keep]], plan.order[cv[keep]]
 
 

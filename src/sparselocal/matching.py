@@ -11,8 +11,11 @@ and solved by the memoized remove-or-match recursion over vertex bitmasks
 
     M(G) = max( M(G - v), max_u w_{vu} + M(G - {v, u}) ),
 
-and M(G) is the right fold w_1 + (w_2 + (... + w_k)) over the matched edges
-in sorted order, the same sum the recursion on the whole graph returns.
+with v the highest label left: leaf first, as the highest breadth-first
+labels lie on the far side of the component, so on trees few vertex sets
+are reached.  M(G) is the right fold w_1 + (w_2 + (... + w_k)) over the
+matched edges in sorted order, the same sum the recursion on the whole
+graph returns.
 """
 
 from __future__ import annotations
@@ -46,26 +49,31 @@ class Matching:
 
 class _ExactMatcher:
     """Memoized remove-or-match recursion over the vertex bitmasks of one
-    component, given as neighbour lists of (vertex, weight) on labels 0..k-1."""
+    component on labels 0..k-1.  Each state removes its highest label v: in
+    breadth-first labels that is a vertex on the far side of the component,
+    often a leaf.  Every other vertex left is below v, so ``adj[v]`` lists
+    only the neighbours u < v, as (1 << u, u, weight)."""
 
-    def __init__(self, adj: list[list[tuple[int, float]]]):
+    def __init__(self, adj: list[list[tuple[int, int, float]]]):
         self.adj = adj
-        self._memo: dict[int, float] = {}
-        self._pick: dict[int, int | None] = {}  # per mask: the lowest vertex's partner
+        self._memo: dict[int, float] = {0: 0.0}
+        self._pick: dict[int, int | None] = {}  # per mask: the highest vertex's partner
 
     def value(self, mask: int) -> float:
         memo = self._memo
         cached = memo.get(mask)
         if cached is not None:
             return cached
-        if mask == 0:
-            return 0.0
-        v = (mask & -mask).bit_length() - 1
-        best = self.value(mask & ~(1 << v))  # leave v unmatched
+        v = mask.bit_length() - 1
+        rest = mask ^ (1 << v)
+        best = memo.get(rest)  # leave v unmatched
+        if best is None:
+            best = self.value(rest)
         pick = None
-        for u, w in self.adj[v]:
-            if mask >> u & 1:
-                cand = w + self.value(mask & ~(1 << v) & ~(1 << u))
+        for bit, u, w in self.adj[v]:
+            if mask & bit:
+                sub = memo.get(rest ^ bit)
+                cand = w + (self.value(rest ^ bit) if sub is None else sub)
                 if cand > best:
                     best, pick = cand, u
         memo[mask] = best
@@ -74,17 +82,17 @@ class _ExactMatcher:
 
     def witness(self, mask: int) -> list[tuple[int, int]]:
         """The matching ``value`` chose, read from its recorded picks: its
-        weights, folded from the right in label order, give value(mask) bit
-        for bit."""
+        weights, folded from the right from the highest label down, give
+        value(mask) bit for bit."""
         self.value(mask)
         out = []
         while mask:
-            v = (mask & -mask).bit_length() - 1
+            v = mask.bit_length() - 1
             pick = self._pick[mask]
-            mask &= ~(1 << v)
+            mask ^= 1 << v
             if pick is not None:
                 out.append((v, pick))
-                mask &= ~(1 << pick)
+                mask ^= 1 << pick
         return out
 
 
@@ -93,7 +101,8 @@ def _exact_matching(n: int, edges: list[tuple[int, int, float]]) -> Matching:
 
     Each connected component is relabelled in breadth-first order from its
     lowest vertex and solved on its own; a component's bitmask recursion then
-    eliminates vertices along the search frontier and memoizes few states.
+    eliminates the highest label first, leaf first, and memoizes few states
+    (47 vertex sets on a 24-vertex star, 441 on a complete binary tree).
     The value is the right fold w_1 + (w_2 + (... + w_k)) over the matched
     edges sorted by endpoints, which is the sum the whole-graph recursion on
     the original labels returns.  The two agree bit for bit unless two
@@ -111,20 +120,20 @@ def _exact_matching(n: int, edges: list[tuple[int, int, float]]) -> Matching:
         if v in adj[u]:
             raise ValueError("duplicate edge")
         adj[u][v] = adj[v][u] = float(w)
-    seen = [False] * n
+    label: dict[int, int] = {}  # vertex -> its label in its component
     matched = []
     for root in range(n):
-        if seen[root] or not adj[root]:
+        if root in label or not adj[root]:
             continue
-        seen[root] = True
+        label[root] = 0
         order = [root]
         for x in order:  # breadth first: order grows while it is read
             for y in sorted(adj[x]):
-                if not seen[y]:
-                    seen[y] = True
+                if y not in label:
+                    label[y] = len(order)
                     order.append(y)
-        label = {x: i for i, x in enumerate(order)}
-        solver = _ExactMatcher([[(label[y], w) for y, w in adj[x].items()] for x in order])
+        solver = _ExactMatcher([[(1 << label[y], label[y], w) for y, w in adj[x].items()
+                                 if label[y] < i] for i, x in enumerate(order)])
         for a, b in solver.witness((1 << len(order)) - 1):
             u, v = sorted((order[a], order[b]))
             matched.append((u, v, adj[u][v]))

@@ -111,5 +111,6 @@ def format_seed(seed: tuple[int, int]) -> str:
 
 def stream_rng(seed: tuple[int, int], stream: int, *tags: int) -> np.random.Generator:
     """Sequential generator for (seed, stream) and a purpose tag tuple."""
-    entropy = [seed[0], seed[1], stream & 0xFFFFFFFFFFFFFFFF, *[t & 0xFFFFFFFFFFFFFFFF for t in tags]]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    entropy = [seed[0], seed[1], stream & _M64, *[t & _M64 for t in tags]]
+    # default_rng(SeedSequence(entropy))'s stream, built directly
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))

@@ -393,6 +393,48 @@ def test_bernoulli_positions_tiny_p_stays_in_range():
     assert np.all((0 <= g.edge_u) & (g.edge_u < g.edge_v) & (g.edge_v < w.n))
 
 
+def _plain_bernoulli_positions(gen, total, p):
+    """The skip sampler without a shortcut: every block of gaps is capped,
+    summed and searched, even when its first gap already passes total."""
+    if total <= 0 or p <= 0:
+        return np.empty(0, dtype=np.int64)
+    if p >= 1.0:
+        return np.arange(total, dtype=np.int64)
+    out = []
+    pos = -1
+    while True:
+        expect = (total - pos) * p
+        block = int(expect + 10.0 * np.sqrt(expect + 1.0) + 16)
+        gaps = np.minimum(gen.geometric(p, size=block), total + 1)
+        gaps[0] += pos
+        positions = gaps.cumsum()
+        inside = int(positions.searchsorted(total))
+        out.append(positions[:inside])
+        if inside < block:
+            break
+        pos = int(positions[-1])
+    return np.concatenate(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(total=st.integers(0, 3000), p=st.floats(1e-6, 1.0), stream=st.integers(0, 2**31))
+@example(total=10**11, p=1e-25, stream=0)  # the gaps saturate
+@example(total=10**11, p=1e-9, stream=1)
+@example(total=50, p=0.0, stream=2)
+@example(total=38, p=0.01, stream=1)  # the first gap is 38: a success on the last slot
+@example(total=37, p=0.01, stream=1)  # and one just past the end
+def test_bernoulli_positions_equals_plain_skip_sampler(total, p, stream):
+    from sparselocal.graph import _bernoulli_positions
+    from sparselocal.rng import stream_rng
+
+    gen, plain = stream_rng(SEED, stream, 99), stream_rng(SEED, stream, 99)
+    got = _bernoulli_positions(gen, total, p)
+    want = _plain_bernoulli_positions(plain, total, p)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    # both consumed the same draws, so the sampler's next draws are the same
+    assert gen.random() == plain.random()
+
+
 def test_expected_edge_count_general_weights():
     n, reps = 40, 3000
     w = sample_empirical_weights(WeightSpec("gamma", shape=2.0, scale=1.0), n, SEED)

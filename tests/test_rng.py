@@ -113,6 +113,24 @@ def test_site_uniform_distribution():
     assert abs(np.corrcoef(u[:-1], u[1:])[0, 1]) < 4 / np.sqrt(u.size)
 
 
+@pytest.mark.parametrize("seed, stream, tags", [
+    ((5, 6), 2, (11,)),
+    ((0, 0), 0, ()),
+    ((2**64 - 1, 2**63), 2**40, (12, 0, 2**64 - 1)),
+    ((123, 456), -1, (-3, 13)),
+])
+def test_stream_rng_is_default_rng_of_its_seed_sequence(seed, stream, tags):
+    # every sequential draw in the package comes from this stream, so it
+    # must stay default_rng(SeedSequence(entropy)) however it is built
+    m = 2**64 - 1
+    entropy = [seed[0], seed[1], stream & m, *[t & m for t in tags]]
+    want = np.random.default_rng(np.random.SeedSequence(entropy))
+    got = stream_rng(seed, stream, *tags)
+    assert np.array_equal(got.random(8), want.random(8))
+    assert np.array_equal(got.geometric(0.05, size=8), want.geometric(0.05, size=8))
+    assert got.bit_generator.state == want.bit_generator.state
+
+
 def test_stream_rng_deterministic_and_tag_sensitive():
     a = stream_rng((5, 6), 2, 11).random(4)
     b = stream_rng((5, 6), 2, 11).random(4)
