@@ -23,6 +23,7 @@ tree statistics stay exactly distributed as direct sampling.
 from __future__ import annotations
 
 import bisect
+import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -313,8 +314,12 @@ def couple_intermediate_to_limit(tree: RootedWeightedTree, law: EmpiricalSizeBia
             lam_tilde = law.scale * tree.type_w[src]
             n_tilde = len(tree.children[src])
             lo, hi = poisson_cdf_interval(n_tilde, lam_tilde)
+            # u stays in (lo, hi] after the clamp, where a double there lies
+            # below the clamp's top: lo + r (hi - lo) rounds onto lo when the
+            # interval is a few ulps wide, and lo inverts to n_tilde - 1
             u = lo + rng.random() * max(hi - lo, 0.0)
-            count = int(poisson_icdf(mean, min(max(u, 1e-300), 1.0 - 1e-16)))
+            u = min(max(u, math.nextafter(lo, 1.0), 1e-300), 1.0 - 1e-16)
+            count = int(poisson_icdf(mean, u))
             if count != n_tilde and break_level is None:
                 break_level = d + 1
             matched_children = [tree.children[src][t] if t < n_tilde else None

@@ -21,9 +21,9 @@ bucket order and thinned on the weights there, whose gathers run nearly in
 order, and only the kept ones, about half at n = 1e6, are mapped to
 vertices.  The many tiny pairs of a small graph cost one pass, and the
 temporaries of a large graph are those of one batch, not of all
-candidates.  The batches keep their edges as int32 vertex pairs; at the end
-both arcs u*n + v and v*n + u of every edge are packed into one array, and
-one sort of those 2m keys is the whole adjacency structure the graph keeps.
+candidates.  The batches keep their edges as int32 vertex pairs, and the
+graph sorts them once into the edge list it keeps; the rows, which no
+command reads, are packed from that list only when something asks for them.
 
 ``couple`` needs only a few balls per replica, so it samples no whole graph.
 A :class:`LazyGraph` draws the row of a vertex when a ball first reads it,
@@ -86,34 +86,37 @@ class WeightedGraph:
     """Realized sparse graph plus deterministic lazy access to all sites.
 
     Immutable after construction; replicate-level parallelism uses distinct
-    stream ids.  The graph keeps one adjacency array, ``arcs``: each edge
-    {u, v} stored twice, as the keys u*n + v and v*n + u, sorted.  The row
-    of v is the run of keys in [v*n, (v + 1)*n), found by two binary
-    searches, so it comes out ascending.  ``edge_u``/``edge_v``, the
-    endpoints u < v of each edge in (u, v) order, are the forward arcs,
-    split off on first use.  The constructor takes the endpoints in any
-    order and packs and sorts the arcs; ``sample_graph`` hands over arcs it
-    has already sorted.  ``flipped_edges``/``flipped_vertices`` record the
-    sites of a perturbation G^F: flipped edge indicators are already baked
-    into the arcs, flipped weight sites transparently read the replacement
+    stream ids.  The graph keeps its edge list: ``edge_u``/``edge_v``, the
+    endpoints u < v of each edge, in (u, v) order.  The constructor takes
+    the endpoints in any order and orientation, as int32 or int64 arrays or
+    as lists, forms the keys min*n + max and sorts those m keys once.  The rows are built on first
+    use: ``arcs`` stores each edge twice, as the keys u*n + v and v*n + u,
+    sorted, and the row of v is the run of keys in [v*n, (v + 1)*n), found
+    by two binary searches, so it comes out ascending.
+    ``flipped_edges``/``flipped_vertices`` record the sites of a
+    perturbation G^F: flipped edge indicators are already baked into the
+    edge list, flipped weight sites transparently read the replacement
     stream.
     """
 
     def __init__(self, weights: EmpiricalWeights, seed: tuple[int, int], stream: int,
-                 edge_u: np.ndarray | None, edge_v: np.ndarray | None,
+                 edge_u: np.ndarray | list, edge_v: np.ndarray | list,
                  mu_v: WeightSpec | None = None, mu_e: WeightSpec | None = None,
                  flipped_edges: frozenset = frozenset(),
-                 flipped_vertices: frozenset = frozenset(), *,
-                 _arcs: np.ndarray | None = None):
+                 flipped_vertices: frozenset = frozenset()):
         self._set_sites(weights, seed, stream, mu_v, mu_e)
         self.flipped_edges = flipped_edges
         self.flipped_vertices = flipped_vertices
-        if _arcs is None:
-            edge_u = np.asarray(edge_u, dtype=np.int64)
-            _arcs = _pack_arcs(edge_u, np.asarray(edge_v, dtype=np.int64), np.int64(self.n),
-                               np.empty(2 * edge_u.size, dtype=np.int64))
-            _arcs.sort()
-        self.arcs = _arcs
+        n = self.n
+        # int32 pairs are widened as they are added, with no int64 copy; a
+        # list is read as int64, but [] as float64, hence the unsafe cast
+        keys = np.minimum(edge_u, edge_v).astype(np.int64)
+        keys *= n
+        np.add(keys, np.maximum(edge_u, edge_v), out=keys, casting="unsafe")
+        keys.sort()
+        self.edge_v = keys % n
+        keys //= n
+        self.edge_u = keys
 
     def _set_sites(self, weights: EmpiricalWeights, seed: tuple[int, int], stream: int,
                    mu_v: WeightSpec | None, mu_e: WeightSpec | None) -> None:
@@ -131,23 +134,15 @@ class WeightedGraph:
 
     @property
     def num_edges(self) -> int:
-        return self.arcs.size // 2
+        return self.edge_u.size
 
     @cached_property
-    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
-        n = np.int64(self.n)
-        end = self.arcs // n
-        other = self.arcs - end * n
-        forward = (end < other).nonzero()[0]  # sorted by (end, other): (u, v) order
-        return end[forward], other[forward]
-
-    @property
-    def edge_u(self) -> np.ndarray:
-        return self._edges[0]
-
-    @property
-    def edge_v(self) -> np.ndarray:
-        return self._edges[1]
+    def arcs(self) -> np.ndarray:
+        """Both arcs of each edge, the keys u*n + v and v*n + u, sorted: the rows."""
+        n = self.n
+        arcs = np.concatenate((self.edge_u * n + self.edge_v, self.edge_v * n + self.edge_u))
+        arcs.sort()
+        return arcs
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -358,7 +353,10 @@ def sample_graph(weights: EmpiricalWeights, seed: tuple[int, int], stream: int =
     """Realize the edge set; expected O(n + edges) work, never n^2 memory."""
     plan = weights.bucket_plan
     gen = stream_rng(seed, stream, _GEN_TAG)
-    edges = []  # the kept vertex pairs of each batch
+    # the kept vertex pairs of each batch, after an empty pair of arrays, so
+    # a graph with no batch still joins to an int32 edge list
+    nothing = np.empty(0, dtype=np.int32)
+    edges = [(nothing, nothing)]
     pairs, positions, uniforms = [], [], []
     pending = 0
     for k, (pmax, total) in enumerate(plan.draws):
@@ -380,18 +378,12 @@ def sample_graph(weights: EmpiricalWeights, seed: tuple[int, int], stream: int =
                 pending = 0
     if pending:
         edges.append(_map_and_thin(weights, pairs, positions, uniforms))
-    # both arcs of each edge, packed batch by batch into one array, so the
-    # batches keep 8 bytes per edge and no concatenated copy is made; one
-    # sort of the 2m keys is then the adjacency
-    n = np.int64(weights.n)
-    arcs = np.empty(2 * sum(u.size for u, _ in edges), dtype=np.int64)
-    end = 0
-    for u, v in edges:
-        _pack_arcs(u, v, n, arcs[end:end + 2 * u.size])
-        end += 2 * u.size
+    # the kept pairs of all batches, joined, and the batches freed before the
+    # graph sorts the pairs into its edge list
+    edge_u = np.concatenate([u for u, _ in edges])
+    edge_v = np.concatenate([v for _, v in edges])
     del edges
-    arcs.sort()
-    return WeightedGraph(weights, seed, stream, None, None, mu_v=mu_v, mu_e=mu_e, _arcs=arcs)
+    return WeightedGraph(weights, seed, stream, edge_u, edge_v, mu_v=mu_v, mu_e=mu_e)
 
 
 def _map_and_thin(weights: EmpiricalWeights, pairs: list[int], positions: list[np.ndarray],
@@ -413,7 +405,7 @@ def _map_and_thin(weights: EmpiricalWeights, pairs: list[int], positions: list[n
         pair = pairs[0]
         pos, r = positions[0], uniforms[0]
         if plan.same[pair]:
-            cu, cv = _unrank_triangle(pos, plan.size_a[pair])
+            cu, cv = _unrank_triangle(pos, plan.size_b[pair])
         else:
             cu, cv = np.divmod(pos, plan.size_b[pair])
         cu += plan.start_a[pair]
@@ -422,7 +414,7 @@ def _map_and_thin(weights: EmpiricalWeights, pairs: list[int], positions: list[n
         pair = np.repeat(pairs, [p.size for p in positions])
         pos = np.concatenate(positions)
         r = np.concatenate(uniforms)
-        size = plan.size_b[pair]  # both sizes of a same-bucket pair are equal
+        size = plan.size_b[pair]  # a same-bucket pair's one size
         cu, cv = np.divmod(pos, size)  # row-major, right for the cross pairs
         same = plan.same[pair].nonzero()[0]
         cu[same], cv[same] = _unrank_triangle(pos[same], size[same])
@@ -443,17 +435,6 @@ def _map_and_thin(weights: EmpiricalWeights, pairs: list[int], positions: list[n
     return plan.order[cu[keep]], plan.order[cv[keep]]
 
 
-def _pack_arcs(edge_u: np.ndarray, edge_v: np.ndarray, n: np.int64,
-               out: np.ndarray) -> np.ndarray:
-    """Write both arcs of each edge into ``out`` (2m int64): the keys u*n + v, then v*n + u."""
-    m = edge_u.size
-    np.multiply(edge_u, n, out=out[:m])
-    out[:m] += edge_v
-    np.multiply(edge_v, n, out=out[m:])
-    out[m:] += edge_u
-    return out
-
-
 def perturb(graph: WeightedGraph, sites: PerturbationSet) -> WeightedGraph:
     """The resampled graph G^F: X_e -> X'_e and w_z -> w'_z exactly on F.
 
@@ -472,13 +453,8 @@ def perturb(graph: WeightedGraph, sites: PerturbationSet) -> WeightedGraph:
         if graph.replacement_edge_indicator(u, v):
             added.append((u, v))
     edges = keep + added
-    if edges:
-        edge_u = np.asarray([e[0] for e in edges], dtype=np.int64)
-        edge_v = np.asarray([e[1] for e in edges], dtype=np.int64)
-    else:
-        edge_u = np.empty(0, dtype=np.int64)
-        edge_v = np.empty(0, dtype=np.int64)
-    return WeightedGraph(graph.weights, graph.seed, graph.stream, edge_u, edge_v,
+    return WeightedGraph(graph.weights, graph.seed, graph.stream,
+                         [u for u, _ in edges], [v for _, v in edges],
                          mu_v=graph.mu_v, mu_e=graph.mu_e,
                          flipped_edges=frozenset(sites.edges),
                          flipped_vertices=frozenset(sites.vertices))

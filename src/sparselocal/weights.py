@@ -493,7 +493,7 @@ class EmpiricalWeights:
         a, b, same, total = a[keep], b[keep], same[keep], total[keep]
         pmax = np.minimum(wmax[a] * wmax[b] / (self.n * self.theta), 1.0)
         return BucketPlan(order=order, weight=weight, start_a=starts[a], start_b=starts[b],
-                          size_a=sizes[a], size_b=sizes[b], same=same, pmax=pmax,
+                          size_b=sizes[b], same=same, pmax=pmax,
                           draws=list(zip(pmax.tolist(), total.tolist())),
                           buckets=list(zip(starts.tolist(), (starts + sizes).tolist())),
                           wmax=wmax)
@@ -504,9 +504,11 @@ class BucketPlan:
     """Bucket pairs of one weight vector, in the order the graph sampler visits them.
 
     ``order`` lists the vertices (int32) bucket by bucket, ascending inside
-    each bucket, and ``weight`` their weights in that order.  Pair k covers the
-    slots ``start_a[k]:][:size_a[k]]`` against ``start_b[k]:][:size_b[k]]``
-    of that order (the strict upper triangle when ``same[k]``).
+    each bucket, and ``weight`` their weights in that order.  Pair k covers
+    the slots of bucket a, from ``start_a[k]``, against the ``size_b[k]``
+    slots of bucket b from ``start_b[k]`` (the strict upper triangle when
+    ``same[k]``, where a is b).  Its number of vertex pairs in ``draws[k]``
+    bounds the candidates, so bucket a's size is not needed.
     ``draws[k]`` is its (pmax, total) as Python numbers, which the per-pair
     loop hands to the generator; the arrays are gathered per candidate when
     candidates are thinned on their slots and the kept ones mapped through
@@ -520,7 +522,6 @@ class BucketPlan:
     weight: np.ndarray
     start_a: np.ndarray
     start_b: np.ndarray
-    size_a: np.ndarray
     size_b: np.ndarray
     same: np.ndarray
     pmax: np.ndarray

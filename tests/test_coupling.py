@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from sparselocal.coupling import (BREAK_ACTIVE, BREAK_COMPLETED, BREAK_OVERFLOW,
 from sparselocal.explore import explore, is_tree, to_rooted_tree
 from sparselocal.graph import WeightedGraph, sample_graph
 from sparselocal.rng import stream_rng
-from sparselocal.trees import canonical_code
+from sparselocal.trees import RootedWeightedTree, canonical_code
 from sparselocal.weights import (EmpiricalWeights, WeightSpec, moments,
                                  sample_empirical_weights)
 
@@ -54,6 +56,43 @@ def test_poisson_icdf_entry_ignores_its_companions():
         alone = int(poisson_icdf(lam, u))
         together = poisson_icdf([lam, 50.0], [u, 0.5])
         assert together[0] == alone and together[1] == 50
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-12, 100.0), st.data())
+def test_a_uniform_inside_the_cdf_interval_inverts_back_to_k(lam, data):
+    k = data.draw(st.integers(0, int(lam + 8.0 * math.sqrt(lam + 1.0))))
+    lo, hi = poisson_cdf_interval(k, lam)
+    if hi > lo:
+        assert poisson_icdf(lam, hi) == k
+        assert poisson_icdf(lam, math.nextafter(lo, 1.0)) == k
+    else:  # the pmf of k rounds away against F(k - 1): no uniform draws k
+        assert poisson_icdf(lam, hi) < k
+
+
+class _Quarter:
+    """A generator stub whose every uniform is 1/4."""
+
+    def random(self):
+        return 0.25
+
+
+def test_stage3_keeps_its_uniform_off_the_bottom_of_a_one_ulp_interval():
+    # at lam = 2.8 the CDF interval of 26 children is one ulp wide, and
+    # lo + (hi - lo) / 4 rounds onto lo, which inverts to 25: a break the
+    # counts do not make.  Weights of one vertex give scale 1, so the limit
+    # mean is lam too
+    lam = 2.8000000000000003
+    lo, hi = poisson_cdf_interval(26, lam)
+    assert hi == math.nextafter(lo, 1.0) and lo + 0.25 * (hi - lo) == lo
+    w = EmpiricalWeights(n=1, W=np.array([lam]), theta=lam)
+    assert w.size_biased.scale == 1.0
+    tree = RootedWeightedTree(lam, 1, root_label=0)
+    for _ in range(26):
+        tree.add_child(0, lam, label=0)
+    out, level = couple_intermediate_to_limit(tree, w.size_biased,
+                                              WeightSpec("constant", c=lam), _Quarter())
+    assert level is None and len(out.children[0]) == 26
 
 
 @settings(max_examples=300, deadline=None)

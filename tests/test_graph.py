@@ -164,6 +164,33 @@ def test_rows_match_lexsort_oracle(case):
     assert sorted(pairs) == list(zip(g.edge_u.tolist(), g.edge_v.tolist()))
 
 
+@settings(max_examples=200, deadline=None)
+@given(_edge_lists(), st.data())
+def test_constructor_takes_endpoints_in_any_order_and_form(case, data):
+    # shuffled, flipped, int32, int64 or lists, empty too: the same edge list
+    # and arcs as sorted int64 input, and the arcs are the oracle's rows
+    n, pairs = case
+    order = data.draw(st.permutations(range(len(pairs))))
+    flip = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    form = data.draw(st.sampled_from([np.int32, np.int64, list]))
+    given_u = [pairs[i][flip[i]] for i in order]
+    given_v = [pairs[i][not flip[i]] for i in order]
+    if form is not list:
+        given_u, given_v = np.array(given_u, dtype=form), np.array(given_v, dtype=form)
+    g = WeightedGraph(er_weights(n), SEED, 0, given_u, given_v)
+    pairs = sorted(pairs)
+    want_u = np.array([u for u, _ in pairs], dtype=np.int64)
+    want_v = np.array([v for _, v in pairs], dtype=np.int64)
+    want = WeightedGraph(er_weights(n), SEED, 0, want_u, want_v)
+    assert g.edge_u.dtype == g.edge_v.dtype == np.int64
+    assert np.array_equal(g.edge_u, want_u) and np.array_equal(g.edge_v, want_v)
+    assert np.all(g.edge_u < g.edge_v) and g.num_edges == len(pairs)
+    assert np.array_equal(g.arcs, want.arcs)
+    rows = _lexsort_rows(want_u, want_v, n)
+    oracle = np.concatenate([v * n + row for v, row in enumerate(rows)])
+    assert np.array_equal(g.arcs, oracle)
+
+
 def test_rows_match_lexsort_oracle_on_sampled_graphs():
     w = sample_empirical_weights(WeightSpec("gamma", shape=2.0, scale=1.0), 5000, SEED)
     for stream in range(3):
@@ -189,7 +216,8 @@ def test_vertex_outside_the_graph_raises():
 
 def test_sample_graph_peak_memory_is_bounded_by_graph_size():
     # the build's temporaries, bucket plan included, stay below 1.6 times the
-    # arcs the graph keeps; the lazy edge split is read only afterwards
+    # edge list the graph keeps, 2m int64 as the arcs are; the arcs, packed
+    # on first use, are read only afterwards
     w = sample_empirical_weights(WeightSpec("gamma", shape=2.0, scale=1.0), 100_000, SEED)
     tracemalloc.start()
     try:

@@ -49,6 +49,7 @@ NEVER_ENTERED = {
         "explore.to_rooted_tree.<locals>.ew",
         "explore.to_rooted_tree.<locals>.vw",
         "graph.WeightedGraph._row",  # couple explores a LazyGraph's rows
+        "graph.WeightedGraph.arcs",  # clt reads the edge list, not the rows
         "graph.WeightedGraph.neighbors",
         "trees.RootedWeightedTree.address",
         "trees.RootedWeightedTree.height",
