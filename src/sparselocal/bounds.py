@@ -136,54 +136,12 @@ def epsilon_rho_sequences(p: BoundParams) -> tuple[float, float]:
     return eps, rho
 
 
-def intermediate_coupling_bound(p: BoundParams, Wv: float) -> float:
-    """Single-root bound for the ball/intermediate-tree coupling, with the
-    expected neighbourhood norms replaced by their closed-form bounds."""
-    kn = p.k_n
-    return (mean_pweight_bound(p, Wv, 2) * p.G(2) / p.ntheta
-            + excess_weight_bound(p, Wv) * p.G(1)
-            + mean_pweight_bound(p, Wv, 1) * (p.K(1) + 1.0 / kn + kn / p.ntheta))
-
-
-def repeat_probability_bound(p: BoundParams, vs: VertexSetSummary) -> float:
-    """Probability that the independence repair touches any tree."""
-    lam = p.moments.lambda_n
-    return (p.k_n ** 2 / lam
-            + (vs.count
-               + vs.weight * p.G(1) * (p.G(2) + 1.0) ** (p.ell - 1)
-               + vs.weight * (p.G(2) + 1.0) ** p.ell) / p.k_n)
-
-
 def limit_redraw_bound(p: BoundParams, vs: VertexSetSummary) -> float:
     """Probability that the redraw from empirical to limiting types breaks."""
     g2lim = p.gamma_limit[2]
     return vs.weight * p.alpha * (1.0 / p.theta
                                   + (g2lim + 1.0) ** (p.ell - 1)
                                   * (p.G(2) / (p.theta * p.G(1)) + 1.0))
-
-
-# ---- CLT bound -----------------------------------------------------------------------
-
-
-def clt_bound(p: BoundParams, sigma2: float, me_delta: float, mv_delta: float,
-              chi: float, J: float) -> float:
-    """Kolmogorov-distance bound for the standardized functional.
-
-    me_delta and mv_delta are the products M^E_n delta^E_k and
-    M^V_n delta^V_k of the local-approximation moments and gaps at level
-    k = ell; chi is the degree-moment average and J the envelope-moment
-    constant.
-    """
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    eps, rho = epsilon_rho_sequences(p)
-    ratio = p.n / sigma2
-    lead = (ratio ** 0.5
-            * (p.theta ** 0.5 + p.G(2) + chi ** 0.5) ** 2
-            * (max(me_delta, 0.0) ** 0.125 + max(mv_delta, 0.0) ** 0.125
-               + eps ** (1.0 / 16.0) + rho ** (1.0 / 16.0)))
-    tail = ratio ** 0.75 * (p.theta * p.G(1) + chi ** 0.5) / p.n ** 0.25
-    return p.C0 * J ** 0.25 * (lead + tail)
 
 
 # ---- structural bounds ---------------------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .explore import Neighbourhood, explore
-from .graph import WeightedGraph
+from .graph import LazyGraph, WeightedGraph
 from .limit_trees import DEFAULT_NODE_BUDGET, grow_intermediate
 from .rng import stream_rng
 from .trees import RootedWeightedTree
@@ -82,9 +82,20 @@ class CouplingOutcome:
 # ---- Poisson quantiles --------------------------------------------------------------
 
 
+# the summed CDF of lam reaches every u up to _SURELY_REACHED where exp(-lam)
+# is a normal double, lam <= _NORMAL_P0: its sum to the cap is then off by
+# less than 1e-12 (a subnormal exp(-lam) can lose most of its digits)
+_SURELY_REACHED = 1.0 - 2.0 ** -30
+_NORMAL_P0 = 708.0
+
+
 def _poisson_p0(lam: np.ndarray) -> np.ndarray:
-    """P(Poisson(lam) = 0), refusing lam where exp(-lam) underflows to 0."""
-    p0 = np.exp(-lam)
+    """P(Poisson(lam) = 0), refusing lam where exp(-lam) underflows to 0.
+
+    The exp is libm's, per element, as the arrays are ball-sized: numpy's
+    exp returns bits that follow its SIMD dispatch.
+    """
+    p0 = np.array([math.exp(-x) for x in lam.ravel().tolist()]).reshape(lam.shape)
     gone = (p0 == 0.0) & (lam > 0)
     if np.any(gone):
         raise ValueError(f"Poisson pmf underflows at lam={float(lam[gone][0])!r}")
@@ -105,7 +116,7 @@ def poisson_icdf(lam, u):
     pmf = _poisson_p0(lam)
     cdf = pmf.copy()
     unresolved = u > cdf
-    cap = np.floor(lam + 40.0 * np.sqrt(lam + 1.0) + 60.0)
+    cap = _poisson_cap(lam)
     k = 0
     while unresolved.any():
         stuck = unresolved & (k >= cap)
@@ -118,6 +129,18 @@ def poisson_icdf(lam, u):
         out[unresolved & (u <= cdf)] = k
         unresolved = u > cdf
     return out
+
+
+def _poisson_cap(lam):
+    """The last term that :func:`poisson_icdf` sums for lam."""
+    return np.floor(lam + 40.0 * np.sqrt(lam + 1.0) + 60.0)
+
+
+def _poisson_top_quantile(lam: float, u: float) -> int:
+    """:func:`poisson_icdf` at u, or at the top of its summed CDF where u is above it."""
+    if u > _SURELY_REACHED or lam > _NORMAL_P0:
+        u = min(u, poisson_cdf_interval(int(_poisson_cap(lam)), lam)[1])
+    return int(poisson_icdf(lam, u))
 
 
 def poisson_cdf_interval(k: int, lam: float) -> tuple[float, float]:
@@ -139,7 +162,7 @@ def poisson_cdf_interval(k: int, lam: float) -> tuple[float, float]:
 # ---- stage 1: neighbourhood to intermediate tree -----------------------------------
 
 
-def couple_neighbourhood_to_intermediate(graph: WeightedGraph, root: int,
+def couple_neighbourhood_to_intermediate(graph: LazyGraph, root: int,
                                          cfg: CouplingConfig, rng: np.random.Generator
                                          ) -> CouplingOutcome:
     """Explore the ball and emit the coupled intermediate tree alongside it.
@@ -314,12 +337,13 @@ def couple_intermediate_to_limit(tree: RootedWeightedTree, law: EmpiricalSizeBia
             lam_tilde = law.scale * tree.type_w[src]
             n_tilde = len(tree.children[src])
             lo, hi = poisson_cdf_interval(n_tilde, lam_tilde)
-            # u stays in (lo, hi] after the clamp, where a double there lies
-            # below the clamp's top: lo + r (hi - lo) rounds onto lo when the
-            # interval is a few ulps wide, and lo inverts to n_tilde - 1
-            u = lo + rng.random() * max(hi - lo, 0.0)
-            u = min(max(u, math.nextafter(lo, 1.0), 1e-300), 1.0 - 1e-16)
-            count = int(poisson_icdf(mean, u))
+            # u stays in (lo, hi], which inverts to n_tilde at lam_tilde:
+            # lo + r (hi - lo) rounds onto lo when the interval is a few ulps
+            # wide, and lo inverts to n_tilde - 1.  Near the top the summed
+            # CDFs stop short of 1 or pass it, so u can pass 1, and the limit
+            # mean's sum can stop below u: its count is then its top one
+            u = min(max(lo + rng.random() * (hi - lo), math.nextafter(lo, math.inf)), hi)
+            count = _poisson_top_quantile(mean, u)
             if count != n_tilde and break_level is None:
                 break_level = d + 1
             matched_children = [tree.children[src][t] if t < n_tilde else None
@@ -341,7 +365,7 @@ def couple_intermediate_to_limit(tree: RootedWeightedTree, law: EmpiricalSizeBia
 # ---- weight overlay and the full pipeline -------------------------------------------
 
 
-def couple_full(graph: WeightedGraph, roots: list[int], cfg: CouplingConfig,
+def couple_full(graph: LazyGraph, roots: list[int], cfg: CouplingConfig,
                 spec: WeightSpec) -> list[CouplingOutcome]:
     """Full pipeline: joint exploration, repair, limit redraw, weight overlay.
 

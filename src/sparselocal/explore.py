@@ -1,4 +1,4 @@
-"""Breadth-first neighbourhood exploration and tree detection.
+"""Breadth-first neighbourhood exploration.
 
 The exploration discovers the ball B_l(v) level by level, visiting vertices
 in the order they were first added to the active set and enumerating
@@ -6,18 +6,16 @@ neighbours in ascending vertex label.  Edges are recorded once, from the
 side of the earlier-explored endpoint: parent/child edges build the levels,
 everything else (an edge into the active set) is an extra edge and witnesses
 that the ball is not a tree.  Vertices on the last level are never expanded,
-so edges between two level-l vertices are not part of B_l(v).
+so edges between two level-l vertices are not part of B_l(v).  The graph
+needs ``n`` and ``neighbors(v)``, ascending: a :class:`LazyGraph` draws each
+row as the exploration first reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .graph import WeightedGraph
-from .trees import RootedWeightedTree
-from .weights import EmpiricalWeights
+from .graph import LazyGraph
 
 
 @dataclass
@@ -34,15 +32,11 @@ class Neighbourhood:
     def vertex_count(self) -> int:
         return sum(len(d) for d in self.levels)
 
-    @property
-    def edge_count(self) -> int:
-        return self.vertex_count - 1 + len(self.extra_edges)
-
     def vertices(self) -> list[int]:
         return [v for level in self.levels for v in level]
 
 
-def explore(graph: WeightedGraph, v: int, depth: int) -> Neighbourhood:
+def explore(graph: LazyGraph, v: int, depth: int) -> Neighbourhood:
     """Explore B_depth(v); vertices appear in first-discovery (BFS) order."""
     if not 0 <= v < graph.n:
         raise IndexError(f"vertex {v} out of range")
@@ -78,33 +72,3 @@ def explore(graph: WeightedGraph, v: int, depth: int) -> Neighbourhood:
         frontier = nxt
     return Neighbourhood(root=v, depth=depth, levels=levels, extra_edges=extra_edges,
                          children=children)
-
-
-def is_tree(nb: Neighbourhood) -> bool:
-    """True iff the explored ball is acyclic (no extra edges were found)."""
-    return not nb.extra_edges
-
-
-def to_rooted_tree(nb: Neighbourhood, weights: EmpiricalWeights,
-                   vertex_weight=None, edge_weight=None) -> RootedWeightedTree:
-    """Ulam-Harris tree for a tree-shaped ball; types are the W_v.
-
-    ``vertex_weight`` and ``edge_weight`` are optional accessors (v) -> w and
-    (u, v) -> w, typically bound to the graph's lazy weight streams.
-    """
-    if not is_tree(nb):
-        raise ValueError("neighbourhood is not a tree")
-    W = weights.W
-
-    def vw(v):
-        return np.nan if vertex_weight is None else float(vertex_weight(v))
-
-    def ew(u, v):
-        return np.nan if edge_weight is None else float(edge_weight(u, v))
-
-    tree = RootedWeightedTree(W[nb.root], nb.depth, vw(nb.root), root_label=nb.root)
-    ids = {nb.root: 0}
-    for p in nb.vertices():
-        for u in nb.children[p]:
-            ids[u] = tree.add_child(ids[p], W[u], ew(p, u), vw(u), label=u)
-    return tree

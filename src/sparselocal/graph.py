@@ -22,8 +22,8 @@ order, and only the kept ones, about half at n = 1e6, are mapped to
 vertices.  The many tiny pairs of a small graph cost one pass, and the
 temporaries of a large graph are those of one batch, not of all
 candidates.  The batches keep their edges as int32 vertex pairs, and the
-graph sorts them once into the edge list it keeps; the rows, which no
-command reads, are packed from that list only when something asks for them.
+graph sorts them once into the edge list it keeps, its one representation:
+no command reads a whole graph's rows.
 
 ``couple`` needs only a few balls per replica, so it samples no whole graph.
 A :class:`LazyGraph` draws the row of a vertex when a ball first reads it,
@@ -32,10 +32,10 @@ bucket's bound for that vertex, then thinning to the exact p_uv.  A row
 costs O(degree + number of buckets), so a coupled root costs O(its ball),
 not O(n + edges); the plan is built once per n, on the first row.
 
-Everything that is not the realized edge set -- replacement indicators X',
-decorative vertex/edge weights w, w' and the coupling auxiliaries -- is a
-pure function of (seed, stream, site) through :mod:`sparselocal.rng`, so the
-resampled graphs G^F and lazy weights on all possible edges need no storage.
+Everything that is not the realized edge set -- the decorative vertex and
+edge weights and the coupling auxiliaries -- is a pure function of (seed,
+stream, site) through :mod:`sparselocal.rng`, so lazy weights on all
+possible edges need no storage.
 Nor does a graph hold the empirical size-biased law the coupling draws types
 from: it depends on the weights alone, so it lives with the weights of one n
 (``graph.weights.size_biased``) and every replica graph of that n shares it.
@@ -44,8 +44,6 @@ from: it depends on the weights alone, so it lives with the weights of one n
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -58,55 +56,26 @@ _ROW_TAG = 13  # the lazy rows' generator
 _FLUSH = 4096  # candidates mapped and thinned per vectorised pass
 
 
-@dataclass(frozen=True)
-class PerturbationSet:
-    """A set of resampling sites: vertex ids and unordered vertex pairs."""
-
-    vertices: frozenset[int] = frozenset()
-    edges: frozenset[tuple[int, int]] = frozenset()
-
-    def __post_init__(self):
-        canon = set()
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError("edge sites need distinct endpoints")
-            canon.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "edges", frozenset(canon))
-
-    def validate(self, n: int) -> None:
-        for v in self.vertices:
-            if not 0 <= v < n:
-                raise IndexError(f"vertex site {v} out of range")
-        for u, v in self.edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise IndexError(f"edge site {(u, v)} out of range")
-
-
 class WeightedGraph:
-    """Realized sparse graph plus deterministic lazy access to all sites.
+    """A realized sparse graph, kept as its edge list, with deterministic lazy
+    access to all sites.
 
     Immutable after construction; replicate-level parallelism uses distinct
-    stream ids.  The graph keeps its edge list: ``edge_u``/``edge_v``, the
-    endpoints u < v of each edge, in (u, v) order.  The constructor takes
-    the endpoints in any order and orientation, as int32 or int64 arrays or
-    as lists, forms the keys min*n + max and sorts those m keys once.  The rows are built on first
-    use: ``arcs`` stores each edge twice, as the keys u*n + v and v*n + u,
-    sorted, and the row of v is the run of keys in [v*n, (v + 1)*n), found
-    by two binary searches, so it comes out ascending.
-    ``flipped_edges``/``flipped_vertices`` record the sites of a
-    perturbation G^F: flipped edge indicators are already baked into the
-    edge list, flipped weight sites transparently read the replacement
-    stream.
+    stream ids.  The graph keeps one representation, its edge list:
+    ``edge_u``/``edge_v``, the endpoints u < v of each edge, in (u, v)
+    order.  The constructor takes the endpoints in any order and
+    orientation, as int32 or int64 arrays or as lists, forms the keys
+    min*n + max and sorts those m keys once.  The commands read the edge
+    list whole (the edge sum, the matching), never a row, so the graph
+    builds none.  The site functions -- decorative weights, the coupling
+    auxiliaries and p'_uv -- are pure functions of (seed, stream, site) and
+    of the weights, shared by every graph of one replica.
     """
 
     def __init__(self, weights: EmpiricalWeights, seed: tuple[int, int], stream: int,
                  edge_u: np.ndarray | list, edge_v: np.ndarray | list,
-                 mu_v: WeightSpec | None = None, mu_e: WeightSpec | None = None,
-                 flipped_edges: frozenset = frozenset(),
-                 flipped_vertices: frozenset = frozenset()):
+                 mu_v: WeightSpec | None = None, mu_e: WeightSpec | None = None):
         self._set_sites(weights, seed, stream, mu_v, mu_e)
-        self.flipped_edges = flipped_edges
-        self.flipped_vertices = flipped_vertices
         n = self.n
         # int32 pairs are widened as they are added, with no int64 copy; a
         # list is read as int64, but [] as float64, hence the unsafe cast
@@ -130,56 +99,9 @@ class WeightedGraph:
         self.mu_e = mu_e
         self._sites = SiteRandom(seed, stream)
 
-    # ---- structure ------------------------------------------------------------
-
     @property
     def num_edges(self) -> int:
         return self.edge_u.size
-
-    @cached_property
-    def arcs(self) -> np.ndarray:
-        """Both arcs of each edge, the keys u*n + v and v*n + u, sorted: the rows."""
-        n = self.n
-        arcs = np.concatenate((self.edge_u * n + self.edge_v, self.edge_v * n + self.edge_u))
-        arcs.sort()
-        return arcs
-
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise IndexError(f"vertex {v} out of range [0, {self.n})")
-
-    def _row(self, v: int) -> tuple[int, int]:
-        """Where the arcs of v start and end."""
-        self._check_vertex(v)
-        first = v * self.n
-        return (int(self.arcs.searchsorted(first)),
-                int(self.arcs.searchsorted(first + self.n)))
-
-    def neighbors(self, v: int) -> np.ndarray:
-        start, stop = self._row(v)
-        return self.arcs[start:stop] - v * self.n
-
-    def degree(self, v: int) -> int:
-        start, stop = self._row(v)
-        return stop - start
-
-    def edge_indicator(self, u: int, v: int) -> int:
-        """X_{uv}: 1 when {u, v} is an edge, else 0 (always 0 at u == v, as the
-        graph has no self-loops)."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        key = u * self.n + v
-        i = int(self.arcs.searchsorted(key))
-        return int(i < self.arcs.size and self.arcs[i] == key)
-
-    def replacement_edge_indicator(self, u, v):
-        """X'_{uv} = 1{U' < p_uv}, a pure site function; vectorized."""
-        u_arr = np.asarray(u, dtype=np.int64)
-        v_arr = np.asarray(v, dtype=np.int64)
-        uni = self._sites.edge_uniform(srng.KIND_EDGE_REPL, u_arr, v_arr)
-        p = np.minimum(self.p_prime(u_arr, v_arr), 1.0)
-        out = (uni < p) & (u_arr != v_arr)
-        return out.astype(np.int64) if out.ndim else int(out)
 
     def p_prime(self, u, v):
         """Uncapped connection intensity W_u W_v / (n theta); vectorized."""
@@ -193,20 +115,19 @@ class WeightedGraph:
             raise ValueError(f"graph carries no {what} distribution")
         return spec
 
-    def vertex_weight(self, v, replacement: bool = False):
+    def vertex_weight(self, v):
         spec = self._needs(self.mu_v, "vertex weight")
         v_arr = np.asarray(v, dtype=np.int64)
-        flag = self._vertex_flag(v_arr, replacement)
-        out = spec.quantile(self._sites.uniform(srng.KIND_VERTEX_WEIGHT, v_arr, 0, flag))
+        out = spec.quantile(self._sites.uniform(srng.KIND_VERTEX_WEIGHT, v_arr, 0,
+                                                srng.PRIMARY))
         return out if out.ndim else float(out)
 
-    def edge_weight(self, u, v, replacement: bool = False):
+    def edge_weight(self, u, v):
         spec = self._needs(self.mu_e, "edge weight")
         u_arr = np.asarray(u, dtype=np.int64)
         v_arr = np.asarray(v, dtype=np.int64)
-        flag = self._edge_flag(u_arr, v_arr, replacement)
         out = spec.quantile(self._sites.edge_uniform(srng.KIND_EDGE_WEIGHT, u_arr, v_arr,
-                                                     flag))
+                                                     srng.PRIMARY))
         return out if out.ndim else float(out)
 
     def coupling_uniform(self, u, v):
@@ -219,33 +140,14 @@ class WeightedGraph:
         key = (np.uint64(root) << np.uint64(32)) | np.uint64(explored)
         return self._sites.uniform(srng.KIND_ZSTAR, key, u_arr)
 
-    def _vertex_flag(self, v_arr, replacement: bool):
-        """The site flag of each vertex: REPLACEMENT where it is flipped xor
-        ``replacement``.  With no flipped vertex it is one flag for all."""
-        if not self.flipped_vertices:
-            return srng.REPLACEMENT if replacement else srng.PRIMARY
-        table = np.zeros(self.n, dtype=bool)
-        table[list(self.flipped_vertices)] = True
-        return np.where(table[v_arr] ^ replacement, srng.REPLACEMENT, srng.PRIMARY)
-
-    def _edge_flag(self, u_arr, v_arr, replacement: bool):
-        """The site flag of each edge, as :meth:`_vertex_flag` gives it for vertices."""
-        if not self.flipped_edges:
-            return srng.REPLACEMENT if replacement else srng.PRIMARY
-        lo = np.minimum(u_arr, v_arr)
-        hi = np.maximum(u_arr, v_arr)
-        flipped = self.flipped_edges
-        mask = np.asarray([(int(a), int(b)) in flipped for a, b in
-                           zip(np.atleast_1d(lo), np.atleast_1d(hi))]).reshape(np.shape(lo))
-        return np.where(mask ^ replacement, srng.REPLACEMENT, srng.PRIMARY)
-
 
 class LazyGraph(WeightedGraph):
     """A graph whose rows are drawn when first read: the ball sampler of ``couple``.
 
     It has the site functions of :class:`WeightedGraph` (the same (seed,
     stream) gives the same site uniforms and decorative weights) but no
-    arcs, so only ``neighbors`` and the site methods apply.  The first call
+    edge list, so of what it inherits only ``num_edges`` does not apply; it
+    adds ``neighbors``, which is all :func:`explore` reads.  The first call
     of ``neighbors(v)`` draws v's whole row and keeps it.  The pairs {v, u}
     with u's row already drawn were decided then; of those, the edges are
     the ones u recorded.  Every other pair is decided now: per weight bucket,
@@ -258,8 +160,6 @@ class LazyGraph(WeightedGraph):
     O(deg v + number of buckets), so a ball costs O(its size), whatever n.
     Every root and depth that reads the same object explores the same graph.
     """
-
-    flipped_edges = flipped_vertices = frozenset()  # the site methods read these
 
     def __init__(self, weights: EmpiricalWeights, seed: tuple[int, int], stream: int,
                  mu_v: WeightSpec | None = None, mu_e: WeightSpec | None = None):
@@ -275,7 +175,8 @@ class LazyGraph(WeightedGraph):
         return row
 
     def _draw_row(self, v: int) -> np.ndarray:
-        self._check_vertex(v)
+        if not 0 <= v < self.n:
+            raise IndexError(f"vertex {v} out of range [0, {self.n})")
         plan = self.weights.bucket_plan
         scale = self.n * self.theta
         w = self.weights.W[v]
@@ -433,28 +334,3 @@ def _map_and_thin(weights: EmpiricalWeights, pairs: list[int], positions: list[n
     # branches
     keep = (r < p).nonzero()[0]
     return plan.order[cu[keep]], plan.order[cv[keep]]
-
-
-def perturb(graph: WeightedGraph, sites: PerturbationSet) -> WeightedGraph:
-    """The resampled graph G^F: X_e -> X'_e and w_z -> w'_z exactly on F.
-
-    Deterministic given (seed, stream): the replacement values come from the
-    replacement site stream, so G^emptyset is G site-by-site and the full
-    flip is an independent copy.  Perturbations always start from the base
-    graph, matching how G^F is defined.
-    """
-    if graph.flipped_edges or graph.flipped_vertices:
-        raise ValueError("perturb must be applied to the base graph")
-    sites.validate(graph.n)
-    keep = [(int(u), int(v)) for u, v in zip(graph.edge_u, graph.edge_v)
-            if (int(u), int(v)) not in sites.edges]
-    added = []
-    for u, v in sorted(sites.edges):
-        if graph.replacement_edge_indicator(u, v):
-            added.append((u, v))
-    edges = keep + added
-    return WeightedGraph(graph.weights, graph.seed, graph.stream,
-                         [u for u, _ in edges], [v for _, v in edges],
-                         mu_v=graph.mu_v, mu_e=graph.mu_e,
-                         flipped_edges=frozenset(sites.edges),
-                         flipped_vertices=frozenset(sites.vertices))

@@ -2,7 +2,7 @@
 maximum weight matching.
 
 The edge-weight sum N(G) adds, over realized edges, the decorative weights
-of the two endpoints; its perturbation effects have exact closed forms.
+of the two endpoints.
 
 Maximum weight matching is solved exactly at desk scale (<= 24 vertices),
 one connected component at a time.  The edge weights come from one
@@ -176,53 +176,3 @@ def dependent_edge_sum(graph: WeightedGraph) -> float:
     w = np.zeros(graph.n)
     w[touched] = graph.vertex_weight(touched)
     return float(np.sum(w[graph.edge_u]) + np.sum(w[graph.edge_v]))
-
-
-def delta_N(graph: WeightedGraph, site) -> float:
-    """Closed-form change of N when one site is resampled.
-
-    site is ("edge", (u, v)) or ("vertex", v):
-      edge:   (w_v + w_u) (X_e - X'_e)
-      vertex: |D_1(v)| (w_v - w'_v)
-    """
-    kind, where = site
-    if kind == "edge":
-        u, v = where
-        x = graph.edge_indicator(u, v)
-        x_new = graph.replacement_edge_indicator(u, v)
-        return float((graph.vertex_weight(u) + graph.vertex_weight(v)) * (x - x_new))
-    if kind == "vertex":
-        v = where
-        return float(graph.degree(v)
-                     * (graph.vertex_weight(v) - graph.vertex_weight(v, replacement=True)))
-    raise ValueError(f"unknown site kind {kind!r}")
-
-
-# ---- envelope functions (the simple perturbation bounds) -----------------------------
-
-
-def envelope_bound(application: str, graph: WeightedGraph, site) -> float:
-    """The closed-form dominating envelope for |Delta_site f|.
-
-    matching:  edge sites are bounded by 1{max(X, X') = 1} max(w_e, w'_e);
-               vertex sites do not enter (no vertex weights).
-    edge-sum:  edge sites by 1{max(X, X') = 1}(w_v + w_u), vertex sites by
-               |D_1(v)| (w_v + w'_v).
-    """
-    kind, where = site
-    if application == "matching":
-        if kind == "vertex":
-            return 0.0
-        u, v = where
-        present = max(graph.edge_indicator(u, v), graph.replacement_edge_indicator(u, v))
-        return float(present * max(graph.edge_weight(u, v),
-                                   graph.edge_weight(u, v, replacement=True)))
-    if application == "edge-sum":
-        if kind == "edge":
-            u, v = where
-            present = max(graph.edge_indicator(u, v), graph.replacement_edge_indicator(u, v))
-            return float(present * (graph.vertex_weight(u) + graph.vertex_weight(v)))
-        v = where
-        return float(graph.degree(v)
-                     * (graph.vertex_weight(v) + graph.vertex_weight(v, replacement=True)))
-    raise ValueError(f"unknown application {application!r}")

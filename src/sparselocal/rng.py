@@ -5,7 +5,9 @@ vertex slot, a replacement copy, a coupling auxiliary) is derived by hashing
 the 128-bit base seed, the replicate stream id and a canonical site key
 through a splitmix64-style mixer.  Re-querying a site therefore always
 returns the same value, which is what makes lazy "weights on all possible
-edges" and the resampled graphs G^F work without quadratic storage.
+edges" work without quadratic storage.  The replacement copies
+(``KIND_EDGE_REPL`` and the ``REPLACEMENT`` flag) serve the resampled
+graphs G^F, which only the tests build today.
 
 Sequential randomness (bulk graph generation, tree sampling, experiment
 drivers) uses numpy Generators seeded from the same key material via

@@ -3,12 +3,8 @@
 Nodes are integer ids; node 0 is the root.  Each node carries the
 connectivity type (the W of the individual), an optional decorative vertex
 weight and the weight of the edge towards its parent.  Children are ordered,
-Ulam-Harris style: the address of child j of node ``i`` is ``address(i) + (j,)``.
-
-:func:`canonical_code` produces an AHU-style byte string whose equality is
-exactly rooted isomorphism with bit-level weight equality; it can include or
-ignore the connectivity types (coupled objects on the two sides of a
-Wasserstein redraw share structure and decorative weights but not types).
+Ulam-Harris style, and each node keeps its depth; children always have
+larger ids than their parent.
 """
 
 from __future__ import annotations
@@ -55,40 +51,6 @@ class RootedWeightedTree:
     def node_count(self) -> int:
         return len(self.parent)
 
-    @property
-    def height(self) -> int:
-        return max(self.node_depth)
-
-    def address(self, node: int) -> tuple[int, ...]:
-        """Ulam-Harris address (1-based child indices along the root path)."""
-        path = []
-        while node != 0:
-            p = self.parent[node]
-            path.append(self.children[p].index(node) + 1)
-            node = p
-        return tuple(reversed(path))
-
     def __repr__(self):
         return (f"RootedWeightedTree(nodes={self.node_count}, depth={self.depth}, "
-                f"height={self.height})")
-
-
-def canonical_code(tree: RootedWeightedTree, with_types: bool = True) -> bytes:
-    """AHU canonical form; equal codes iff rooted-isomorphic with equal weights.
-
-    Weights enter as raw float64 bit patterns, so comparisons are exact and
-    transitive.  Child blocks are sorted lexicographically, which makes the
-    code invariant under any permutation of children.
-    """
-
-    def scalar(x: float) -> bytes:
-        return np.float64(x).tobytes()
-
-    n = tree.node_count
-    code: list[bytes | None] = [None] * n
-    # children always have larger ids, so a reverse sweep is post-order
-    for node in range(n - 1, -1, -1):
-        blocks = sorted(scalar(tree.edge_w[c]) + code[c] for c in tree.children[node])
-        head = scalar(tree.type_w[node]) if with_types else b""
-        code[node] = b"(" + head + scalar(tree.vertex_w[node]) + b"".join(blocks) + b")"
-    return code[0]
+                f"height={max(self.node_depth)})")

@@ -27,6 +27,7 @@ and the 1-Wasserstein distances between the empirical laws and their limits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -87,7 +88,9 @@ class WeightSpec:
             return self.c ** p
         if self.family == "finite":
             return float(np.dot(np.asarray(self.probs), np.asarray(self.values) ** p))
-        return self.scale ** p * float(np.exp(special.gammaln(self.shape + p) - special.gammaln(self.shape)))
+        # libm's exp: numpy's returns bits that follow its SIMD dispatch
+        return self.scale ** p * math.exp(special.gammaln(self.shape + p)
+                                          - special.gammaln(self.shape))
 
     def mean(self) -> float:
         return self.moment(1)
@@ -476,8 +479,8 @@ class EmpiricalWeights:
         # It lies in [-1074, 1023], so int16 holds it, and numpy's stable
         # argsort of int16 is an O(n) radix sort
         bucket = (np.frexp(self.W)[1] - 1).astype(np.int16)
-        # int32 vertex ids halve what the sampler keeps per edge until it
-        # packs the arcs
+        # int32 vertex ids halve what the sampler keeps per edge until the
+        # graph sorts the edges into its list
         if self.n > np.iinfo(np.int32).max:
             raise ValueError("the graph sampler needs n below 2^31")
         order = np.argsort(bucket, kind="stable").astype(np.int32)

@@ -1,12 +1,16 @@
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import pytest
 from scipy import special
 
+from sparselocal import rng as srng
+from sparselocal.bounds import (BoundParams, VertexSetSummary, epsilon_rho_sequences,
+                                excess_weight_bound, mean_pweight_bound)
 from sparselocal.coupling import _COUPLE_TAG, poisson_icdf
-from sparselocal.explore import is_tree, to_rooted_tree
-from sparselocal.graph import _GEN_TAG, WeightedGraph, _unrank_triangle
+from sparselocal.explore import Neighbourhood
+from sparselocal.graph import _GEN_TAG, WeightedGraph, _unrank_triangle, sample_graph
 from sparselocal.limit_trees import _RDE_TAG as RDE_TAG
 from sparselocal.limit_trees import (DEFAULT_NODE_BUDGET, TreeBudgetExceeded,
                                      grow_intermediate)
@@ -106,6 +110,336 @@ class WholeGraphMatcher:
 def whole_graph_matcher():
     """The oracle of the per-component solver."""
     return WholeGraphMatcher
+
+
+# ---- whole graphs: their rows, and the perturbation G^F of ROADMAP item 7a ----------
+
+
+class WholeGraph(WeightedGraph):
+    """A whole graph with its rows and, for a perturbation G^F, its flips.
+
+    The rows are built on first use from ``edge_u``/``edge_v``: ``arcs``
+    stores each edge twice, as the keys u*n + v and v*n + u, sorted, and the
+    row of v is the run of keys in [v*n, (v + 1)*n), found by two binary
+    searches, so it comes out ascending.  ``flipped_edges``/
+    ``flipped_vertices`` record the sites of a perturbation G^F: flipped edge
+    indicators are already baked into the edge list, flipped weight sites
+    transparently read the replacement stream.  With no flip and no
+    ``replacement``, the weights are the package's own site functions.
+    """
+
+    def __init__(self, weights, seed, stream, edge_u, edge_v, mu_v=None, mu_e=None,
+                 flipped_edges=frozenset(), flipped_vertices=frozenset()):
+        super().__init__(weights, seed, stream, edge_u, edge_v, mu_v=mu_v, mu_e=mu_e)
+        self.flipped_edges = flipped_edges
+        self.flipped_vertices = flipped_vertices
+
+    @classmethod
+    def of(cls, graph):
+        """The same graph, with rows."""
+        return cls(graph.weights, graph.seed, graph.stream, graph.edge_u, graph.edge_v,
+                   mu_v=graph.mu_v, mu_e=graph.mu_e)
+
+    @cached_property
+    def arcs(self):
+        """Both arcs of each edge, the keys u*n + v and v*n + u, sorted: the rows."""
+        n = self.n
+        arcs = np.concatenate((self.edge_u * n + self.edge_v, self.edge_v * n + self.edge_u))
+        arcs.sort()
+        return arcs
+
+    def _check_vertex(self, v):
+        if not 0 <= v < self.n:
+            raise IndexError(f"vertex {v} out of range [0, {self.n})")
+
+    def _row(self, v):
+        """Where the arcs of v start and end."""
+        self._check_vertex(v)
+        first = v * self.n
+        return (int(self.arcs.searchsorted(first)),
+                int(self.arcs.searchsorted(first + self.n)))
+
+    def neighbors(self, v):
+        start, stop = self._row(v)
+        return self.arcs[start:stop] - v * self.n
+
+    def degree(self, v):
+        start, stop = self._row(v)
+        return stop - start
+
+    def edge_indicator(self, u, v):
+        """X_{uv}: 1 when {u, v} is an edge, else 0 (always 0 at u == v, as the
+        graph has no self-loops)."""
+        self._check_vertex(u)
+        self._check_vertex(v)
+        key = u * self.n + v
+        i = int(self.arcs.searchsorted(key))
+        return int(i < self.arcs.size and self.arcs[i] == key)
+
+    def replacement_edge_indicator(self, u, v):
+        """X'_{uv} = 1{U' < p_uv}, a pure site function; vectorized."""
+        u_arr = np.asarray(u, dtype=np.int64)
+        v_arr = np.asarray(v, dtype=np.int64)
+        uni = self._sites.edge_uniform(srng.KIND_EDGE_REPL, u_arr, v_arr)
+        p = np.minimum(self.p_prime(u_arr, v_arr), 1.0)
+        out = (uni < p) & (u_arr != v_arr)
+        return out.astype(np.int64) if out.ndim else int(out)
+
+    def vertex_weight(self, v, replacement=False):
+        if not (replacement or self.flipped_vertices):
+            return super().vertex_weight(v)
+        spec = self._needs(self.mu_v, "vertex weight")
+        v_arr = np.asarray(v, dtype=np.int64)
+        flag = self._vertex_flag(v_arr, replacement)
+        out = spec.quantile(self._sites.uniform(srng.KIND_VERTEX_WEIGHT, v_arr, 0, flag))
+        return out if out.ndim else float(out)
+
+    def edge_weight(self, u, v, replacement=False):
+        if not (replacement or self.flipped_edges):
+            return super().edge_weight(u, v)
+        spec = self._needs(self.mu_e, "edge weight")
+        u_arr = np.asarray(u, dtype=np.int64)
+        v_arr = np.asarray(v, dtype=np.int64)
+        flag = self._edge_flag(u_arr, v_arr, replacement)
+        out = spec.quantile(self._sites.edge_uniform(srng.KIND_EDGE_WEIGHT, u_arr, v_arr,
+                                                     flag))
+        return out if out.ndim else float(out)
+
+    def _vertex_flag(self, v_arr, replacement):
+        """The site flag of each vertex: REPLACEMENT where it is flipped xor
+        ``replacement``.  With no flipped vertex it is one flag for all."""
+        if not self.flipped_vertices:
+            return srng.REPLACEMENT if replacement else srng.PRIMARY
+        table = np.zeros(self.n, dtype=bool)
+        table[list(self.flipped_vertices)] = True
+        return np.where(table[v_arr] ^ replacement, srng.REPLACEMENT, srng.PRIMARY)
+
+    def _edge_flag(self, u_arr, v_arr, replacement):
+        """The site flag of each edge, as :meth:`_vertex_flag` gives it for vertices."""
+        if not self.flipped_edges:
+            return srng.REPLACEMENT if replacement else srng.PRIMARY
+        lo = np.minimum(u_arr, v_arr)
+        hi = np.maximum(u_arr, v_arr)
+        flipped = self.flipped_edges
+        mask = np.asarray([(int(a), int(b)) in flipped for a, b in
+                           zip(np.atleast_1d(lo), np.atleast_1d(hi))]).reshape(np.shape(lo))
+        return np.where(mask ^ replacement, srng.REPLACEMENT, srng.PRIMARY)
+
+
+def whole_graph(weights, seed, stream=0, mu_v=None, mu_e=None):
+    """``graph.sample_graph``'s graph, with rows."""
+    return WholeGraph.of(sample_graph(weights, seed, stream, mu_v=mu_v, mu_e=mu_e))
+
+
+@dataclass(frozen=True)
+class PerturbationSet:
+    """A set of resampling sites: vertex ids and unordered vertex pairs."""
+
+    vertices: frozenset = frozenset()
+    edges: frozenset = frozenset()
+
+    def __post_init__(self):
+        canon = set()
+        for u, v in self.edges:
+            if u == v:
+                raise ValueError("edge sites need distinct endpoints")
+            canon.add((min(u, v), max(u, v)))
+        object.__setattr__(self, "edges", frozenset(canon))
+
+    def validate(self, n):
+        for v in self.vertices:
+            if not 0 <= v < n:
+                raise IndexError(f"vertex site {v} out of range")
+        for u, v in self.edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise IndexError(f"edge site {(u, v)} out of range")
+
+
+def perturb(graph, sites):
+    """The resampled graph G^F: X_e -> X'_e and w_z -> w'_z exactly on F.
+
+    Deterministic given (seed, stream): the replacement values come from the
+    replacement site stream, so G^emptyset is G site-by-site and the full
+    flip is an independent copy.  Perturbations always start from the base
+    graph, matching how G^F is defined.
+    """
+    if graph.flipped_edges or graph.flipped_vertices:
+        raise ValueError("perturb must be applied to the base graph")
+    sites.validate(graph.n)
+    keep = [(int(u), int(v)) for u, v in zip(graph.edge_u, graph.edge_v)
+            if (int(u), int(v)) not in sites.edges]
+    added = []
+    for u, v in sorted(sites.edges):
+        if graph.replacement_edge_indicator(u, v):
+            added.append((u, v))
+    edges = keep + added
+    return WholeGraph(graph.weights, graph.seed, graph.stream,
+                      [u for u, _ in edges], [v for _, v in edges],
+                      mu_v=graph.mu_v, mu_e=graph.mu_e,
+                      flipped_edges=frozenset(sites.edges),
+                      flipped_vertices=frozenset(sites.vertices))
+
+
+def delta_N(graph, site):
+    """Closed-form change of N when one site is resampled.
+
+    site is ("edge", (u, v)) or ("vertex", v):
+      edge:   (w_v + w_u) (X_e - X'_e)
+      vertex: |D_1(v)| (w_v - w'_v)
+    """
+    kind, where = site
+    if kind == "edge":
+        u, v = where
+        x = graph.edge_indicator(u, v)
+        x_new = graph.replacement_edge_indicator(u, v)
+        return float((graph.vertex_weight(u) + graph.vertex_weight(v)) * (x - x_new))
+    if kind == "vertex":
+        v = where
+        return float(graph.degree(v)
+                     * (graph.vertex_weight(v) - graph.vertex_weight(v, replacement=True)))
+    raise ValueError(f"unknown site kind {kind!r}")
+
+
+def envelope_bound(application, graph, site):
+    """The closed-form dominating envelope for |Delta_site f|.
+
+    matching:  edge sites are bounded by 1{max(X, X') = 1} max(w_e, w'_e);
+               vertex sites do not enter (no vertex weights).
+    edge-sum:  edge sites by 1{max(X, X') = 1}(w_v + w_u), vertex sites by
+               |D_1(v)| (w_v + w'_v).
+    """
+    kind, where = site
+    if application == "matching":
+        if kind == "vertex":
+            return 0.0
+        u, v = where
+        present = max(graph.edge_indicator(u, v), graph.replacement_edge_indicator(u, v))
+        return float(present * max(graph.edge_weight(u, v),
+                                   graph.edge_weight(u, v, replacement=True)))
+    if application == "edge-sum":
+        if kind == "edge":
+            u, v = where
+            present = max(graph.edge_indicator(u, v), graph.replacement_edge_indicator(u, v))
+            return float(present * (graph.vertex_weight(u) + graph.vertex_weight(v)))
+        v = where
+        return float(graph.degree(v)
+                     * (graph.vertex_weight(v) + graph.vertex_weight(v, replacement=True)))
+    raise ValueError(f"unknown application {application!r}")
+
+
+def clt_bound(p: BoundParams, sigma2, me_delta, mv_delta, chi, J):
+    """Kolmogorov-distance bound for the standardized functional.
+
+    me_delta and mv_delta are the products M^E_n delta^E_k and
+    M^V_n delta^V_k of the local-approximation moments and gaps at level
+    k = ell; chi is the degree-moment average and J the envelope-moment
+    constant.
+    """
+    if sigma2 <= 0:
+        raise ValueError("sigma2 must be positive")
+    eps, rho = epsilon_rho_sequences(p)
+    ratio = p.n / sigma2
+    lead = (ratio ** 0.5
+            * (p.theta ** 0.5 + p.G(2) + chi ** 0.5) ** 2
+            * (max(me_delta, 0.0) ** 0.125 + max(mv_delta, 0.0) ** 0.125
+               + eps ** (1.0 / 16.0) + rho ** (1.0 / 16.0)))
+    tail = ratio ** 0.75 * (p.theta * p.G(1) + chi ** 0.5) / p.n ** 0.25
+    return p.C0 * J ** 0.25 * (lead + tail)
+
+
+# ---- the per-stage coupling bounds of ROADMAP item 8 ---------------------------------
+
+
+def intermediate_coupling_bound(p: BoundParams, Wv):
+    """Single-root bound for the ball/intermediate-tree coupling, with the
+    expected neighbourhood norms replaced by their closed-form bounds."""
+    kn = p.k_n
+    return (mean_pweight_bound(p, Wv, 2) * p.G(2) / p.ntheta
+            + excess_weight_bound(p, Wv) * p.G(1)
+            + mean_pweight_bound(p, Wv, 1) * (p.K(1) + 1.0 / kn + kn / p.ntheta))
+
+
+def repeat_probability_bound(p: BoundParams, vs: VertexSetSummary):
+    """Probability that the independence repair touches any tree."""
+    lam = p.moments.lambda_n
+    return (p.k_n ** 2 / lam
+            + (vs.count
+               + vs.weight * p.G(1) * (p.G(2) + 1.0) ** (p.ell - 1)
+               + vs.weight * (p.G(2) + 1.0) ** p.ell) / p.k_n)
+
+
+# ---- tree-shaped balls and their codes, ROADMAP items 7 and 9 ------------------------
+
+
+def edge_count(nb: Neighbourhood):
+    """The edges of an explored ball: its tree edges and its extra edges."""
+    return nb.vertex_count - 1 + len(nb.extra_edges)
+
+
+def is_tree(nb: Neighbourhood):
+    """True iff the explored ball is acyclic (no extra edges were found)."""
+    return not nb.extra_edges
+
+
+def to_rooted_tree(nb: Neighbourhood, weights, vertex_weight=None, edge_weight=None):
+    """Ulam-Harris tree for a tree-shaped ball; types are the W_v.
+
+    ``vertex_weight`` and ``edge_weight`` are optional accessors (v) -> w and
+    (u, v) -> w, typically bound to the graph's lazy weight streams.
+    """
+    if not is_tree(nb):
+        raise ValueError("neighbourhood is not a tree")
+    W = weights.W
+
+    def vw(v):
+        return np.nan if vertex_weight is None else float(vertex_weight(v))
+
+    def ew(u, v):
+        return np.nan if edge_weight is None else float(edge_weight(u, v))
+
+    tree = RootedWeightedTree(W[nb.root], nb.depth, vw(nb.root), root_label=nb.root)
+    ids = {nb.root: 0}
+    for p in nb.vertices():
+        for u in nb.children[p]:
+            ids[u] = tree.add_child(ids[p], W[u], ew(p, u), vw(u), label=u)
+    return tree
+
+
+def height(tree: RootedWeightedTree):
+    return max(tree.node_depth)
+
+
+def address(tree: RootedWeightedTree, node):
+    """Ulam-Harris address (1-based child indices along the root path)."""
+    path = []
+    while node != 0:
+        p = tree.parent[node]
+        path.append(tree.children[p].index(node) + 1)
+        node = p
+    return tuple(reversed(path))
+
+
+def canonical_code(tree: RootedWeightedTree, with_types=True):
+    """AHU canonical form; equal codes iff rooted-isomorphic with equal weights.
+
+    Weights enter as raw float64 bit patterns, so comparisons are exact and
+    transitive.  Child blocks are sorted lexicographically, which makes the
+    code invariant under any permutation of children.  It can ignore the
+    connectivity types: coupled objects on the two sides of a Wasserstein
+    redraw share structure and decorative weights but not types.
+    """
+
+    def scalar(x):
+        return np.float64(x).tobytes()
+
+    n = tree.node_count
+    code = [None] * n
+    # children always have larger ids, so a reverse sweep is post-order
+    for node in range(n - 1, -1, -1):
+        blocks = sorted(scalar(tree.edge_w[c]) + code[c] for c in tree.children[node])
+        head = scalar(tree.type_w[node]) if with_types else b""
+        code[node] = b"(" + head + scalar(tree.vertex_w[node]) + b"".join(blocks) + b")"
+    return code[0]
 
 
 # ---- the matching sandwich: the oracle of ROADMAP item 7b ---------------------------

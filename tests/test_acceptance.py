@@ -14,17 +14,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import (INTERMEDIATE_TAG, h_k, matching_value, sample_intermediate_tree,
-                      stage1_rng)
+from conftest import (INTERMEDIATE_TAG, PerturbationSet, delta_N, h_k, matching_value,
+                      perturb, sample_intermediate_tree, stage1_rng, whole_graph)
 from sparselocal.bounds import BoundParams, VertexSetSummary, epsilon_v_bound, \
     default_k_n, degree_moment_bound, mean_pweight_bound, not_tree_bound, vertex_in_ball_bound
 from sparselocal.coupling import (CouplingConfig, couple_full,
                                   couple_neighbourhood_to_intermediate)
 from sparselocal.explore import explore
-from sparselocal.graph import PerturbationSet, perturb, sample_graph
 from sparselocal.harness import ExperimentConfig, clt_experiment
 from sparselocal.limit_trees import rde_fixed_point
-from sparselocal.matching import _exact_matching, delta_N, dependent_edge_sum
+from sparselocal.matching import _exact_matching, dependent_edge_sum
 from sparselocal.rng import parse_seed, stream_rng
 from sparselocal.trees import RootedWeightedTree
 from sparselocal.weights import WeightSpec, moments, sample_empirical_weights
@@ -134,8 +133,8 @@ def test_criterion_04_perturbation_closed_forms():
     for trial in range(1000):
         n = int(rng.integers(2, 41))
         w = sample_empirical_weights(GAMMA21, n, (int(rng.integers(1 << 31)), 1))
-        g = sample_graph(w, (int(rng.integers(1 << 31)), 2), 0,
-                         mu_v=WeightSpec("gamma", shape=2.0, scale=1.0))
+        g = whole_graph(w, (int(rng.integers(1 << 31)), 2), 0,
+                        mu_v=WeightSpec("gamma", shape=2.0, scale=1.0))
         if rng.random() < 0.5:
             u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
             site = ("edge", (int(u), int(v)))
@@ -162,7 +161,7 @@ def test_criterion_05_coupling_marginals():
     ddeg = np.empty(reps, dtype=int)
     dcnt = np.empty(reps, dtype=int)
     for t in range(reps):
-        g = sample_graph(w, SEED, t)
+        g = whole_graph(w, SEED, t)
         out = couple_neighbourhood_to_intermediate(g, 0, cfg, stage1_rng(g, 0))
         cdeg[t], ccnt[t] = len(out.tree.children[0]), out.tree.node_count
         dt = sample_intermediate_tree(w, 0, ell, stream_rng(SEED, t, INTERMEDIATE_TAG))
@@ -187,7 +186,7 @@ def test_criterion_06_break_rate_dominated_by_epsilon():
                 cfg = CouplingConfig(k_n=default_k_n(n), depth=ell)
                 bad = 0
                 for t in range(reps):
-                    g = sample_graph(w, SEED, t)
+                    g = whole_graph(w, SEED, t)
                     outs = couple_full(g, [0, 1], cfg, spec)
                     bad += 0 if all(o.ok for o in outs) else 1
                 rate = bad / reps
@@ -251,7 +250,7 @@ def test_criterion_08_structural_bound_battery():
             nontree = {l: 0 for l in (1, 2, 3)}
             deg = np.empty(reps)
             for t in range(reps):
-                g = sample_graph(w, SEED, t)
+                g = whole_graph(w, SEED, t)
                 nb = explore(g, 0, 3)
                 deg[t] = len(nb.levels[1])
                 lv = {v: r for r, level in enumerate(nb.levels) for v in level}

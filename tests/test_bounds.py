@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparselocal.bounds import (BoundParams, VertexSetSummary, clt_bound, default_k_n,
+from conftest import clt_bound
+from sparselocal.bounds import (BoundParams, VertexSetSummary, default_k_n,
                                 degree_moment_bound, epsilon_rho_sequences,
                                 epsilon_v_bound, eta_bound, mean_pweight_bound,
                                 mean_size_bound, not_tree_bound, structural_bounds,

@@ -6,21 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import (INTERMEDIATE_TAG, REPAIR_TAG, sample_intermediate_tree,
-                      sample_limit_tree, stage1_rng)
-from sparselocal.bounds import (BoundParams, VertexSetSummary, default_k_n,
-                                intermediate_coupling_bound, limit_redraw_bound,
-                                repeat_probability_bound)
+from conftest import (INTERMEDIATE_TAG, REPAIR_TAG, WholeGraph, canonical_code,
+                      intermediate_coupling_bound, is_tree, repeat_probability_bound,
+                      sample_intermediate_tree, sample_limit_tree, stage1_rng,
+                      to_rooted_tree, whole_graph)
+from sparselocal.bounds import BoundParams, VertexSetSummary, default_k_n, limit_redraw_bound
 from sparselocal.coupling import (BREAK_ACTIVE, BREAK_COMPLETED, BREAK_OVERFLOW,
                                   BREAK_REPEAT, BREAK_X_NEQ_Z, CouplingConfig, couple_full,
                                   couple_intermediate_to_limit,
                                   couple_neighbourhood_to_intermediate,
-                                  poisson_cdf_interval, poisson_icdf,
+                                  _poisson_cap, poisson_cdf_interval, poisson_icdf,
                                   repair_independence)
-from sparselocal.explore import explore, is_tree, to_rooted_tree
-from sparselocal.graph import WeightedGraph, sample_graph
+from sparselocal.explore import explore
 from sparselocal.rng import stream_rng
-from sparselocal.trees import RootedWeightedTree, canonical_code
+from sparselocal.trees import RootedWeightedTree
 from sparselocal.weights import (EmpiricalWeights, WeightSpec, moments,
                                  sample_empirical_weights)
 
@@ -70,11 +69,14 @@ def test_a_uniform_inside_the_cdf_interval_inverts_back_to_k(lam, data):
         assert poisson_icdf(lam, hi) < k
 
 
-class _Quarter:
-    """A generator stub whose every uniform is 1/4."""
+class _Repeats:
+    """A generator stub whose every uniform is r."""
+
+    def __init__(self, r):
+        self.r = r
 
     def random(self):
-        return 0.25
+        return self.r
 
 
 def test_stage3_keeps_its_uniform_off_the_bottom_of_a_one_ulp_interval():
@@ -91,8 +93,38 @@ def test_stage3_keeps_its_uniform_off_the_bottom_of_a_one_ulp_interval():
     for _ in range(26):
         tree.add_child(0, lam, label=0)
     out, level = couple_intermediate_to_limit(tree, w.size_biased,
-                                              WeightSpec("constant", c=lam), _Quarter())
+                                              WeightSpec("constant", c=lam), _Repeats(0.25))
     assert level is None and len(out.children[0]) == 26
+
+
+@settings(max_examples=300, deadline=None)
+@given(lam_tilde=st.floats(1e-3, 60.0),
+       ratio=st.one_of(st.just(1.0), st.floats(0.25, 4.0)),
+       r=st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                   st.sampled_from([0.0, 0.25, 0.5, 1.0 - 2.0 ** -53])))
+def test_stage3_count_in_the_top_cdf_interval(lam_tilde, ratio, r):
+    # an intermediate root with k children, k the first count at which the
+    # summed CDF of lam_tilde stops growing, so its interval (lo, hi] is the
+    # top one and hi can reach or pass 1.0, where the limit mean's sum may
+    # stop short: no count raises, and at the same mean every count is k.
+    # The root's type t is the limit mean; weights of one vertex with
+    # theta = t^2 / lam_tilde give the intermediate mean scale * t
+    t = lam_tilde * ratio
+    w = EmpiricalWeights(n=1, W=np.array([t]), theta=t if ratio == 1.0 else t * t / lam_tilde)
+    lam_tilde = w.size_biased.scale * t  # as stage 3 computes it
+    k = int(poisson_icdf(lam_tilde, poisson_cdf_interval(int(_poisson_cap(lam_tilde)),
+                                                         lam_tilde)[1]))
+    lo, hi = poisson_cdf_interval(k, lam_tilde)
+    assert lo < hi
+    tree = RootedWeightedTree(t, 1, root_label=0)
+    for _ in range(k):
+        tree.add_child(0, t, label=0)
+    out, level = couple_intermediate_to_limit(tree, w.size_biased,
+                                              WeightSpec("constant", c=t), _Repeats(r))
+    if lam_tilde == t:
+        assert level is None and len(out.children[0]) == k
+    else:
+        assert len(out.children[0]) <= _poisson_cap(t)
 
 
 @settings(max_examples=300, deadline=None)
@@ -110,7 +142,7 @@ def test_stage1_hashes_only_neighbour_sites():
     w = sample_empirical_weights(GAMMA, n, SEED)
     hashed = []
     for t in range(3):
-        g = sample_graph(w, SEED, t)
+        g = whole_graph(w, SEED, t)
 
         def counted(u, v, g=g):
             hashed.append((g.degree(int(u)), np.size(v)))
@@ -164,7 +196,7 @@ def test_site_level_joint_law_through_graph_machinery():
     xs = np.empty(reps)
     zs = np.empty(reps, dtype=int)
     for t in range(reps):
-        g = sample_graph(w, SEED, t)
+        g = whole_graph(w, SEED, t)
         x = g.edge_indicator(0, 1)
         aux = float(g.coupling_uniform(0, 1))
         u = 1.0 - p_prime + aux * p_prime if x else aux * (1.0 - p_prime)
@@ -181,7 +213,7 @@ def test_site_level_joint_law_through_graph_machinery():
 def test_exhausted_component_deep_exploration():
     # the ball covers the whole vertex set before the depth budget runs out
     w = EmpiricalWeights(n=3, W=np.full(3, 0.2), theta=0.2)
-    g = sample_graph(w, SEED, 0)
+    g = whole_graph(w, SEED, 0)
     for root in range(3):
         for depth in (2, 3, 5):
             out = couple_neighbourhood_to_intermediate(
@@ -190,9 +222,7 @@ def test_exhausted_component_deep_exploration():
             assert out.neighbourhood.levels == nb.levels
     # hand-built path graph, explored past its end from both sides
     w2 = EmpiricalWeights(n=2, W=np.full(2, 1e-6), theta=1e-6)
-    from sparselocal.graph import WeightedGraph
-
-    g2 = WeightedGraph(w2, SEED, 0, np.array([0]), np.array([1]))
+    g2 = WholeGraph(w2, SEED, 0, np.array([0]), np.array([1]))
     out = couple_neighbourhood_to_intermediate(g2, 0, CouplingConfig(k_n=50, depth=3),
                                                stage1_rng(g2, 0))
     assert out.neighbourhood.vertex_count == 2
@@ -216,8 +246,8 @@ STAGE1_BREAKS = {
 def test_stage1_break_reason(case):
     W, edges, k_n, depth, reason, level = STAGE1_BREAKS[case]
     w = EmpiricalWeights(n=3, W=np.array(W), theta=1.0)
-    g = WeightedGraph(w, SEED, 0, np.array([u for u, _ in edges]),
-                      np.array([v for _, v in edges]))
+    g = WholeGraph(w, SEED, 0, np.array([u for u, _ in edges]),
+                   np.array([v for _, v in edges]))
     out = couple_neighbourhood_to_intermediate(g, 0, CouplingConfig(k_n=k_n, depth=depth),
                                                stage1_rng(g, 0))
     assert not out.ok
@@ -227,7 +257,7 @@ def test_stage1_break_reason(case):
 
 def test_tiny_weights_give_root_only_coupling():
     w = EmpiricalWeights(n=5, W=np.full(5, 1e-8), theta=1e-8)
-    g = sample_graph(w, SEED, 0)
+    g = whole_graph(w, SEED, 0)
     out = couple_neighbourhood_to_intermediate(g, 0, CouplingConfig(k_n=5, depth=3),
                                                stage1_rng(g, 0))
     assert out.ok
@@ -239,7 +269,7 @@ def test_graph_side_equals_plain_exploration():
     for spec, n in ((ER1, 800), (GAMMA, 600)):
         w = sample_empirical_weights(spec, n, SEED)
         for t in range(40):
-            g = sample_graph(w, SEED, t)
+            g = whole_graph(w, SEED, t)
             out = couple_neighbourhood_to_intermediate(
                 g, t % n, CouplingConfig(k_n=default_k_n(n), depth=2), stage1_rng(g, t % n))
             nb = explore(g, t % n, 2)
@@ -252,7 +282,7 @@ def test_ok_implies_isomorphic_with_types():
     w = sample_empirical_weights(GAMMA, 500, SEED)
     checked = 0
     for t in range(300):
-        g = sample_graph(w, SEED, t)
+        g = whole_graph(w, SEED, t)
         out = couple_neighbourhood_to_intermediate(
             g, 0, CouplingConfig(k_n=default_k_n(500), depth=2), stage1_rng(g, 0))
         if out.ok and is_tree(out.neighbourhood):
@@ -271,7 +301,7 @@ def test_marginal_law_of_tree_half():
     cfg = CouplingConfig(k_n=default_k_n(n), depth=2)
     coupled_deg, coupled_cnt, direct_deg, direct_cnt = [], [], [], []
     for t in range(reps):
-        g = sample_graph(w, SEED, t)
+        g = whole_graph(w, SEED, t)
         out = couple_neighbourhood_to_intermediate(g, 0, cfg, stage1_rng(g, 0))
         coupled_deg.append(len(out.tree.children[0]))
         coupled_cnt.append(out.tree.node_count)
@@ -287,7 +317,7 @@ def test_break_rate_below_intermediate_bound():
     w = sample_empirical_weights(ER1, n, SEED)
     summ = moments(w, ER1)
     cfg = CouplingConfig(k_n=default_k_n(n), depth=ell)
-    graphs = (sample_graph(w, SEED, t) for t in range(reps))
+    graphs = (whole_graph(w, SEED, t) for t in range(reps))
     breaks = sum(0 if couple_neighbourhood_to_intermediate(g, 0, cfg, stage1_rng(g, 0)).ok
                  else 1 for g in graphs)
     rate = breaks / reps
@@ -301,7 +331,7 @@ def test_break_rate_below_intermediate_bound():
 def test_depth_zero_never_breaks():
     w = sample_empirical_weights(GAMMA, 200, SEED)
     for t in range(50):
-        g = sample_graph(w, SEED, t)
+        g = whole_graph(w, SEED, t)
         out = couple_neighbourhood_to_intermediate(g, 0, CouplingConfig(k_n=1e-9, depth=0),
                                                    stage1_rng(g, 0))
         assert out.ok and out.tree.node_count == 1
@@ -312,7 +342,7 @@ def test_depth_zero_never_breaks():
 
 def test_repair_single_root_unchanged():
     w = sample_empirical_weights(GAMMA, 300, SEED)
-    g = sample_graph(w, SEED, 1)
+    g = whole_graph(w, SEED, 1)
     out = couple_neighbourhood_to_intermediate(
         g, 0, CouplingConfig(k_n=default_k_n(300), depth=2), stage1_rng(g, 0))
     fixed = repair_independence([out], w.size_biased, stream_rng(SEED, 0, REPAIR_TAG))
@@ -323,7 +353,7 @@ def test_repair_single_root_unchanged():
 
 def test_repair_root_only_trees_unchanged():
     w = EmpiricalWeights(n=6, W=np.full(6, 1e-8), theta=1e-8)
-    g = sample_graph(w, SEED, 0)
+    g = whole_graph(w, SEED, 0)
     cfg = CouplingConfig(k_n=5, depth=2)
     outs = [couple_neighbourhood_to_intermediate(g, r, cfg, stage1_rng(g, r)) for r in (0, 1)]
     fixed = repair_independence(outs, w.size_biased, stream_rng(SEED, 0, REPAIR_TAG))
@@ -333,7 +363,7 @@ def test_repair_root_only_trees_unchanged():
 
 def test_repair_distinct_roots_required():
     w = sample_empirical_weights(GAMMA, 100, SEED)
-    g = sample_graph(w, SEED, 0)
+    g = whole_graph(w, SEED, 0)
     out = couple_neighbourhood_to_intermediate(
         g, 0, CouplingConfig(k_n=default_k_n(100), depth=1), stage1_rng(g, 0))
     with pytest.raises(ValueError):
@@ -368,7 +398,7 @@ def test_repeat_rate_below_bound():
     roots = [0, 1]
     hits = 0
     for t in range(reps):
-        g = sample_graph(w, SEED, t)
+        g = whole_graph(w, SEED, t)
         outs = [couple_neighbourhood_to_intermediate(g, r, cfg, stage1_rng(g, r))
                 for r in roots]
         fixed = repair_independence(outs, law, stream_rng(SEED, t, REPAIR_TAG))
@@ -451,7 +481,7 @@ def test_full_pipeline_shared_weights_isomorphic():
     cfg = CouplingConfig(k_n=default_k_n(n), depth=2)
     ok_seen = 0
     for t in range(250):
-        g = sample_graph(w, SEED, t, mu_v=mu_v, mu_e=mu_e)
+        g = whole_graph(w, SEED, t, mu_v=mu_v, mu_e=mu_e)
         outs = couple_full(g, [0, 1], cfg, ER1)
         for o in outs:
             if o.ok and is_tree(o.neighbourhood):
@@ -472,7 +502,7 @@ def test_full_pipeline_independence_chi_square():
     cfg = CouplingConfig(k_n=default_k_n(n), depth=1)
     pairs = []
     for t in range(reps):
-        g = sample_graph(w, SEED, t)
+        g = whole_graph(w, SEED, t)
         outs = couple_full(g, [0, 1], cfg, ER1)
         pairs.append(tuple(canonical_code(o.tree, with_types=False) for o in outs))
     codes = [c for p in pairs for c in p]
@@ -494,7 +524,7 @@ def test_total_break_rate_below_epsilon_v():
     cfg = CouplingConfig(k_n=default_k_n(n), depth=ell)
     bad = 0
     for t in range(reps):
-        g = sample_graph(w, SEED, t)
+        g = whole_graph(w, SEED, t)
         outs = couple_full(g, [0, 1], cfg, GAMMA)
         if not all(o.ok for o in outs):
             bad += 1
@@ -518,7 +548,7 @@ def test_fully_coupled_tree_carries_the_ball_labels(spec):
     for ell in (1, 2):
         cfg = CouplingConfig(k_n=default_k_n(n), depth=ell)
         for t in range(40):
-            g = sample_graph(w, SEED, t, mu_v=mu_v, mu_e=mu_e)
+            g = whole_graph(w, SEED, t, mu_v=mu_v, mu_e=mu_e)
             for o in couple_full(g, [0, 1], cfg, spec):
                 if not o.ok:
                     continue
@@ -542,7 +572,7 @@ def test_monotone_improvement_in_n():
         bad = 0
         reps = 500
         for t in range(reps):
-            g = sample_graph(w, SEED, t)
+            g = whole_graph(w, SEED, t)
             outs = couple_full(g, [0, 1], cfg, ER1)
             bad += 0 if all(o.ok for o in outs) else 1
         rates.append(bad / reps)

@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from sparselocal.explore import explore, is_tree, to_rooted_tree
-from sparselocal.graph import WeightedGraph, sample_graph
-from sparselocal.trees import canonical_code
+from conftest import (WholeGraph, address, canonical_code, edge_count, is_tree,
+                      to_rooted_tree, whole_graph)
+from sparselocal.explore import explore
 from sparselocal.weights import EmpiricalWeights, WeightSpec, sample_empirical_weights
 
 SEED = (99, 1)
@@ -31,7 +31,7 @@ def build_graph(n, edges, W=None, theta=1.0, **kw):
                          theta=theta)
     eu = np.array([min(e) for e in edges], dtype=np.int64)
     ev = np.array([max(e) for e in edges], dtype=np.int64)
-    return WeightedGraph(w, SEED, 0, eu, ev, **kw)
+    return WholeGraph(w, SEED, 0, eu, ev, **kw)
 
 
 def floyd_warshall(n, edges):
@@ -47,7 +47,7 @@ def floyd_warshall(n, edges):
 def test_isolated_vertex():
     g = build_graph(3, [(1, 2)])
     nb = explore(g, 0, 4)
-    assert nb.vertex_count == 1 and nb.edge_count == 0
+    assert nb.vertex_count == 1 and edge_count(nb) == 0
     assert is_tree(nb)
 
 
@@ -113,10 +113,10 @@ def test_last_level_edges_excluded():
     nb = explore(g, 0, 2)
     assert nb.vertex_count == 4
     # the (2,3) edge joins two level-2 vertices: not in the ball
-    assert nb.edge_count == 3
+    assert edge_count(nb) == 3
     assert is_tree(nb)
     nb3 = explore(g, 0, 3)
-    assert nb3.edge_count == 4
+    assert edge_count(nb3) == 4
     assert not is_tree(nb3)
 
 
@@ -203,7 +203,7 @@ def test_mean_level_weight_bound_mc():
     for ell in (1, 2):
         vals = []
         for t in range(reps):
-            g = sample_graph(w, SEED, t)
+            g = whole_graph(w, SEED, t)
             nb = explore(g, 0, ell)
             vals.append(sum(w.W[v] for v in nb.vertices()))
         params = BoundParams.from_summary(n, ell, summ, spec, k_n=default_k_n(n))
@@ -221,7 +221,7 @@ def test_edge_list_text_dump():
 def test_ulam_map():
     g = build_graph(5, [(0, 2), (0, 4), (2, 1)])
     tree = to_rooted_tree(explore(g, 0, 2), g.weights)
-    mapping = {tree.address(node): tree.labels[node] for node in range(tree.node_count)}
+    mapping = {address(tree, node): tree.labels[node] for node in range(tree.node_count)}
     assert mapping[()] == 0
     assert mapping[(1,)] == 2  # children enumerated in ascending label order
     assert mapping[(2,)] == 4

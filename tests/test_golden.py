@@ -12,13 +12,11 @@ import os
 
 import pytest
 
-from conftest import INTERMEDIATE_TAG, sample_intermediate_tree
+from conftest import INTERMEDIATE_TAG, canonical_code, sample_intermediate_tree, whole_graph
 from sparselocal.bounds import default_k_n
 from sparselocal.cli import main
 from sparselocal.coupling import CouplingConfig, couple_full
-from sparselocal.graph import sample_graph
 from sparselocal.rng import stream_rng
-from sparselocal.trees import canonical_code
 from sparselocal.weights import WeightSpec, sample_empirical_weights
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -133,7 +131,7 @@ def test_coupled_tree_digest():
     for cfg in (CouplingConfig(k_n=default_k_n(300), depth=2),
                 CouplingConfig(k_n=1e9, depth=2)):
         for t in range(40):
-            graph = sample_graph(w, seed, t, mu_e=mu_e)
+            graph = whole_graph(w, seed, t, mu_e=mu_e)
             for out in couple_full(graph, [0, 1, 2], cfg, spec):
                 digest.update(canonical_code(out.tree) + repr(sorted(out.flags)).encode())
     for t in range(40):
@@ -155,7 +153,7 @@ def test_coupled_tree_digest_with_vertex_and_edge_weights():
     for depth in (1, 2):
         cfg = CouplingConfig(k_n=default_k_n(300), depth=depth)
         for t in range(40):
-            graph = sample_graph(w, seed, t, mu_v=mu_v, mu_e=mu_e)
+            graph = whole_graph(w, seed, t, mu_v=mu_v, mu_e=mu_e)
             for out in couple_full(graph, [0, 1, 2], cfg, spec):
                 digest.update(canonical_code(out.tree) + repr(sorted(out.flags)).encode())
     assert digest.hexdigest() == ("047eb185e9b8d293fece7c6144f15d60"

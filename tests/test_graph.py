@@ -7,7 +7,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from sparselocal.graph import PerturbationSet, WeightedGraph, perturb, sample_graph
+from conftest import PerturbationSet, WholeGraph, perturb, whole_graph
+from sparselocal.graph import sample_graph
 from sparselocal.weights import EmpiricalWeights, WeightSpec, sample_empirical_weights
 
 SEED = (314159, 271828)
@@ -24,7 +25,7 @@ def test_single_vertex_no_edges():
 
 def test_no_self_loops_and_symmetry():
     w = sample_empirical_weights(WeightSpec("gamma", shape=2.0, scale=1.0), 300, SEED)
-    g = sample_graph(w, SEED, 0)
+    g = whole_graph(w, SEED, 0)
     assert np.all(g.edge_u < g.edge_v)
     for u, v in zip(g.edge_u[:50], g.edge_v[:50]):
         assert g.edge_indicator(int(u), int(v)) == g.edge_indicator(int(v), int(u)) == 1
@@ -43,8 +44,8 @@ def test_determinism_same_stream():
 
 def test_site_queries_repeatable_any_order():
     w = sample_empirical_weights(WeightSpec("gamma", shape=2.0, scale=1.0), 50, SEED)
-    g = sample_graph(w, SEED, 0, mu_v=WeightSpec("gamma", shape=1.0, scale=1.0),
-                     mu_e=WeightSpec("gamma", shape=1.0, scale=1.0))
+    g = whole_graph(w, SEED, 0, mu_v=WeightSpec("gamma", shape=1.0, scale=1.0),
+                    mu_e=WeightSpec("gamma", shape=1.0, scale=1.0))
     rng = np.random.default_rng(0)
     sites = [(int(a), int(b)) for a, b in rng.integers(0, 50, size=(40, 2)) if a != b]
     first = {s: (g.edge_weight(*s), g.edge_weight(*s, replacement=True),
@@ -103,14 +104,14 @@ def test_pairwise_edge_independence():
     a = np.zeros(reps)
     b = np.zeros(reps)
     for t in range(reps):
-        g = sample_graph(w, SEED, t)
+        g = whole_graph(w, SEED, t)
         a[t] = g.edge_indicator(0, 1)
         b[t] = g.edge_indicator(2, 3)
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) <= 4 / np.sqrt(reps)
 
 
-# ---- adjacency arrays -------------------------------------------------------------------
+# ---- the rows of a whole graph (the tests' WholeGraph) and its constructor ------------
 
 
 def _lexsort_rows(edge_u, edge_v, n):
@@ -159,7 +160,7 @@ def test_rows_match_lexsort_oracle(case):
     n, pairs = case
     edge_u = np.array([u for u, _ in pairs], dtype=np.int64)
     edge_v = np.array([v for _, v in pairs], dtype=np.int64)
-    g = WeightedGraph(er_weights(n), SEED, 0, edge_u, edge_v)
+    g = WholeGraph(er_weights(n), SEED, 0, edge_u, edge_v)
     _assert_rows_match_lexsort(g, edge_u, edge_v, every_pair=True)
     assert sorted(pairs) == list(zip(g.edge_u.tolist(), g.edge_v.tolist()))
 
@@ -177,11 +178,11 @@ def test_constructor_takes_endpoints_in_any_order_and_form(case, data):
     given_v = [pairs[i][not flip[i]] for i in order]
     if form is not list:
         given_u, given_v = np.array(given_u, dtype=form), np.array(given_v, dtype=form)
-    g = WeightedGraph(er_weights(n), SEED, 0, given_u, given_v)
+    g = WholeGraph(er_weights(n), SEED, 0, given_u, given_v)
     pairs = sorted(pairs)
     want_u = np.array([u for u, _ in pairs], dtype=np.int64)
     want_v = np.array([v for _, v in pairs], dtype=np.int64)
-    want = WeightedGraph(er_weights(n), SEED, 0, want_u, want_v)
+    want = WholeGraph(er_weights(n), SEED, 0, want_u, want_v)
     assert g.edge_u.dtype == g.edge_v.dtype == np.int64
     assert np.array_equal(g.edge_u, want_u) and np.array_equal(g.edge_v, want_v)
     assert np.all(g.edge_u < g.edge_v) and g.num_edges == len(pairs)
@@ -194,14 +195,14 @@ def test_constructor_takes_endpoints_in_any_order_and_form(case, data):
 def test_rows_match_lexsort_oracle_on_sampled_graphs():
     w = sample_empirical_weights(WeightSpec("gamma", shape=2.0, scale=1.0), 5000, SEED)
     for stream in range(3):
-        g = sample_graph(w, SEED, stream)
+        g = whole_graph(w, SEED, stream)
         _assert_rows_match_lexsort(g, g.edge_u, g.edge_v, every_pair=False)
-    g = sample_graph(er_weights(1), SEED, 0)
+    g = whole_graph(er_weights(1), SEED, 0)
     _assert_rows_match_lexsort(g, g.edge_u, g.edge_v, every_pair=True)
 
 
 def test_vertex_outside_the_graph_raises():
-    g = WeightedGraph(er_weights(3), SEED, 0, np.array([0]), np.array([2]))
+    g = WholeGraph(er_weights(3), SEED, 0, np.array([0]), np.array([2]))
     for v in (-1, 3, -4):
         with pytest.raises(IndexError):
             g.neighbors(v)
@@ -216,8 +217,7 @@ def test_vertex_outside_the_graph_raises():
 
 def test_sample_graph_peak_memory_is_bounded_by_graph_size():
     # the build's temporaries, bucket plan included, stay below 1.6 times the
-    # edge list the graph keeps, 2m int64 as the arcs are; the arcs, packed
-    # on first use, are read only afterwards
+    # edge list the graph keeps, 2m int64
     w = sample_empirical_weights(WeightSpec("gamma", shape=2.0, scale=1.0), 100_000, SEED)
     tracemalloc.start()
     try:
@@ -225,7 +225,7 @@ def test_sample_graph_peak_memory_is_bounded_by_graph_size():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / g.arcs.nbytes <= 2.6
+    assert peak / (g.edge_u.nbytes + g.edge_v.nbytes) <= 2.6
 
 
 _CONSTANT = WeightSpec("constant", c=5.0)
@@ -253,8 +253,9 @@ def test_sample_graph_equals_per_pair_oracle(per_pair_sample_graph, spec, n, str
     w = sample_empirical_weights(spec, n, SEED, stream=stream)
     got = sample_graph(w, SEED, stream)
     want = per_pair_sample_graph(w, SEED, stream)
-    assert np.array_equal(got.arcs, want.arcs)
     assert np.array_equal(got.edge_u, want.edge_u) and np.array_equal(got.edge_v, want.edge_v)
+    got, want = WholeGraph.of(got), WholeGraph.of(want)
+    assert np.array_equal(got.arcs, want.arcs)
     for v in range(n):
         assert np.array_equal(got.neighbors(v), want.neighbors(v)), v
 
@@ -276,7 +277,8 @@ def test_a_pair_that_fills_a_batch_is_mapped_alone(per_pair_sample_graph, monkey
     got = sample_graph(w, SEED, 5)
     assert any(len(b) == 1 and b[0] >= graph._FLUSH for b in batches)
     assert any(len(b) > 1 for b in batches)
-    assert np.array_equal(got.arcs, per_pair_sample_graph(w, SEED, 5).arcs)
+    want = per_pair_sample_graph(w, SEED, 5)
+    assert np.array_equal(got.edge_u, want.edge_u) and np.array_equal(got.edge_v, want.edge_v)
 
 
 # ---- perturbation ---------------------------------------------------------------------
@@ -284,9 +286,9 @@ def test_a_pair_that_fills_a_batch_is_mapped_alone(per_pair_sample_graph, monkey
 
 def _graph_with_weights(n=12, stream=0):
     w = sample_empirical_weights(WeightSpec("gamma", shape=2.0, scale=1.0), n, SEED)
-    return sample_graph(w, SEED, stream,
-                        mu_v=WeightSpec("gamma", shape=2.0, scale=1.0),
-                        mu_e=WeightSpec("gamma", shape=1.0, scale=1.0))
+    return whole_graph(w, SEED, stream,
+                       mu_v=WeightSpec("gamma", shape=2.0, scale=1.0),
+                       mu_e=WeightSpec("gamma", shape=1.0, scale=1.0))
 
 
 def test_perturb_empty_set_identity():
@@ -333,7 +335,7 @@ def test_full_flip_is_independent_copy():
     flipped_counts = []
     fresh_counts = []
     for t in range(reps):
-        g = sample_graph(w, SEED, t)
+        g = whole_graph(w, SEED, t)
         flipped_counts.append(perturb(g, full).num_edges)
         fresh_counts.append(sample_graph(w, SEED, 10_000 + t).num_edges)
     p = stats.ks_2samp(flipped_counts, fresh_counts).pvalue

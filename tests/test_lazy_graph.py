@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import WholeGraph, whole_graph
 from sparselocal.explore import explore
-from sparselocal.graph import LazyGraph, WeightedGraph, sample_graph
+from sparselocal.graph import LazyGraph, sample_graph
 from sparselocal.weights import EmpiricalWeights, WeightSpec, sample_empirical_weights
 
 SEED = (0x1A2B, 0x3C4D)
@@ -105,7 +106,7 @@ def enumerated_law(weights):
         if prob == 0.0:
             continue
         edges = [e for x, e in zip(bits, pairs) if x]
-        graph = WeightedGraph(weights, SEED, 0, [e[0] for e in edges], [e[1] for e in edges])
+        graph = WholeGraph(weights, SEED, 0, [e[0] for e in edges], [e[1] for e in edges])
         key = tuple(recorded_edges(nb) for nb in harness_balls(graph))
         law[key] = law.get(key, 0.0) + prob
     return law
@@ -175,7 +176,7 @@ def test_ball_statistics_match_whole_graphs(n):
         whole = {0: [], 1: []}
         for t in range(replicas):
             balls = harness_balls(LazyGraph(weights, seed, t))
-            graph = sample_graph(weights, seed, t)
+            graph = whole_graph(weights, seed, t)
             for i, root in enumerate((0, 1)):
                 lazy[root].append(ball_statistics(balls[2 + i]))
                 whole[root].append(ball_statistics(explore(graph, root, 2)))

@@ -4,13 +4,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import (h_k, h_value, matching_sandwich, matching_value, tree_matching,
-                      truncate)
+from conftest import (PerturbationSet, WholeGraph, delta_N, envelope_bound, h_k, h_value,
+                      matching_sandwich, matching_value, perturb, to_rooted_tree,
+                      tree_matching, truncate, whole_graph)
 from sparselocal import matching
 from sparselocal.explore import explore
-from sparselocal.graph import WeightedGraph, sample_graph
-from sparselocal.matching import (EXACT_SOLVER_LIMIT, Matching, delta_N,
-                                  dependent_edge_sum, envelope_bound, max_weight_matching)
+from sparselocal.graph import WeightedGraph
+from sparselocal.matching import (EXACT_SOLVER_LIMIT, Matching, dependent_edge_sum,
+                                  max_weight_matching)
 from sparselocal.rng import SiteRandom
 from sparselocal.trees import RootedWeightedTree
 from sparselocal.weights import EmpiricalWeights, WeightSpec, sample_empirical_weights
@@ -346,8 +347,8 @@ def random_forest(rng, n):
             eu.append(min(a, b))
             ev.append(max(a, b))
     w = EmpiricalWeights(n=n, W=np.full(n, 1.0), theta=1.0)
-    g = WeightedGraph(w, (int(rng.integers(1 << 30)), 7), 0, np.array(eu, dtype=np.int64),
-                      np.array(ev, dtype=np.int64), mu_e=EXP1)
+    g = WholeGraph(w, (int(rng.integers(1 << 30)), 7), 0, np.array(eu, dtype=np.int64),
+                   np.array(ev, dtype=np.int64), mu_e=EXP1)
     return g, roots
 
 
@@ -377,8 +378,8 @@ def tree_shaped_graph(rng, n, mu_e=None):
     w = EmpiricalWeights(n=n, W=np.full(n, 1.0), theta=1.0)
     eu = np.array([min(e) for e in edges], dtype=np.int64)
     ev = np.array([max(e) for e in edges], dtype=np.int64)
-    return WeightedGraph(w, (int(rng.integers(1 << 30)), 7), 0, eu, ev,
-                         mu_e=mu_e or EXP1)
+    return WholeGraph(w, (int(rng.integers(1 << 30)), 7), 0, eu, ev,
+                      mu_e=mu_e or EXP1)
 
 
 def test_sandwich_root_only():
@@ -395,7 +396,7 @@ def test_sandwich_star():
     w = EmpiricalWeights(n=5, W=np.full(5, 1.0), theta=1.0)
     eu = np.zeros(4, dtype=np.int64)
     ev = np.arange(1, 5, dtype=np.int64)
-    g = WeightedGraph(w, SEED, 0, eu, ev, mu_e=EXP1)
+    g = WholeGraph(w, SEED, 0, eu, ev, mu_e=EXP1)
     nb = explore(g, 0, 4)
     wmax = max(g.edge_weight(0, v) for v in range(1, 5))
     s2 = matching_sandwich(nb, 2, g)
@@ -424,15 +425,13 @@ def test_sandwich_brackets_exact_increment():
 
 
 def _nb_tree(nb, g):
-    from sparselocal.explore import to_rooted_tree
-
     return to_rooted_tree(nb, g.weights, edge_weight=g.edge_weight)
 
 
 def test_sandwich_requires_tree():
     w = EmpiricalWeights(n=3, W=np.full(3, 1.0), theta=1.0)
-    g = WeightedGraph(w, SEED, 0, np.array([0, 0, 1]), np.array([1, 2, 2]),
-                      mu_e=EXP1)
+    g = WholeGraph(w, SEED, 0, np.array([0, 0, 1]), np.array([1, 2, 2]),
+                   mu_e=EXP1)
     with pytest.raises(ValueError):
         matching_sandwich(explore(g, 0, 3), 3, g)
     nb_ok = explore(g, 0, 1)
@@ -446,9 +445,9 @@ def test_sandwich_requires_tree():
 def _desk_graph(rng, n=12):
     spec = WeightSpec("gamma", shape=2.0, scale=1.0)
     w = sample_empirical_weights(spec, n, (int(rng.integers(1 << 30)), 3))
-    return sample_graph(w, (int(rng.integers(1 << 30)), 5), 0,
-                        mu_v=WeightSpec("gamma", shape=2.0, scale=1.0),
-                        mu_e=EXP1)
+    return whole_graph(w, (int(rng.integers(1 << 30)), 5), 0,
+                       mu_v=WeightSpec("gamma", shape=2.0, scale=1.0),
+                       mu_e=EXP1)
 
 
 def test_matching_envelope_dominates_exact_delta():
@@ -576,8 +575,6 @@ def test_delta_n_trivial_cases():
 
 
 def test_delta_n_matches_recomputation():
-    from sparselocal.graph import PerturbationSet, perturb
-
     rng = np.random.default_rng(20)
     for _ in range(100):
         g = _desk_graph(rng, n=15)

@@ -27,35 +27,6 @@ PACKAGE = os.path.join(SRC, "sparselocal")
 # qualnames (module.qualname) that no command enters, by the ROADMAP item that
 # will wire them into a command
 NEVER_ENTERED = {
-    "item 7a, the stein command: perturbation, the edge-sum increments, clt_bound": [
-        "bounds.clt_bound",
-        "graph.PerturbationSet.__post_init__",
-        "graph.PerturbationSet.validate",
-        "graph.WeightedGraph.degree",
-        "graph.WeightedGraph.edge_indicator",
-        "graph.WeightedGraph.replacement_edge_indicator",
-        "graph.perturb",
-        "matching.delta_N",
-        "matching.envelope_bound",
-    ],
-    "item 8, per-stage coupling checks": [
-        "bounds.intermediate_coupling_bound",
-        "bounds.repeat_probability_bound",
-    ],
-    "items 7 and 9, tree-shaped balls and their codes": [
-        "explore.Neighbourhood.edge_count",
-        "explore.is_tree",
-        "explore.to_rooted_tree",
-        "explore.to_rooted_tree.<locals>.ew",
-        "explore.to_rooted_tree.<locals>.vw",
-        "graph.WeightedGraph._row",  # couple explores a LazyGraph's rows
-        "graph.WeightedGraph.arcs",  # clt reads the edge list, not the rows
-        "graph.WeightedGraph.neighbors",
-        "trees.RootedWeightedTree.address",
-        "trees.RootedWeightedTree.height",
-        "trees.canonical_code",
-        "trees.canonical_code.<locals>.scalar",
-    ],
     "item 11, the run's counters (today only the benchmark's spans read it)": [
         "explore.Neighbourhood.vertex_count",
     ],

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import truncate
-from sparselocal.trees import RootedWeightedTree, canonical_code
+from conftest import address, canonical_code, height, truncate
+from sparselocal.trees import RootedWeightedTree
 
 
 def code_hex(code: bytes) -> str:
@@ -101,9 +101,9 @@ def test_type_sensitivity_and_type_agnostic_mode():
 
 def test_truncate_and_height():
     t = tree_from_parents([0, 1, 2])  # a path of depth 3
-    assert t.height == 3
+    assert height(t) == 3
     cut = truncate(t, 2)
-    assert cut.height == 2 and cut.node_count == 3
+    assert height(cut) == 2 and cut.node_count == 3
     assert cut.depth == 2
 
 
@@ -116,10 +116,15 @@ def test_depth_guard():
 
 def test_ulam_harris_addresses():
     t = tree_from_parents([0, 0, 1])
-    assert t.address(0) == ()
-    assert t.address(1) == (1,)
-    assert t.address(2) == (2,)
-    assert t.address(3) == (1, 1)
+    assert address(t, 0) == ()
+    assert address(t, 1) == (1,)
+    assert address(t, 2) == (2,)
+    assert address(t, 3) == (1, 1)
+
+
+def test_repr_names_nodes_depth_and_height():
+    t = tree_from_parents([0, 1])  # a path of two edges, declared depth 3
+    assert repr(t) == "RootedWeightedTree(nodes=3, depth=3, height=2)"
 
 
 def test_code_hex_stable():
