@@ -6,7 +6,10 @@ pooled results bit for bit; aggregation is a deterministic fold in replica
 order.  A worker gets everything a replica needs with its task, so this
 holds under any process start method.  Central-limit experiments condition
 on a single realized weight vector per n (weights are drawn once per
-(n, seed) and frozen across replicas).
+(n, seed) and frozen across replicas).  There one task is one replica
+stream across the whole n grid: it samples the stream's graph at every n,
+and its edge sums draw their vertex weights, which depend on the stream
+alone, once for all of them.
 """
 
 from __future__ import annotations
@@ -220,12 +223,19 @@ class ReplicaFailure(RuntimeError):
     """A replica worker raised; the message carries the replica id."""
 
 
-def _clt_replica(weights, seed, application, mu_v, mu_e, stream: int) -> float:
+def _clt_replica(grid, seed, application, mu_v, mu_e, stream: int) -> list[float]:
+    """f(G) of one replica stream's graph at every grid point, in grid order.
+
+    The edge sums of all grid points take their vertex weights, which
+    depend on (seed, stream) alone, from one draw; the matchings are
+    solved one graph at a time.
+    """
     try:
-        graph = sample_graph(weights, seed, stream, mu_v=mu_v, mu_e=mu_e)
+        graphs = (sample_graph(weights, seed, stream, mu_v=mu_v, mu_e=mu_e)
+                  for weights in grid)
         if application == "edge-sum":
-            return app.dependent_edge_sum(graph)
-        return app.max_weight_matching(graph).value
+            return app.dependent_edge_sum(list(graphs))
+        return [app.max_weight_matching(graph).value for graph in graphs]
     except Exception as exc:
         raise ReplicaFailure(f"replica {stream}: {exc}") from exc
 
@@ -268,34 +278,39 @@ def _replica_map(workers: int, n_replicas: int):
 
 
 def clt_experiment(cfg: ExperimentConfig) -> list[dict]:
-    """Standardize f(G_n) over replicas, per n: sigma^2, KS to normal, trend."""
+    """Standardize f(G_n) over replicas, per n: sigma^2, KS to normal, trend.
+
+    One task is one replica stream across the whole grid; each n's values
+    are then folded in replica order from their own column.
+    """
     rows = []
     chash = cfg.config_hash()
+    grid = [cfg.empirical_weights(n) for n in cfg.n_grid]
+    replica = partial(_clt_replica, grid, cfg.seed, cfg.application,
+                      cfg.vertex_weights, cfg.edge_weights)
     with _replica_map(cfg.workers, cfg.replicas) as map_replicas:
-        for n in cfg.n_grid:
-            weights = cfg.empirical_weights(n)
-            replica = partial(_clt_replica, weights, cfg.seed, cfg.application,
-                              cfg.vertex_weights, cfg.edge_weights)
-            values = np.asarray(list(map_replicas(replica, range(cfg.replicas))))
-            est = estimate_variance(values)
-            scale = max(1.0, float(np.mean(values)) ** 2)
-            degenerate = est.value <= 1e-12 * scale
-            row = {
-                "n": n,
-                "replicas": cfg.replicas,
-                "sigma2": est.value,
-                "sigma2_se": est.jackknife_se,
-                "n_over_sigma2": n / est.value if not degenerate else float("nan"),
-                "ks": float("nan"),
-                "degenerate": int(degenerate),
-                "mode": "exact",
-                "seed": format_seed(cfg.seed),
-                "config": chash,
-            }
-            if not degenerate:
-                z = (values - values.mean()) / np.sqrt(est.value)
-                row["ks"] = ks_to_normal(z)
-            rows.append(row)
+        table = np.array(list(map_replicas(replica, range(cfg.replicas))))
+    for n, column in zip(cfg.n_grid, table.T):
+        values = np.ascontiguousarray(column)
+        est = estimate_variance(values)
+        scale = max(1.0, float(np.mean(values)) ** 2)
+        degenerate = est.value <= 1e-12 * scale
+        row = {
+            "n": n,
+            "replicas": cfg.replicas,
+            "sigma2": est.value,
+            "sigma2_se": est.jackknife_se,
+            "n_over_sigma2": n / est.value if not degenerate else float("nan"),
+            "ks": float("nan"),
+            "degenerate": int(degenerate),
+            "mode": "exact",
+            "seed": format_seed(cfg.seed),
+            "config": chash,
+        }
+        if not degenerate:
+            z = (values - values.mean()) / np.sqrt(est.value)
+            row["ks"] = ks_to_normal(z)
+        rows.append(row)
     return rows
 
 

@@ -20,6 +20,7 @@ graph returns.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,15 +165,28 @@ def max_weight_matching(graph: WeightedGraph) -> Matching:
 # ---- dependent edge-weight sum -------------------------------------------------------
 
 
-def dependent_edge_sum(graph: WeightedGraph) -> float:
-    """N(G): sum over realized edges of the endpoint vertex weights."""
-    if graph.mu_v is None:
+def dependent_edge_sum(graphs: Sequence[WeightedGraph]) -> list[float]:
+    """N(G) of each graph of one replica stream, in order: the sum over
+    realized edges of the endpoint vertex weights.
+
+    A vertex weight is a pure function of (seed, stream, v), the same at
+    every n, so the graphs must share seed, stream and ``mu_v``.  The
+    weights of the vertices that some edge touches, in any of the graphs,
+    come from one hash and quantile call and are gathered by endpoint;
+    graphs with no edge draw none.
+    """
+    first = graphs[0]
+    if first.mu_v is None:
         raise ValueError("dependent edge sum needs vertex weights")
-    if graph.num_edges == 0:
-        return 0.0
-    # one hash and quantile per vertex that an edge touches, gathered by endpoint
-    touched = np.flatnonzero(np.bincount(graph.edge_u, minlength=graph.n)
-                             + np.bincount(graph.edge_v, minlength=graph.n))
-    w = np.zeros(graph.n)
-    w[touched] = graph.vertex_weight(touched)
-    return float(np.sum(w[graph.edge_u]) + np.sum(w[graph.edge_v]))
+    for g in graphs[1:]:
+        if (g.seed, g.stream, g.mu_v) != (first.seed, first.stream, first.mu_v):
+            raise ValueError("the graphs of one edge sum must share seed, stream and mu_v")
+    touched = np.zeros(max(g.n for g in graphs), dtype=bool)
+    for g in graphs:
+        touched[g.edge_u] = True
+        touched[g.edge_v] = True
+    w = np.zeros(touched.size)
+    touched = touched.nonzero()[0]
+    if touched.size:
+        w[touched] = first.vertex_weight(touched)
+    return [float(np.sum(w[g.edge_u]) + np.sum(w[g.edge_v])) for g in graphs]

@@ -86,9 +86,10 @@ class WeightSpec:
         """E[W^p], exact."""
         if self.family == "constant":
             return self.c ** p
+        # libm's pow and exp: numpy's return bits that follow its SIMD dispatch
         if self.family == "finite":
-            return float(np.dot(np.asarray(self.probs), np.asarray(self.values) ** p))
-        # libm's exp: numpy's returns bits that follow its SIMD dispatch
+            return float(np.dot(np.asarray(self.probs),
+                                [math.pow(v, p) for v in self.values]))
         return self.scale ** p * math.exp(special.gammaln(self.shape + p)
                                           - special.gammaln(self.shape))
 
@@ -341,14 +342,21 @@ def _series_tv(series, x, xk, v):
 
 
 def _integer_gamma_quantile(k: int, u):
-    """Quantile of gamma(k, 1) for k in {1, 2, 3} at u in [0, 1], in blocks."""
+    """Quantile of gamma(k, 1) for k in {1, 2, 3} at u in [0, 1], in passes.
+
+    A call of more than ``_BLOCK`` values takes ceil(size / _BLOCK) passes of
+    equal length (to one value), so no pass is a short tail that pays per
+    numpy call.  Every value takes the same operations in any pass.
+    """
     u = np.asarray(u, dtype=float)
-    if u.size <= _BLOCK:
+    passes = -(-u.size // _BLOCK)
+    if passes <= 1:
         return _integer_gamma_block(k, u)
     out = np.empty(u.shape)
     flat_u, flat_out = u.reshape(-1), out.reshape(-1)
-    for i in range(0, u.size, _BLOCK):
-        flat_out[i:i + _BLOCK] = _integer_gamma_block(k, flat_u[i:i + _BLOCK])
+    ends = [i * u.size // passes for i in range(passes + 1)]
+    for lo, hi in zip(ends, ends[1:]):
+        flat_out[lo:hi] = _integer_gamma_block(k, flat_u[lo:hi])
     return out
 
 
@@ -489,7 +497,7 @@ class EmpiricalWeights:
         starts = np.cumsum(sizes) - sizes
         weight = self.W[order]
         wmax = np.maximum.reduceat(weight, starts)
-        a, b = np.triu_indices(starts.size)  # bucket pairs in lexicographic order
+        a, b = _bucket_pairs(starts.size)
         same = a == b
         total = np.where(same, sizes[a] * (sizes[a] - 1) // 2, sizes[a] * sizes[b])
         keep = total > 0  # a bucket of one vertex has no pair with itself
@@ -500,6 +508,16 @@ class EmpiricalWeights:
                           draws=list(zip(pmax.tolist(), total.tolist())),
                           buckets=list(zip(starts.tolist(), (starts + sizes).tolist())),
                           wmax=wmax)
+
+
+def _bucket_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair a <= b < k in lexicographic order, as ``np.triu_indices(k)``
+    gives it, from two repeats and a cumulative sum: half its cost at a few
+    buckets."""
+    rows = np.arange(k, 0, -1)  # row a holds the k - a pairs (a, a), ..., (a, k - 1)
+    a = np.repeat(np.arange(k), rows)
+    b = np.arange(a.size) - np.repeat(np.cumsum(rows) - rows - np.arange(k), rows)
+    return a, b
 
 
 @dataclass(frozen=True, eq=False)

@@ -144,7 +144,7 @@ def test_criterion_04_perturbation_closed_forms():
             site = ("vertex", v)
             pset = PerturbationSet(vertices=frozenset({v}))
         direct = delta_N(g, site)
-        recomputed = dependent_edge_sum(g) - dependent_edge_sum(perturb(g, pset))
+        recomputed = dependent_edge_sum([g])[0] - dependent_edge_sum([perturb(g, pset)])[0]
         if abs(direct - recomputed) > 1e-9:
             bad += 1
     report(4, "delta-N closed forms match recomputation", bad == 0,

@@ -264,6 +264,36 @@ def test_coupling_samples_each_replica_graph_once(monkeypatch):
         for root in range(cfg.roots)]
 
 
+def test_clt_draws_each_replica_vertex_weights_once(monkeypatch):
+    # one task per replica stream across the grid: its edge sums take the
+    # vertex weights from one call, and a replica with no edge at any n from none
+    from sparselocal import harness
+    from sparselocal.graph import WeightedGraph
+
+    edges = {}
+    sample = harness.sample_graph
+
+    def counted_sample(weights, seed, stream, **kw):
+        graph = sample(weights, seed, stream, **kw)
+        edges[stream] = edges.get(stream, 0) + graph.num_edges
+        return graph
+
+    entered = []
+    vertex_weight = WeightedGraph.vertex_weight
+
+    def counted_weight(self, v):
+        entered.append(self.stream)
+        return vertex_weight(self, v)
+
+    monkeypatch.setattr(harness, "sample_graph", counted_sample)
+    monkeypatch.setattr(WeightedGraph, "vertex_weight", counted_weight)
+    cfg = small_config(weights=WeightSpec("constant", c=0.01), n_grid=[60, 90, 120])
+    clt_experiment(cfg)
+    assert sorted(edges) == list(range(cfg.replicas))
+    assert 0 in edges.values() and max(edges.values()) > 0
+    assert entered == [t for t in range(cfg.replicas) if edges[t]]
+
+
 def test_size_biased_law_built_once_per_n(monkeypatch):
     from test_golden import COUPLE_GAMMA
 

@@ -9,7 +9,7 @@ from conftest import (PerturbationSet, WholeGraph, delta_N, envelope_bound, h_k,
                       tree_matching, truncate, whole_graph)
 from sparselocal import matching
 from sparselocal.explore import explore
-from sparselocal.graph import WeightedGraph
+from sparselocal.graph import WeightedGraph, sample_graph
 from sparselocal.matching import (EXACT_SOLVER_LIMIT, Matching, dependent_edge_sum,
                                   max_weight_matching)
 from sparselocal.rng import SiteRandom
@@ -515,14 +515,14 @@ def test_dependent_sum_no_edges():
     g = WeightedGraph(w, SEED, 0, np.empty(0, dtype=np.int64),
                       np.empty(0, dtype=np.int64),
                       mu_v=WeightSpec("constant", c=1.0))
-    assert dependent_edge_sum(g) == 0.0
+    assert dependent_edge_sum([g]) == [0.0]
 
 
 def test_dependent_sum_single_edge():
     w = EmpiricalWeights(n=2, W=np.full(2, 1.0), theta=1.0)
     g = WeightedGraph(w, SEED, 0, np.array([0]), np.array([1]),
                       mu_v=WeightSpec("gamma", shape=2.0, scale=1.0))
-    assert dependent_edge_sum(g) == pytest.approx(
+    assert dependent_edge_sum([g])[0] == pytest.approx(
         g.vertex_weight(0) + g.vertex_weight(1))
 
 
@@ -539,7 +539,7 @@ def test_both_formulas_agree():
     rng = np.random.default_rng(18)
     for _ in range(60):
         g = _desk_graph(rng, n=int(rng.integers(2, 51)))
-        assert dependent_edge_sum(g) == pytest.approx(
+        assert dependent_edge_sum([g])[0] == pytest.approx(
             dependent_edge_sum_by_degree(g), rel=1e-12, abs=1e-12)
 
 
@@ -551,7 +551,71 @@ def test_dependent_sum_equals_per_edge_hashing():
         if g.num_edges:
             per_edge = float(np.sum(g.vertex_weight(g.edge_u))
                              + np.sum(g.vertex_weight(g.edge_v)))
-            assert dependent_edge_sum(g) == per_edge
+            assert dependent_edge_sum([g]) == [per_edge]
+
+
+def _stream_graphs(spec, n_grid, seed, stream, mu_v):
+    """The graphs of one replica stream at the grid points, as clt samples them."""
+    return [sample_graph(sample_empirical_weights(spec, n, seed, stream=n), seed, stream,
+                         mu_v=mu_v) for n in n_grid]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=st.sampled_from([WeightSpec("constant", c=0.02), WeightSpec("constant", c=2.0),
+                             WeightSpec("gamma", shape=0.5, scale=2.0)]),
+       n_grid=st.lists(st.integers(1, 400), min_size=1, max_size=4),
+       stream=st.integers(0, 2**40),
+       mu_v=st.sampled_from([WeightSpec("gamma", shape=2.0, scale=1.0),
+                             WeightSpec("gamma", shape=1.5, scale=1.0),
+                             WeightSpec("finite", values=(0.5, 2.0), probs=(0.6, 0.4))]))
+# long grids: the one draw and the one-graph draws take their quantile in
+# passes of different lengths, on both sides of _MASKED_FROM
+@example(spec=WeightSpec("constant", c=2.0), n_grid=[9000, 5000, 9000, 3000], stream=3,
+         mu_v=WeightSpec("gamma", shape=2.0, scale=1.0))
+@example(spec=WeightSpec("constant", c=2.0), n_grid=[20_000, 14_000], stream=4,
+         mu_v=WeightSpec("gamma", shape=3.0, scale=1.0))
+def test_stream_edge_sum_equals_one_graph_calls(spec, n_grid, stream, mu_v):
+    # unsorted and duplicated grids too: one draw over the union of the
+    # touched vertices gives every graph's sum bit for bit
+    graphs = _stream_graphs(spec, n_grid, SEED, stream, mu_v)
+    alone = [dependent_edge_sum([g])[0] for g in graphs]
+    assert np.array(dependent_edge_sum(graphs)).tobytes() == np.array(alone).tobytes()
+
+
+def test_stream_edge_sum_draws_once_and_never_for_no_edge(monkeypatch):
+    calls = []
+    original = WeightedGraph.vertex_weight
+
+    def counted(self, v):
+        calls.append(np.size(v))
+        return original(self, v)
+
+    monkeypatch.setattr(WeightedGraph, "vertex_weight", counted)
+    mu_v = WeightSpec("gamma", shape=2.0, scale=1.0)
+    graphs = _stream_graphs(WeightSpec("constant", c=2.0), [500, 2000, 800], SEED, 9, mu_v)
+    dependent_edge_sum(graphs)
+    touched = np.unique(np.concatenate([np.r_[g.edge_u, g.edge_v] for g in graphs]))
+    assert calls == [touched.size]
+    calls.clear()
+    w = EmpiricalWeights(n=4, W=np.full(4, 1.0), theta=1.0)
+    empty = [WeightedGraph(w, SEED, 9, [], [], mu_v=mu_v)] * 2
+    assert dependent_edge_sum(empty) == [0.0, 0.0]
+    assert calls == []
+
+
+def test_stream_edge_sum_refuses_graphs_of_other_streams_or_laws():
+    mu_v = WeightSpec("gamma", shape=2.0, scale=1.0)
+    spec = WeightSpec("constant", c=2.0)
+    base = _stream_graphs(spec, [50], SEED, 1, mu_v)
+    for other in (_stream_graphs(spec, [60], (SEED[0] + 1, SEED[1]), 1, mu_v),
+                  _stream_graphs(spec, [60], SEED, 2, mu_v),
+                  _stream_graphs(spec, [60], SEED, 1, WeightSpec("gamma", shape=3.0,
+                                                                 scale=1.0))):
+        with pytest.raises(ValueError, match="share seed, stream and mu_v"):
+            dependent_edge_sum(base + other)
+    no_law = _stream_graphs(spec, [50], SEED, 1, None)
+    with pytest.raises(ValueError, match="needs vertex weights"):
+        dependent_edge_sum(no_law)
 
 
 def test_delta_n_trivial_cases():
@@ -587,5 +651,5 @@ def test_delta_n_matches_recomputation():
             site = ("vertex", v)
             pset = PerturbationSet(vertices=frozenset({v}))
         direct = delta_N(g, site)
-        recomputed = dependent_edge_sum(g) - dependent_edge_sum(perturb(g, pset))
+        recomputed = dependent_edge_sum([g])[0] - dependent_edge_sum([perturb(g, pset)])[0]
         assert direct == pytest.approx(recomputed, abs=1e-9)

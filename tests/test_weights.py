@@ -12,8 +12,8 @@ from scipy import special
 import sparselocal
 from conftest import wasserstein_1d, weighted_sample_w1, where_integer_gamma_block
 from sparselocal.weights import (_BLOCK, _GAMMA_SERIES, _MASKED_FROM, _W1_BLOCK, _W1_LEAF,
-                                 EmpiricalWeights, WeightSpec, _integer_gamma_quantile,
-                                 moments, sample_empirical_weights)
+                                 EmpiricalWeights, WeightSpec, _bucket_pairs,
+                                 _integer_gamma_quantile, moments, sample_empirical_weights)
 
 SEED = (2024, 7)
 
@@ -49,6 +49,14 @@ def test_bucket_plan_groups_by_the_exact_binary_exponent():
     groups = [set(exponent[plan.order[a:b]].tolist()) for a, b in plan.buckets]
     assert all(len(g) == 1 for g in groups)
     assert [g.pop() for g in groups] == sorted(set(exponent.tolist()))
+
+
+@pytest.mark.parametrize("k", range(1, 65))
+def test_bucket_pairs_equal_triu_indices(k):
+    a, b = _bucket_pairs(k)
+    want_a, want_b = np.triu_indices(k)
+    assert a.dtype == want_a.dtype and b.dtype == want_b.dtype
+    assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
 
 
 def test_edge_probability_cap_and_direct():
@@ -736,11 +744,12 @@ def test_quantile_edge_points_straddle_the_series_split(k):
 
 
 @pytest.mark.parametrize("size", [1, 20, _MASKED_FROM - 1, _MASKED_FROM, _BLOCK - 1, _BLOCK,
-                                  _BLOCK + 1, 100_000])
+                                  _BLOCK + 1, 7157, 2 * _BLOCK + 1, 100_000])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_integer_gamma_quantile_equals_where_oracle(k, size):
     # a short call evaluates both branches of T everywhere; a long one each
-    # branch on its own values, in blocks: both keep the one-pass bits
+    # branch on its own values; a longer one takes passes of equal length,
+    # which may be short again: all keep the one-pass bits
     rng = np.random.default_rng(size + k)
     u = rng.random(size)
     edge = _quantile_edge_points(k)
@@ -800,8 +809,8 @@ def test_integer_gamma_quantile_bits_do_not_follow_simd_dispatch():
 
 def test_moments_bits_do_not_follow_simd_dispatch():
     # numpy's W ** 3 is a pow whose bits follow the dispatch, and a Gamma_3
-    # taken from it differs on some of these seeds; every moment and alpha_n
-    # must give the same bits on every path
+    # taken from it differs on some of these seeds; every moment and alpha_n,
+    # and a finite law's exact moments, must give the same bits on every path
     script = (
         "import hashlib, numpy as np\n"
         "from sparselocal.weights import WeightSpec, moments, sample_empirical_weights\n"
@@ -812,6 +821,13 @@ def test_moments_bits_do_not_follow_simd_dispatch():
         "        m = moments(sample_empirical_weights(spec, n, (seed, n)), spec)\n"
         "        h.update(np.array([*m.gamma.values(), *m.kappa.values(),\n"
         "                           m.alpha_n]).tobytes())\n"
+        "rng = np.random.default_rng(7)\n"
+        "for size in range(1, 9):\n"
+        "    for _ in range(500):\n"
+        "        values = rng.uniform(0.05, 20.0, size)\n"
+        "        probs = np.full(size, 1.0 / size)\n"
+        "        law = WeightSpec('finite', values=tuple(values), probs=tuple(probs))\n"
+        "        h.update(np.array([law.moment(p) for p in (1.5, 2, 3, 8)]).tobytes())\n"
         "print(h.hexdigest())\n")
     assert len(set(_digests_under_dispatch(script))) == 1
 
