@@ -13,7 +13,7 @@ from .graph import LazyGraph, WeightedGraph, sample_graph
 from .harness import (ExperimentConfig, clt_experiment, coupling_experiment,
                       estimate_variance, ks_to_normal)
 from .limit_trees import Population, rde_apply, rde_fixed_point
-from .matching import Matching, dependent_edge_sum, max_weight_matching
+from .matching import Matching, dependent_edge_sum, max_weight_matching, max_weight_matchings
 from .trees import RootedWeightedTree
 from .weights import (EmpiricalSizeBiased, EmpiricalWeights, MomentSummary, WeightSpec,
                       moments, sample_empirical_weights)
@@ -31,7 +31,7 @@ __all__ = [
     "ExperimentConfig", "clt_experiment", "coupling_experiment", "estimate_variance",
     "ks_to_normal",
     "Population", "rde_apply", "rde_fixed_point",
-    "Matching", "dependent_edge_sum", "max_weight_matching",
+    "Matching", "dependent_edge_sum", "max_weight_matching", "max_weight_matchings",
     "RootedWeightedTree",
     "EmpiricalSizeBiased", "EmpiricalWeights", "MomentSummary", "WeightSpec",
     "moments", "sample_empirical_weights",

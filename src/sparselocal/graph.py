@@ -25,6 +25,16 @@ candidates.  The batches keep their edges as int32 vertex pairs, and the
 graph sorts them once into the edge list it keeps, its one representation:
 no command reads a whole graph's rows.
 
+Below n of a few dozen a numpy call's fixed cost, some microseconds, is
+what a graph costs, not its O(n + edges) work.  So a bucket pair that
+expects fewer than ``_SCALAR_PAIR`` candidates walks its gap block as
+Python ints, and a last batch of fewer than ``_SCALAR_BATCH`` candidates is
+unranked and thinned one candidate at a time in Python ints and floats.
+Both draw what the arrays draw and take the same IEEE operations, so every
+edge is the same; the thresholds are where the two paths cost the same.
+The sampler's generator (:func:`sampler_rng`) does not depend on n, so
+``clt`` seeds it once per replica stream and sets it back before each n.
+
 ``couple`` needs only a few balls per replica, so it samples no whole graph.
 A :class:`LazyGraph` draws the row of a vertex when a ball first reads it,
 with the same bucket plan: per weight bucket, geometric skips at the
@@ -54,6 +64,8 @@ from .weights import EmpiricalWeights, WeightSpec
 _GEN_TAG = 12
 _ROW_TAG = 13  # the lazy rows' generator
 _FLUSH = 4096  # candidates mapped and thinned per vectorised pass
+_SCALAR_PAIR = 40  # a bucket pair expecting fewer candidates walks its gaps in Python ints
+_SCALAR_BATCH = 48  # a last batch of fewer candidates is thinned in Python floats
 
 
 class WeightedGraph:
@@ -248,12 +260,40 @@ def _unrank_triangle(L: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
+def _bernoulli_walk(gen: np.random.Generator, total: int, p: float) -> list[int]:
+    """:func:`_bernoulli_positions` as a list, its gaps walked as Python ints.
+
+    It draws the same gap blocks, so it leaves the generator where the
+    array form does; a position is the same integer sum either way, and the
+    walk stops at the first one past ``total``, so no gap needs a cap.
+    """
+    if total <= 0 or p <= 0:
+        return []
+    if p >= 1.0:
+        return list(range(total))
+    out = []
+    pos = -1
+    while True:
+        expect = (total - pos) * p
+        block = int(expect + 10.0 * math.sqrt(expect + 1.0) + 16)
+        for gap in gen.geometric(p, size=block).tolist():
+            pos += gap
+            if pos >= total:
+                return out
+            out.append(pos)
+
+
 def sample_graph(weights: EmpiricalWeights, seed: tuple[int, int], stream: int = 0,
-                 mu_v: WeightSpec | None = None,
-                 mu_e: WeightSpec | None = None) -> WeightedGraph:
-    """Realize the edge set; expected O(n + edges) work, never n^2 memory."""
+                 mu_v: WeightSpec | None = None, mu_e: WeightSpec | None = None,
+                 gen: np.random.Generator | None = None) -> WeightedGraph:
+    """Realize the edge set; expected O(n + edges) work, never n^2 memory.
+
+    ``gen`` is :func:`sampler_rng` of (seed, stream) in its initial state,
+    built here when not given.
+    """
     plan = weights.bucket_plan
-    gen = stream_rng(seed, stream, _GEN_TAG)
+    if gen is None:
+        gen = sampler_rng(seed, stream)
     # the kept vertex pairs of each batch, after an empty pair of arrays, so
     # a graph with no batch still joins to an int32 edge list
     nothing = np.empty(0, dtype=np.int32)
@@ -261,24 +301,35 @@ def sample_graph(weights: EmpiricalWeights, seed: tuple[int, int], stream: int =
     pairs, positions, uniforms = [], [], []
     pending = 0
     for k, (pmax, total) in enumerate(plan.draws):
-        pos = _bernoulli_positions(gen, total, pmax)
-        if pos.size >= _FLUSH:
-            # a pair that fills a batch alone is mapped on its own; the batch
-            # holds the only reference to its positions, so they are freed
-            # once unranked
-            batch = [k], [pos], [gen.random(pos.size)]
-            del pos
-            edges.append(_map_and_thin(weights, *batch))
-        elif pos.size:
-            pairs.append(k)
-            positions.append(pos)
-            uniforms.append(gen.random(pos.size))
-            pending += pos.size
-            if pending >= _FLUSH:
-                edges.append(_map_and_thin(weights, pairs, positions, uniforms))
-                pending = 0
+        # the expected count sets the path: a list from Python ints below
+        # _SCALAR_PAIR, the arrays above
+        if total * pmax < _SCALAR_PAIR:
+            pos = _bernoulli_walk(gen, total, pmax)
+            if not pos:
+                continue
+        else:
+            pos = _bernoulli_positions(gen, total, pmax)
+            if pos.size >= _FLUSH:
+                # a pair that fills a batch alone is mapped on its own; the
+                # batch holds the only reference to its positions, so they
+                # are freed once unranked
+                batch = [k], [pos], [gen.random(pos.size)]
+                del pos
+                edges.append(_map_and_thin(weights, *batch))
+                continue
+            if not pos.size:
+                continue
+        pairs.append(k)
+        positions.append(pos)
+        uniforms.append(gen.random(len(pos)))
+        pending += len(pos)
+        if pending >= _FLUSH:
+            edges.append(_map_and_thin(weights, pairs, positions, uniforms))
+            pending = 0
     if pending:
-        edges.append(_map_and_thin(weights, pairs, positions, uniforms))
+        small = pending < _SCALAR_BATCH
+        edges.append((_map_and_thin_small if small else _map_and_thin)(
+            weights, pairs, positions, uniforms))
     # the kept pairs of all batches, joined, and the batches freed before the
     # graph sorts the pairs into its edge list
     edge_u = np.concatenate([u for u, _ in edges])
@@ -287,13 +338,21 @@ def sample_graph(weights: EmpiricalWeights, seed: tuple[int, int], stream: int =
     return WeightedGraph(weights, seed, stream, edge_u, edge_v, mu_v=mu_v, mu_e=mu_e)
 
 
-def _map_and_thin(weights: EmpiricalWeights, pairs: list[int], positions: list[np.ndarray],
+def sampler_rng(seed: tuple[int, int], stream: int) -> np.random.Generator:
+    """The generator :func:`sample_graph` draws from for (seed, stream), in its
+    initial state.  It does not depend on n, so ``clt`` builds it once per
+    replica stream and passes it, set back to this state, to each graph."""
+    return stream_rng(seed, stream, _GEN_TAG)
+
+
+def _map_and_thin(weights: EmpiricalWeights, pairs: list[int], positions: list,
                   uniforms: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Keep each candidate of a batch with p_uv / pmax and map the kept ones to vertex pairs.
 
     ``positions[i]`` indexes the slot pairs of bucket pair ``pairs[i]``:
     the strict upper triangle in lexicographic order inside one bucket,
-    row-major across two; ``uniforms[i]`` are its thinning draws.  A batch
+    row-major across two; it is an array, or a list from a walked pair.
+    ``uniforms[i]`` are its thinning draws.  A batch
     of one pair is unranked with that pair's scalar offsets and bound; a
     batch of many gathers them per candidate.  A candidate is thinned on
     its two slots of the bucket order, and only the kept ones are mapped
@@ -312,7 +371,7 @@ def _map_and_thin(weights: EmpiricalWeights, pairs: list[int], positions: list[n
         cu += plan.start_a[pair]
         cv += plan.start_b[pair]
     else:
-        pair = np.repeat(pairs, [p.size for p in positions])
+        pair = np.repeat(pairs, [len(p) for p in positions])
         pos = np.concatenate(positions)
         r = np.concatenate(uniforms)
         size = plan.size_b[pair]  # a same-bucket pair's one size
@@ -334,3 +393,41 @@ def _map_and_thin(weights: EmpiricalWeights, pairs: list[int], positions: list[n
     # branches
     keep = (r < p).nonzero()[0]
     return plan.order[cu[keep]], plan.order[cv[keep]]
+
+
+def _map_and_thin_small(weights: EmpiricalWeights, pairs: list[int], positions: list,
+                        uniforms: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_map_and_thin` of a small batch, one candidate at a time in
+    Python ints and floats.
+
+    Each candidate takes the operations the arrays take: the triangle's
+    float root and its two corrections, or the row-major divmod, then
+    r pmax < W_u W_v / (n theta) on the same doubles.  The plan's per-pair
+    values come from its lists and the slot weights and vertex ids one item
+    at a time, so no O(n) list is built.
+    """
+    plan = weights.bucket_plan
+    weight, order = plan.weight.item, plan.order.item
+    scale = weights.n * weights.theta
+    kept_u, kept_v = [], []
+    for pair, pos, r in zip(pairs, positions, uniforms):
+        if isinstance(pos, np.ndarray):  # a pair that expected more candidates
+            pos = pos.tolist()
+        pmax = plan.draws[pair][0]
+        start_a, start_b, size, same = plan.slots[pair]
+        b = 2 * size - 1
+        for L, u in zip(pos, r.tolist()):
+            if same:
+                i = int((b - math.sqrt(b * b - 8.0 * L)) / 2.0)
+                i -= i * (b - i) // 2 > L
+                i += (i + 1) * (b - i - 1) // 2 <= L
+                j = L - i * (b - i) // 2 + i + 1
+            else:
+                i, j = divmod(L, size)
+            i += start_a
+            j += start_b
+            if u * pmax < weight(i) * weight(j) / scale:
+                kept_u.append(order(i))
+                kept_v.append(order(j))
+    del pairs[:], positions[:], uniforms[:]
+    return np.array(kept_u, dtype=np.int32), np.array(kept_v, dtype=np.int32)

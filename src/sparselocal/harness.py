@@ -7,9 +7,11 @@ order.  A worker gets everything a replica needs with its task, so this
 holds under any process start method.  Central-limit experiments condition
 on a single realized weight vector per n (weights are drawn once per
 (n, seed) and frozen across replicas).  There one task is one replica
-stream across the whole n grid: it samples the stream's graph at every n,
-and its edge sums draw their vertex weights, which depend on the stream
-alone, once for all of them.
+stream across the whole n grid: it samples the stream's graph at every n
+from one generator, seeded once and set back to its initial state before
+each n, and its edge sums draw their vertex weights, or its
+matchings their edge weights, which depend on the stream alone, once for
+all of them.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from . import matching as app
 from .bounds import (BoundParams, VertexSetSummary, default_k_n, epsilon_rho_sequences,
                      epsilon_v_bound, eta_bound, structural_bounds)
 from .coupling import BREAK_REASONS, CouplingConfig, couple_full
-from .graph import LazyGraph, sample_graph
+from .graph import LazyGraph, sample_graph, sampler_rng
 from .limit_trees import RDE_MIN_POP_SIZE
 from .rng import format_seed, parse_seed
 from .weights import EmpiricalWeights, WeightSpec, moments, sample_empirical_weights
@@ -226,16 +228,22 @@ class ReplicaFailure(RuntimeError):
 def _clt_replica(grid, seed, application, mu_v, mu_e, stream: int) -> list[float]:
     """f(G) of one replica stream's graph at every grid point, in grid order.
 
-    The edge sums of all grid points take their vertex weights, which
-    depend on (seed, stream) alone, from one draw; the matchings are
-    solved one graph at a time.
+    The graphs share one generator, seeded once and set back to its
+    initial state before each graph.  The edge sums of all grid
+    points take their vertex weights, and the matchings their edge
+    weights, which depend on (seed, stream) alone, from one draw; the
+    matchings are then solved one graph at a time.
     """
     try:
-        graphs = (sample_graph(weights, seed, stream, mu_v=mu_v, mu_e=mu_e)
-                  for weights in grid)
+        gen = sampler_rng(seed, stream)
+        start = gen.bit_generator.state
+        graphs = []
+        for weights in grid:
+            gen.bit_generator.state = start
+            graphs.append(sample_graph(weights, seed, stream, mu_v=mu_v, mu_e=mu_e, gen=gen))
         if application == "edge-sum":
-            return app.dependent_edge_sum(list(graphs))
-        return [app.max_weight_matching(graph).value for graph in graphs]
+            return app.dependent_edge_sum(graphs)
+        return [m.value for m in app.max_weight_matchings(graphs)]
     except Exception as exc:
         raise ReplicaFailure(f"replica {stream}: {exc}") from exc
 

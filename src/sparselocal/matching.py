@@ -5,8 +5,10 @@ The edge-weight sum N(G) adds, over realized edges, the decorative weights
 of the two endpoints.
 
 Maximum weight matching is solved exactly at desk scale (<= 24 vertices),
-one connected component at a time.  The edge weights come from one
-vectorised site hash; each component is relabelled in breadth-first order
+one connected component at a time.  An edge weight is a pure function of
+(seed, stream, u, v), the same at every n, so the edge weights of one
+replica stream's graphs come from one vectorised site hash over their
+joined edge lists; each component is relabelled in breadth-first order
 and solved by the memoized remove-or-match recursion over vertex bitmasks
 
     M(G) = max( M(G - v), max_u w_{vu} + M(G - {v, u}) ),
@@ -145,21 +147,53 @@ def _exact_matching(n: int, edges: list[tuple[int, int, float]]) -> Matching:
     return Matching(edges=[(u, v) for u, v, _ in matched], value=total)
 
 
-def _edge_list(graph: WeightedGraph) -> list[tuple[int, int, float]]:
-    """(u, v, w_uv) for every realized edge; the weights come from one hash call."""
-    w = graph.edge_weight(graph.edge_u, graph.edge_v)
+def _edge_list(graph: WeightedGraph, w: np.ndarray | None = None
+               ) -> list[tuple[int, int, float]]:
+    """(u, v, w_uv) for every realized edge; the weights ``w`` in edge-list
+    order, or from one hash call when not given."""
+    if w is None:
+        w = graph.edge_weight(graph.edge_u, graph.edge_v)
     return list(zip(graph.edge_u.tolist(), graph.edge_v.tolist(), w.tolist()))
 
 
-def max_weight_matching(graph: WeightedGraph) -> Matching:
+def max_weight_matching(graph: WeightedGraph, edge_weights: np.ndarray | None = None
+                        ) -> Matching:
     """Exact maximum weight matching of a graph with an edge-weight law.
 
     The graph must have at most 24 vertices; larger graphs raise, and there
     is no heuristic fallback.  The witness and the value come from the
     per-component search of ``_exact_matching``, which says how weight ties
-    are settled.
+    are settled.  ``edge_weights`` are the graph's edge weights in edge-list
+    order when already drawn (:func:`max_weight_matchings` draws them for a
+    whole stream); else they are drawn here.
     """
-    return _exact_matching(graph.n, _edge_list(graph))
+    return _exact_matching(graph.n, _edge_list(graph, edge_weights))
+
+
+def max_weight_matchings(graphs: Sequence[WeightedGraph]) -> list[Matching]:
+    """:func:`max_weight_matching` of each graph of one replica stream, in order.
+
+    An edge weight is a pure function of (seed, stream, u, v), the same at
+    every n, so the graphs must share seed, stream and ``mu_e``.  The
+    weights of all their edges, the edge lists joined, come from one hash
+    and quantile call; a stream with no edge draws none.
+    """
+    first = graphs[0]
+    if first.mu_e is None:
+        raise ValueError("matching needs edge weights")
+    for g in graphs[1:]:
+        if (g.seed, g.stream, g.mu_e) != (first.seed, first.stream, first.mu_e):
+            raise ValueError("the graphs of one matching stream must share seed, stream "
+                             "and mu_e")
+    w = np.empty(0)
+    if any(g.num_edges for g in graphs):
+        w = first.edge_weight(np.concatenate([g.edge_u for g in graphs]),
+                              np.concatenate([g.edge_v for g in graphs]))
+    out, start = [], 0
+    for g in graphs:
+        out.append(max_weight_matching(g, w[start:start + g.num_edges]))
+        start += g.num_edges
+    return out
 
 
 # ---- dependent edge-weight sum -------------------------------------------------------

@@ -503,9 +503,12 @@ class EmpiricalWeights:
         keep = total > 0  # a bucket of one vertex has no pair with itself
         a, b, same, total = a[keep], b[keep], same[keep], total[keep]
         pmax = np.minimum(wmax[a] * wmax[b] / (self.n * self.theta), 1.0)
-        return BucketPlan(order=order, weight=weight, start_a=starts[a], start_b=starts[b],
-                          size_b=sizes[b], same=same, pmax=pmax,
+        start_a, start_b, size_b = starts[a], starts[b], sizes[b]
+        return BucketPlan(order=order, weight=weight, start_a=start_a, start_b=start_b,
+                          size_b=size_b, same=same, pmax=pmax,
                           draws=list(zip(pmax.tolist(), total.tolist())),
+                          slots=list(zip(start_a.tolist(), start_b.tolist(), size_b.tolist(),
+                                         same.tolist())),
                           buckets=list(zip(starts.tolist(), (starts + sizes).tolist())),
                           wmax=wmax)
 
@@ -533,7 +536,9 @@ class BucketPlan:
     ``draws[k]`` is its (pmax, total) as Python numbers, which the per-pair
     loop hands to the generator; the arrays are gathered per candidate when
     candidates are thinned on their slots and the kept ones mapped through
-    ``order`` to vertices.  ``buckets[b]`` is where bucket b starts and stops
+    ``order`` to vertices.  ``slots[k]`` is its (start_a, start_b, size_b,
+    same) as Python values, which a small batch reads in place of the
+    arrays.  ``buckets[b]`` is where bucket b starts and stops
     in that order, as Python ints, and ``wmax[b]`` its largest weight: the
     lazy rows of :class:`~sparselocal.graph.LazyGraph` skip over one bucket
     at a time.
@@ -547,6 +552,7 @@ class BucketPlan:
     same: np.ndarray
     pmax: np.ndarray
     draws: list[tuple[float, int]]
+    slots: list[tuple[int, int, int, bool]]
     buckets: list[tuple[int, int]]
     wmax: np.ndarray
 

@@ -579,17 +579,19 @@ def _bernoulli_positions(gen, total, p):
     return np.concatenate(out).astype(np.int64)
 
 
-def _per_pair_sample_graph(weights, seed, stream=0, mu_v=None, mu_e=None):
+def _per_pair_sample_graph(weights, seed, stream=0, mu_v=None, mu_e=None, gen=None):
     """The bucketed skip sampler that partitions, maps and thins one bucket pair at a time.
 
     It recomputes the power-of-two buckets on every call and draws, per
     bucket pair, the geometric gaps and then one thinning uniform per
     candidate.  ``graph.sample_graph`` must consume the same draws in the
-    same order and realize the same edges.
+    same order and realize the same edges.  ``gen`` stands in for the
+    generator of (seed, stream), as it does for ``sample_graph``.
     """
     W = weights.W
     n, theta = weights.n, weights.theta
-    gen = stream_rng(seed, stream, _GEN_TAG)
+    if gen is None:
+        gen = stream_rng(seed, stream, _GEN_TAG)
     if n == 1:
         return WeightedGraph(weights, seed, stream,
                              np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),

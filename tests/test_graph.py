@@ -241,18 +241,64 @@ _laws = st.one_of(
 )
 
 
+class _UnitGaps:
+    """The sampler's generator with every geometric gap made 1.
+
+    It draws each gap block from the real generator, so the stream moves as
+    it would, and returns gaps of 1: every slot of a pair is a candidate,
+    and a pair whose first block is shorter than its slot count draws a
+    second one, which a real draw does about never (it takes some ten
+    standard deviations above the expected count).
+    """
+
+    def __init__(self, gen):
+        self._gen = gen
+
+    def geometric(self, p, size):
+        self._gen.geometric(p, size=size)
+        return np.ones(size, dtype=np.int64)
+
+    def random(self, size):
+        return self._gen.random(size)
+
+
+_TWO_LEVEL = WeightSpec("finite", values=(0.5, 12.0), probs=(0.8, 0.2))
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(spec=_laws, n=st.integers(1, 3000), stream=st.integers(0, 2**31))
-@example(spec=_GAMMA, n=1, stream=0)
-@example(spec=_GAMMA, n=2, stream=3)
-@example(spec=_CONSTANT, n=4, stream=1)  # every bucket pair has pmax >= 1
-@example(spec=_ONE_BUCKET, n=500, stream=2)
-@example(spec=_GAMMA, n=30_000, stream=5)  # many flushes of the candidate batch
-def test_sample_graph_equals_per_pair_oracle(per_pair_sample_graph, spec, n, stream):
+@given(spec=_laws, n=st.integers(1, 3000), stream=st.integers(0, 2**31),
+       unit_gaps=st.just(False))
+@example(spec=_GAMMA, n=1, stream=0, unit_gaps=False)
+@example(spec=_GAMMA, n=2, stream=3, unit_gaps=False)
+@example(spec=_CONSTANT, n=4, stream=1, unit_gaps=False)  # every bucket pair has pmax >= 1
+@example(spec=_ONE_BUCKET, n=500, stream=2, unit_gaps=False)
+# many flushes of the candidate batch
+@example(spec=_GAMMA, n=30_000, stream=5, unit_gaps=False)
+# the scalar side of the size switch: gamma(2,1) at n = 24, where every pair
+# is walked and the one batch thinned in Python scalars
+@example(spec=_GAMMA, n=24, stream=1, unit_gaps=False)
+# the same plan with every first gap block of a small pair run out
+@example(spec=_GAMMA, n=24, stream=1, unit_gaps=True)
+# one walked pair whose 55 candidates, all its slots, take the arrays alone
+@example(spec=_ONE_BUCKET, n=11, stream=0, unit_gaps=True)
+# pairs with pmax >= 1 and pmax < 1 in one small batch
+@example(spec=_TWO_LEVEL, n=6, stream=1, unit_gaps=False)
+# just above the thresholds: one pair expecting 41 candidates takes the
+# arrays and lands in a small batch (47 candidates), and 52 candidates of
+# eight walked pairs make a batch that takes the arrays
+@example(spec=WeightSpec("constant", c=2.0), n=42, stream=0, unit_gaps=False)
+@example(spec=_GAMMA, n=20, stream=16, unit_gaps=False)
+def test_sample_graph_equals_per_pair_oracle(per_pair_sample_graph, spec, n, stream,
+                                             unit_gaps):
+    from sparselocal.graph import _GEN_TAG
+    from sparselocal.rng import stream_rng
+
     w = sample_empirical_weights(spec, n, SEED, stream=stream)
-    got = sample_graph(w, SEED, stream)
-    want = per_pair_sample_graph(w, SEED, stream)
+    gens = [_UnitGaps(stream_rng(SEED, stream, _GEN_TAG)) if unit_gaps else None
+            for _ in range(2)]
+    got = sample_graph(w, SEED, stream, gen=gens[0])
+    want = per_pair_sample_graph(w, SEED, stream, gen=gens[1])
     assert np.array_equal(got.edge_u, want.edge_u) and np.array_equal(got.edge_v, want.edge_v)
     got, want = WholeGraph.of(got), WholeGraph.of(want)
     assert np.array_equal(got.arcs, want.arcs)
@@ -262,14 +308,14 @@ def test_sample_graph_equals_per_pair_oracle(per_pair_sample_graph, spec, n, str
 
 def test_a_pair_that_fills_a_batch_is_mapped_alone(per_pair_sample_graph, monkeypatch):
     # the oracle test's n = 30,000 example: some bucket pair draws _FLUSH
-    # candidates or more and takes the scalar path of _map_and_thin
+    # candidates or more and takes the one-pair path of _map_and_thin
     from sparselocal import graph
 
     batches = []
     map_and_thin = graph._map_and_thin
 
     def spy(weights, pairs, positions, uniforms):
-        batches.append([p.size for p in positions])
+        batches.append([len(p) for p in positions])
         return map_and_thin(weights, pairs, positions, uniforms)
 
     monkeypatch.setattr(graph, "_map_and_thin", spy)
@@ -279,6 +325,37 @@ def test_a_pair_that_fills_a_batch_is_mapped_alone(per_pair_sample_graph, monkey
     assert any(len(b) > 1 for b in batches)
     want = per_pair_sample_graph(w, SEED, 5)
     assert np.array_equal(got.edge_u, want.edge_u) and np.array_equal(got.edge_v, want.edge_v)
+
+
+def test_small_pairs_and_batches_run_in_scalars_at_small_n_only(per_pair_sample_graph,
+                                                                  monkeypatch):
+    # constant(2): the one bucket pair expects n - 1 candidates, 23 at n = 24,
+    # which are walked and thinned in Python scalars, and 499 at n = 500,
+    # which take the arrays
+    from sparselocal import graph
+
+    entered = []
+
+    def spy(name):
+        fn = getattr(graph, name)
+
+        def spied(*args):
+            entered.append(name)
+            return fn(*args)
+        return spied
+
+    for name in ("_bernoulli_walk", "_map_and_thin_small", "_bernoulli_positions",
+                 "_map_and_thin"):
+        monkeypatch.setattr(graph, name, spy(name))
+    for n, paths in ((24, ["_bernoulli_walk", "_map_and_thin_small"]),
+                     (500, ["_bernoulli_positions", "_map_and_thin"])):
+        entered.clear()
+        w = sample_empirical_weights(WeightSpec("constant", c=2.0), n, SEED, stream=n)
+        got = sample_graph(w, SEED, 7)
+        assert entered == paths, n
+        want = per_pair_sample_graph(w, SEED, 7)
+        assert np.array_equal(got.edge_u, want.edge_u)
+        assert np.array_equal(got.edge_v, want.edge_v)
 
 
 # ---- perturbation ---------------------------------------------------------------------

@@ -3,6 +3,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from sparselocal.harness import (ExperimentConfig, bounds_grid,
@@ -10,7 +12,7 @@ from sparselocal.harness import (ExperimentConfig, bounds_grid,
                                  estimate_variance, ks_to_normal)
 from sparselocal.graph import LazyGraph
 from sparselocal.rng import parse_seed
-from sparselocal.weights import WeightSpec
+from sparselocal.weights import WeightSpec, sample_empirical_weights
 
 SEED = parse_seed("feedface")
 
@@ -292,6 +294,70 @@ def test_clt_draws_each_replica_vertex_weights_once(monkeypatch):
     assert sorted(edges) == list(range(cfg.replicas))
     assert 0 in edges.values() and max(edges.values()) > 0
     assert entered == [t for t in range(cfg.replicas) if edges[t]]
+
+
+def test_clt_draws_each_replica_edge_weights_and_generator_once(monkeypatch):
+    # a matching stream's edge weights come from one call, none for a
+    # replica with no edge at any n, and its graphs share one generator
+    from sparselocal import graph, harness
+    from sparselocal.graph import WeightedGraph
+
+    edges = {}
+    sample = harness.sample_graph
+
+    def counted_sample(weights, seed, stream, **kw):
+        g = sample(weights, seed, stream, **kw)
+        edges[stream] = edges.get(stream, 0) + g.num_edges
+        return g
+
+    entered = []
+    edge_weight = WeightedGraph.edge_weight
+
+    def counted_weight(self, u, v):
+        entered.append(self.stream)
+        return edge_weight(self, u, v)
+
+    built = []
+    stream_rng = graph.stream_rng
+
+    def counted_rng(seed, stream, *tags):
+        built.append((stream, tags))
+        return stream_rng(seed, stream, *tags)
+
+    monkeypatch.setattr(harness, "sample_graph", counted_sample)
+    monkeypatch.setattr(WeightedGraph, "edge_weight", counted_weight)
+    monkeypatch.setattr(graph, "stream_rng", counted_rng)
+    cfg = small_config(weights=WeightSpec("constant", c=0.3), n_grid=[8, 12, 16], replicas=40,
+                       application="matching", vertex_weights=None,
+                       edge_weights=WeightSpec("gamma", shape=1.0, scale=1.0))
+    clt_experiment(cfg)
+    assert sorted(edges) == list(range(cfg.replicas))
+    assert 0 in edges.values() and max(edges.values()) > 0
+    assert entered == [t for t in range(cfg.replicas) if edges[t]]
+    assert built == [(t, (graph._GEN_TAG,)) for t in range(cfg.replicas)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=st.sampled_from([WeightSpec("constant", c=2.0),
+                             WeightSpec("gamma", shape=2.0, scale=1.0)]),
+       n_grid=st.lists(st.integers(1, 24), min_size=1, max_size=4),
+       stream=st.integers(0, 2**40), application=st.sampled_from(["edge-sum", "matching"]))
+def test_clt_replica_equals_one_graph_calls(spec, n_grid, stream, application):
+    # the stream's one generator, set back before each n, gives each graph of
+    # an unsorted or duplicated grid the bits of a freshly seeded sample_graph
+    from sparselocal.graph import sample_graph
+    from sparselocal.harness import _clt_replica
+    from sparselocal.matching import dependent_edge_sum, max_weight_matching
+
+    mu = WeightSpec("gamma", shape=1.0, scale=1.0)
+    grid = [sample_empirical_weights(spec, n, SEED, stream=n) for n in n_grid]
+    alone = [sample_graph(w, SEED, stream, mu_v=mu, mu_e=mu) for w in grid]
+    if application == "edge-sum":
+        want = [dependent_edge_sum([g])[0] for g in alone]
+    else:
+        want = [max_weight_matching(g).value for g in alone]
+    got = _clt_replica(grid, SEED, application, mu, mu, stream)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_size_biased_law_built_once_per_n(monkeypatch):

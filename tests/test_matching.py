@@ -11,7 +11,7 @@ from sparselocal import matching
 from sparselocal.explore import explore
 from sparselocal.graph import WeightedGraph, sample_graph
 from sparselocal.matching import (EXACT_SOLVER_LIMIT, Matching, dependent_edge_sum,
-                                  max_weight_matching)
+                                  max_weight_matching, max_weight_matchings)
 from sparselocal.rng import SiteRandom
 from sparselocal.trees import RootedWeightedTree
 from sparselocal.weights import EmpiricalWeights, WeightSpec, sample_empirical_weights
@@ -554,10 +554,10 @@ def test_dependent_sum_equals_per_edge_hashing():
             assert dependent_edge_sum([g]) == [per_edge]
 
 
-def _stream_graphs(spec, n_grid, seed, stream, mu_v):
+def _stream_graphs(spec, n_grid, seed, stream, mu_v, mu_e=None):
     """The graphs of one replica stream at the grid points, as clt samples them."""
     return [sample_graph(sample_empirical_weights(spec, n, seed, stream=n), seed, stream,
-                         mu_v=mu_v) for n in n_grid]
+                         mu_v=mu_v, mu_e=mu_e) for n in n_grid]
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -616,6 +616,63 @@ def test_stream_edge_sum_refuses_graphs_of_other_streams_or_laws():
     no_law = _stream_graphs(spec, [50], SEED, 1, None)
     with pytest.raises(ValueError, match="needs vertex weights"):
         dependent_edge_sum(no_law)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=st.sampled_from([WeightSpec("constant", c=0.02), WeightSpec("constant", c=2.0),
+                             WeightSpec("gamma", shape=2.0, scale=1.0)]),
+       n_grid=st.lists(st.integers(1, EXACT_SOLVER_LIMIT), min_size=1, max_size=4),
+       stream=st.integers(0, 2**40),
+       mu_e=st.sampled_from([EXP1, WeightSpec("gamma", shape=2.0, scale=1.0),
+                             WeightSpec("gamma", shape=0.5, scale=1.0),
+                             WeightSpec("finite", values=(0.5, 2.0), probs=(0.6, 0.4))]))
+@example(spec=WeightSpec("gamma", shape=2.0, scale=1.0), n_grid=[24, 16, 24, 20], stream=3,
+         mu_e=EXP1)
+@example(spec=WeightSpec("constant", c=0.02), n_grid=[1, 5, 24], stream=0, mu_e=EXP1)
+def test_stream_matchings_equal_one_graph_calls(spec, n_grid, stream, mu_e):
+    # unsorted and duplicated grids and edgeless graphs too: one draw over
+    # the joined edge lists gives every graph's weights, so its matching, bit
+    # for bit
+    graphs = _stream_graphs(spec, n_grid, SEED, stream, None, mu_e)
+    alone = [max_weight_matching(g) for g in graphs]
+    got = max_weight_matchings(graphs)
+    assert [m.edges for m in got] == [m.edges for m in alone]
+    assert np.array([m.value for m in got]).tobytes() == \
+        np.array([m.value for m in alone]).tobytes()
+
+
+def test_stream_matchings_draw_once_and_never_for_no_edge(monkeypatch):
+    calls = []
+    original = WeightedGraph.edge_weight
+
+    def counted(self, u, v):
+        calls.append(np.size(u))
+        return original(self, u, v)
+
+    monkeypatch.setattr(WeightedGraph, "edge_weight", counted)
+    graphs = _stream_graphs(WeightSpec("gamma", shape=2.0, scale=1.0), [16, 24, 20], SEED, 9,
+                            None, EXP1)
+    max_weight_matchings(graphs)
+    assert calls == [sum(g.num_edges for g in graphs)] and calls[0] > 0
+    calls.clear()
+    w = EmpiricalWeights(n=4, W=np.full(4, 1.0), theta=1.0)
+    empty = [WeightedGraph(w, SEED, 9, [], [], mu_e=EXP1)] * 2
+    assert [m.value for m in max_weight_matchings(empty)] == [0.0, 0.0]
+    assert calls == []
+
+
+def test_stream_matchings_refuse_graphs_of_other_streams_or_laws():
+    spec = WeightSpec("gamma", shape=2.0, scale=1.0)
+    base = _stream_graphs(spec, [16], SEED, 1, None, EXP1)
+    for other in (_stream_graphs(spec, [20], (SEED[0] + 1, SEED[1]), 1, None, EXP1),
+                  _stream_graphs(spec, [20], SEED, 2, None, EXP1),
+                  _stream_graphs(spec, [20], SEED, 1, None,
+                                 WeightSpec("gamma", shape=2.0, scale=1.0))):
+        with pytest.raises(ValueError, match="share seed, stream and mu_e"):
+            max_weight_matchings(base + other)
+    no_law = _stream_graphs(spec, [16], SEED, 1, None)
+    with pytest.raises(ValueError, match="needs edge weights"):
+        max_weight_matchings(no_law)
 
 
 def test_delta_n_trivial_cases():
