@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -82,21 +83,22 @@ class CouplingOutcome:
 # ---- Poisson quantiles --------------------------------------------------------------
 
 
-# the summed CDF of lam reaches every u up to _SURELY_REACHED where exp(-lam)
-# is a normal double, lam <= _NORMAL_P0: its sum to the cap is then off by
-# less than 1e-12 (a subnormal exp(-lam) can lose most of its digits)
+# the summed CDF of lam reaches every u up to _SURELY_REACHED: exp(-lam) is
+# a normal double, as _poisson_p0 refuses the rest, so its sum to the cap is
+# off by less than 1e-12
 _SURELY_REACHED = 1.0 - 2.0 ** -30
-_NORMAL_P0 = 708.0
 
 
 def _poisson_p0(lam: np.ndarray) -> np.ndarray:
-    """P(Poisson(lam) = 0), refusing lam where exp(-lam) underflows to 0.
+    """P(Poisson(lam) = 0), refusing lam where exp(-lam) is not a normal
+    double (lam above about 708.396): a subnormal keeps too few digits for
+    the summed CDF to reach 1, and 0 none.
 
     The exp is libm's, per element, as the arrays are ball-sized: numpy's
     exp returns bits that follow its SIMD dispatch.
     """
     p0 = np.array([math.exp(-x) for x in lam.ravel().tolist()]).reshape(lam.shape)
-    gone = (p0 == 0.0) & (lam > 0)
+    gone = p0 < sys.float_info.min
     if np.any(gone):
         raise ValueError(f"Poisson pmf underflows at lam={float(lam[gone][0])!r}")
     return p0
@@ -107,7 +109,7 @@ def poisson_icdf(lam, u):
 
     Each entry is summed up to its own cap lam + 40 sqrt(lam + 1) + 60; an
     entry whose u the summed CDF has not reached by then raises ValueError,
-    as does a lam so large that exp(-lam) underflows.
+    as does a lam so large that exp(-lam) is subnormal or 0.
     """
     lam = np.asarray(lam, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -138,7 +140,7 @@ def _poisson_cap(lam):
 
 def _poisson_top_quantile(lam: float, u: float) -> int:
     """:func:`poisson_icdf` at u, or at the top of its summed CDF where u is above it."""
-    if u > _SURELY_REACHED or lam > _NORMAL_P0:
+    if u > _SURELY_REACHED:
         u = min(u, poisson_cdf_interval(int(_poisson_cap(lam)), lam)[1])
     return int(poisson_icdf(lam, u))
 

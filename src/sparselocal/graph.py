@@ -26,12 +26,13 @@ graph sorts them once into the edge list it keeps, its one representation:
 no command reads a whole graph's rows.
 
 Below n of a few dozen a numpy call's fixed cost, some microseconds, is
-what a graph costs, not its O(n + edges) work.  So a bucket pair that
-expects fewer than ``_SCALAR_PAIR`` candidates walks its gap block as
-Python ints, and a last batch of fewer than ``_SCALAR_BATCH`` candidates is
-unranked and thinned one candidate at a time in Python ints and floats.
-Both draw what the arrays draw and take the same IEEE operations, so every
-edge is the same; the thresholds are where the two paths cost the same.
+what a graph costs, not its O(n + edges) work.  So a plan that expects
+fewer than ``_SCALAR_PLAN`` candidates over all its pairs
+(``plan.expected``) is sampled in Python scalars: every pair's gap blocks
+are walked as Python ints and every candidate is unranked and thinned in
+Python ints and floats.  That path draws what the arrays draw and takes
+the same IEEE operations, so every edge is the same; the plan picks the
+path once per graph.
 The sampler's generator (:func:`sampler_rng`) does not depend on n, so
 ``clt`` seeds it once per replica stream and sets it back before each n.
 
@@ -64,8 +65,13 @@ from .weights import EmpiricalWeights, WeightSpec
 _GEN_TAG = 12
 _ROW_TAG = 13  # the lazy rows' generator
 _FLUSH = 4096  # candidates mapped and thinned per vectorised pass
-_SCALAR_PAIR = 40  # a bucket pair expecting fewer candidates walks its gaps in Python ints
-_SCALAR_BATCH = 48  # a last batch of fewer candidates is thinned in Python floats
+# a plan that expects fewer candidates is sampled in Python scalars.  Per
+# graph (timeit, 2-core x86 VM) the arrays cost less from about 30 expected
+# candidates on a one-pair constant plan (99: 66 against 131 us), the scalars
+# up to about 200 on a gamma(2,1) plan of some 20 pairs (106: 156 against
+# 213 us); 100 lies between, above every n <= 24 gamma plan (at most about
+# 72) and below the constant plan at n = 500 (499)
+_SCALAR_PLAN = 100
 
 
 class WeightedGraph:
@@ -294,42 +300,34 @@ def sample_graph(weights: EmpiricalWeights, seed: tuple[int, int], stream: int =
     plan = weights.bucket_plan
     if gen is None:
         gen = sampler_rng(seed, stream)
+    if plan.expected < _SCALAR_PLAN:
+        edge_u, edge_v = _sample_in_scalars(weights, gen)
+        return WeightedGraph(weights, seed, stream, edge_u, edge_v, mu_v=mu_v, mu_e=mu_e)
     # the kept vertex pairs of each batch, after an empty pair of arrays, so
     # a graph with no batch still joins to an int32 edge list
     nothing = np.empty(0, dtype=np.int32)
     edges = [(nothing, nothing)]
     pairs, positions, uniforms = [], [], []
     pending = 0
-    for k, (pmax, total) in enumerate(plan.draws):
-        # the expected count sets the path: a list from Python ints below
-        # _SCALAR_PAIR, the arrays above
-        if total * pmax < _SCALAR_PAIR:
-            pos = _bernoulli_walk(gen, total, pmax)
-            if not pos:
-                continue
-        else:
-            pos = _bernoulli_positions(gen, total, pmax)
-            if pos.size >= _FLUSH:
-                # a pair that fills a batch alone is mapped on its own; the
-                # batch holds the only reference to its positions, so they
-                # are freed once unranked
-                batch = [k], [pos], [gen.random(pos.size)]
-                del pos
-                edges.append(_map_and_thin(weights, *batch))
-                continue
-            if not pos.size:
-                continue
-        pairs.append(k)
-        positions.append(pos)
-        uniforms.append(gen.random(len(pos)))
-        pending += len(pos)
-        if pending >= _FLUSH:
-            edges.append(_map_and_thin(weights, pairs, positions, uniforms))
-            pending = 0
+    for k, (pmax, total, *_) in enumerate(plan.pairs):
+        pos = _bernoulli_positions(gen, total, pmax)
+        if pos.size >= _FLUSH:
+            # a pair that fills a batch alone is mapped on its own; the batch
+            # holds the only reference to its positions, so they are freed
+            # once unranked
+            batch = [k], [pos], [gen.random(pos.size)]
+            del pos
+            edges.append(_map_and_thin(weights, *batch))
+        elif pos.size:
+            pairs.append(k)
+            positions.append(pos)
+            uniforms.append(gen.random(pos.size))
+            pending += pos.size
+            if pending >= _FLUSH:
+                edges.append(_map_and_thin(weights, pairs, positions, uniforms))
+                pending = 0
     if pending:
-        small = pending < _SCALAR_BATCH
-        edges.append((_map_and_thin_small if small else _map_and_thin)(
-            weights, pairs, positions, uniforms))
+        edges.append(_map_and_thin(weights, pairs, positions, uniforms))
     # the kept pairs of all batches, joined, and the batches freed before the
     # graph sorts the pairs into its edge list
     edge_u = np.concatenate([u for u, _ in edges])
@@ -345,45 +343,45 @@ def sampler_rng(seed: tuple[int, int], stream: int) -> np.random.Generator:
     return stream_rng(seed, stream, _GEN_TAG)
 
 
-def _map_and_thin(weights: EmpiricalWeights, pairs: list[int], positions: list,
+def _map_and_thin(weights: EmpiricalWeights, pairs: list[int], positions: list[np.ndarray],
                   uniforms: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Keep each candidate of a batch with p_uv / pmax and map the kept ones to vertex pairs.
 
     ``positions[i]`` indexes the slot pairs of bucket pair ``pairs[i]``:
     the strict upper triangle in lexicographic order inside one bucket,
-    row-major across two; it is an array, or a list from a walked pair.
-    ``uniforms[i]`` are its thinning draws.  A batch
+    row-major across two; ``uniforms[i]`` are its thinning draws.  A batch
     of one pair is unranked with that pair's scalar offsets and bound; a
-    batch of many gathers them per candidate.  A candidate is thinned on
-    its two slots of the bucket order, and only the kept ones are mapped
-    through ``plan.order``.  The three lists are emptied once concatenated,
-    which frees the per-pair arrays.  Returns the endpoints of the kept
-    edges, as int32 vertex ids in no particular order within a pair.
+    batch of many repeats each pair's values per candidate.  A candidate is
+    thinned on its two slots of the bucket order, and only the kept ones
+    are mapped through ``plan.order``.  The three lists are emptied once
+    concatenated, which frees the per-pair arrays.  Returns the endpoints
+    of the kept edges, as int32 vertex ids in no particular order within a
+    pair.
     """
     plan = weights.bucket_plan
     if len(pairs) == 1:
-        pair = pairs[0]
+        pmax, _, start_a, start_b, size, same = plan.pairs[pairs[0]]
         pos, r = positions[0], uniforms[0]
-        if plan.same[pair]:
-            cu, cv = _unrank_triangle(pos, plan.size_b[pair])
+        if same:
+            cu, cv = _unrank_triangle(pos, size)
         else:
-            cu, cv = np.divmod(pos, plan.size_b[pair])
-        cu += plan.start_a[pair]
-        cv += plan.start_b[pair]
+            cu, cv = np.divmod(pos, size)
     else:
-        pair = np.repeat(pairs, [len(p) for p in positions])
+        counts = [p.size for p in positions]
+        pmax, _, start_a, start_b, size, same = zip(*(plan.pairs[k] for k in pairs))
+        pmax, start_a, start_b, size, same = (
+            np.repeat(column, counts) for column in (pmax, start_a, start_b, size, same))
         pos = np.concatenate(positions)
         r = np.concatenate(uniforms)
-        size = plan.size_b[pair]  # a same-bucket pair's one size
         cu, cv = np.divmod(pos, size)  # row-major, right for the cross pairs
-        same = plan.same[pair].nonzero()[0]
+        same = same.nonzero()[0]
         cu[same], cv[same] = _unrank_triangle(pos[same], size[same])
-        cu += plan.start_a[pair]
-        cv += plan.start_b[pair]
+    cu += start_a
+    cv += start_b
     del pairs[:], positions[:], uniforms[:], pos
     # thin on the slots, where the weight gathers run nearly in order, and
     # map only the kept candidates to vertices
-    r *= plan.pmax[pair]
+    r *= pmax
     p = plan.weight[cu]
     p *= plan.weight[cv]
     p /= weights.n * weights.theta
@@ -395,28 +393,30 @@ def _map_and_thin(weights: EmpiricalWeights, pairs: list[int], positions: list,
     return plan.order[cu[keep]], plan.order[cv[keep]]
 
 
-def _map_and_thin_small(weights: EmpiricalWeights, pairs: list[int], positions: list,
-                        uniforms: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_map_and_thin` of a small batch, one candidate at a time in
+def _sample_in_scalars(weights: EmpiricalWeights,
+                       gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The kept vertex pairs of :func:`sample_graph`, one candidate at a time in
     Python ints and floats.
 
-    Each candidate takes the operations the arrays take: the triangle's
-    float root and its two corrections, or the row-major divmod, then
-    r pmax < W_u W_v / (n theta) on the same doubles.  The plan's per-pair
-    values come from its lists and the slot weights and vertex ids one item
-    at a time, so no O(n) list is built.
+    Per bucket pair it walks the gaps of the same geometric blocks and then
+    draws the same thinning uniforms, so it leaves the generator where the
+    arrays do.  Each candidate takes the operations the arrays take: the
+    triangle's float root and its two corrections (:func:`_unrank_triangle`),
+    or the row-major divmod, then r pmax < W_u W_v / (n theta) on the same
+    doubles.  The slot weights and vertex ids are read one item at a time,
+    so no O(n) list is built.  Returns the kept endpoints as int32 arrays,
+    as :func:`_map_and_thin` does.
     """
     plan = weights.bucket_plan
     weight, order = plan.weight.item, plan.order.item
     scale = weights.n * weights.theta
     kept_u, kept_v = [], []
-    for pair, pos, r in zip(pairs, positions, uniforms):
-        if isinstance(pos, np.ndarray):  # a pair that expected more candidates
-            pos = pos.tolist()
-        pmax = plan.draws[pair][0]
-        start_a, start_b, size, same = plan.slots[pair]
+    for pmax, total, start_a, start_b, size, same in plan.pairs:
+        pos = _bernoulli_walk(gen, total, pmax)
+        if not pos:
+            continue
         b = 2 * size - 1
-        for L, u in zip(pos, r.tolist()):
+        for L, r in zip(pos, gen.random(len(pos)).tolist()):
             if same:
                 i = int((b - math.sqrt(b * b - 8.0 * L)) / 2.0)
                 i -= i * (b - i) // 2 > L
@@ -426,8 +426,7 @@ def _map_and_thin_small(weights: EmpiricalWeights, pairs: list[int], positions: 
                 i, j = divmod(L, size)
             i += start_a
             j += start_b
-            if u * pmax < weight(i) * weight(j) / scale:
+            if r * pmax < weight(i) * weight(j) / scale:
                 kept_u.append(order(i))
                 kept_v.append(order(j))
-    del pairs[:], positions[:], uniforms[:]
     return np.array(kept_u, dtype=np.int32), np.array(kept_v, dtype=np.int32)

@@ -474,13 +474,14 @@ class EmpiricalWeights:
 
         Vertices are grouped by floor(log2 W) into power-of-two buckets.  For
         each pair of buckets a <= b that has a vertex pair, the plan keeps
-        where both buckets start in the vertex order, their sizes, whether
-        a == b, the probability bound pmax = min(wmax_a wmax_b / (n theta), 1)
-        and the number of vertex pairs; for each bucket, where it starts and
-        stops and its largest weight.  All of it depends on the weights
-        alone, so every replica graph of one n reads this one plan and spends
-        per bucket pair (or, for a lazy row, per bucket) only its generator
-        draws.
+        the probability bound pmax = min(wmax_a wmax_b / (n theta), 1), the
+        number of vertex pairs, where both buckets start in the vertex order,
+        the size of b and whether a == b, as one tuple of Python numbers, and
+        the candidates a graph expects over all pairs; for each bucket, where
+        it starts and stops and its largest weight.  All of it depends on the
+        weights alone, so every replica graph of one n reads this one plan
+        and spends per bucket pair (or, for a lazy row, per bucket) only its
+        generator draws.
         """
         # floor(log2 W) is frexp's exponent less one: exact for every positive
         # double, subnormals too, where np.log2's bits follow the SIMD dispatch.
@@ -497,30 +498,18 @@ class EmpiricalWeights:
         starts = np.cumsum(sizes) - sizes
         weight = self.W[order]
         wmax = np.maximum.reduceat(weight, starts)
-        a, b = _bucket_pairs(starts.size)
+        a, b = np.triu_indices(starts.size)
         same = a == b
         total = np.where(same, sizes[a] * (sizes[a] - 1) // 2, sizes[a] * sizes[b])
         keep = total > 0  # a bucket of one vertex has no pair with itself
         a, b, same, total = a[keep], b[keep], same[keep], total[keep]
         pmax = np.minimum(wmax[a] * wmax[b] / (self.n * self.theta), 1.0)
-        start_a, start_b, size_b = starts[a], starts[b], sizes[b]
-        return BucketPlan(order=order, weight=weight, start_a=start_a, start_b=start_b,
-                          size_b=size_b, same=same, pmax=pmax,
-                          draws=list(zip(pmax.tolist(), total.tolist())),
-                          slots=list(zip(start_a.tolist(), start_b.tolist(), size_b.tolist(),
-                                         same.tolist())),
+        pairs = list(zip(pmax.tolist(), total.tolist(), starts[a].tolist(), starts[b].tolist(),
+                         sizes[b].tolist(), same.tolist()))
+        return BucketPlan(order=order, weight=weight, pairs=pairs,
+                          expected=sum(p * t for p, t, *_ in pairs),
                           buckets=list(zip(starts.tolist(), (starts + sizes).tolist())),
                           wmax=wmax)
-
-
-def _bucket_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair a <= b < k in lexicographic order, as ``np.triu_indices(k)``
-    gives it, from two repeats and a cumulative sum: half its cost at a few
-    buckets."""
-    rows = np.arange(k, 0, -1)  # row a holds the k - a pairs (a, a), ..., (a, k - 1)
-    a = np.repeat(np.arange(k), rows)
-    b = np.arange(a.size) - np.repeat(np.cumsum(rows) - rows - np.arange(k), rows)
-    return a, b
 
 
 @dataclass(frozen=True, eq=False)
@@ -528,31 +517,24 @@ class BucketPlan:
     """Bucket pairs of one weight vector, in the order the graph sampler visits them.
 
     ``order`` lists the vertices (int32) bucket by bucket, ascending inside
-    each bucket, and ``weight`` their weights in that order.  Pair k covers
-    the slots of bucket a, from ``start_a[k]``, against the ``size_b[k]``
-    slots of bucket b from ``start_b[k]`` (the strict upper triangle when
-    ``same[k]``, where a is b).  Its number of vertex pairs in ``draws[k]``
-    bounds the candidates, so bucket a's size is not needed.
-    ``draws[k]`` is its (pmax, total) as Python numbers, which the per-pair
-    loop hands to the generator; the arrays are gathered per candidate when
-    candidates are thinned on their slots and the kept ones mapped through
-    ``order`` to vertices.  ``slots[k]`` is its (start_a, start_b, size_b,
-    same) as Python values, which a small batch reads in place of the
-    arrays.  ``buckets[b]`` is where bucket b starts and stops
-    in that order, as Python ints, and ``wmax[b]`` its largest weight: the
-    lazy rows of :class:`~sparselocal.graph.LazyGraph` skip over one bucket
-    at a time.
+    each bucket, and ``weight`` their weights in that order.  ``pairs[k]``
+    is bucket pair k as Python numbers, (pmax, total, start_a, start_b,
+    size_b, same): its probability bound and number of vertex pairs, which
+    the sampler hands to the generator, and where its candidates land, the
+    slots of bucket a from ``start_a`` against the ``size_b`` slots of
+    bucket b from ``start_b`` (the strict upper triangle when ``same``,
+    where a is b); total bounds the candidates, so bucket a's size is not
+    needed.  ``expected`` is the number of candidates a graph draws on
+    average, the sum of total * pmax, which picks the sampler's path.
+    ``buckets[b]`` is where bucket b starts and stops in that order, as
+    Python ints, and ``wmax[b]`` its largest weight: the lazy rows of
+    :class:`~sparselocal.graph.LazyGraph` skip over one bucket at a time.
     """
 
     order: np.ndarray
     weight: np.ndarray
-    start_a: np.ndarray
-    start_b: np.ndarray
-    size_b: np.ndarray
-    same: np.ndarray
-    pmax: np.ndarray
-    draws: list[tuple[float, int]]
-    slots: list[tuple[int, int, int, bool]]
+    pairs: list[tuple[float, int, int, int, int, bool]]
+    expected: float
     buckets: list[tuple[int, int]]
     wmax: np.ndarray
 

@@ -39,12 +39,15 @@ def test_poisson_icdf_matches_scipy():
 
 
 def test_poisson_refuses_underflow_and_saturation():
-    # exp(-800) underflows to 0; at lam = 2.5 the summed CDF never reaches
-    # the top uniform, where the quantile used to return its cap
-    with pytest.raises(ValueError, match="lam=800.0"):
-        poisson_icdf(800.0, 0.5)
-    with pytest.raises(ValueError, match="lam=800.0"):
-        poisson_cdf_interval(800, 800.0)
+    # exp(-800) underflows to 0, and exp(-720) and exp(-744.14) are subnormal,
+    # whose summed CDF ends short of 1 (0.74 at 744.14, where the quantile at
+    # 0.5 read 756); at lam = 2.5 the summed CDF never reaches the top
+    # uniform, where the quantile used to return its cap
+    for lam in (720.0, 744.14, 800.0):
+        with pytest.raises(ValueError, match=f"lam={lam!r}"):
+            poisson_icdf(lam, 0.5)
+        with pytest.raises(ValueError, match=f"lam={lam!r}"):
+            poisson_cdf_interval(800, lam)
     with pytest.raises(ValueError, match="lam=2.5, u=0.9999999999999999"):
         poisson_icdf(2.5, 1.0 - 2.0 ** -53)
     assert poisson_icdf(700.0, 0.5) == 700

@@ -276,17 +276,25 @@ _TWO_LEVEL = WeightSpec("finite", values=(0.5, 12.0), probs=(0.8, 0.2))
 # many flushes of the candidate batch
 @example(spec=_GAMMA, n=30_000, stream=5, unit_gaps=False)
 # the scalar side of the size switch: gamma(2,1) at n = 24, where every pair
-# is walked and the one batch thinned in Python scalars
+# is walked and every candidate thinned in Python scalars
 @example(spec=_GAMMA, n=24, stream=1, unit_gaps=False)
 # the same plan with every first gap block of a small pair run out
 @example(spec=_GAMMA, n=24, stream=1, unit_gaps=True)
-# one walked pair whose 55 candidates, all its slots, take the arrays alone
+# one walked pair whose 55 slots are all candidates
 @example(spec=_ONE_BUCKET, n=11, stream=0, unit_gaps=True)
-# pairs with pmax >= 1 and pmax < 1 in one small batch
+# pairs with pmax >= 1 and pmax < 1 in one scalar plan, and one pair with
+# pmax = 1 that expects 190 candidates and takes the arrays
 @example(spec=_TWO_LEVEL, n=6, stream=1, unit_gaps=False)
-# just above the thresholds: one pair expecting 41 candidates takes the
-# arrays and lands in a small batch (47 candidates), and 52 candidates of
-# eight walked pairs make a batch that takes the arrays
+@example(spec=WeightSpec("constant", c=20.0), n=20, stream=0, unit_gaps=False)
+# either side of _SCALAR_PLAN = 100: one constant(2) pair expecting 99 and
+# exactly 100 candidates, and gamma(2,1) plans of 15 pairs expecting 99.94
+# and of 20 pairs expecting 100.05
+@example(spec=WeightSpec("constant", c=2.0), n=100, stream=0, unit_gaps=False)
+@example(spec=WeightSpec("constant", c=2.0), n=101, stream=0, unit_gaps=False)
+@example(spec=_GAMMA, n=46, stream=16, unit_gaps=False)
+@example(spec=_GAMMA, n=49, stream=3, unit_gaps=False)
+# two more scalar plans: one constant(2) pair expecting 41 candidates, and
+# a gamma(2,1) plan of 14 pairs expecting 52
 @example(spec=WeightSpec("constant", c=2.0), n=42, stream=0, unit_gaps=False)
 @example(spec=_GAMMA, n=20, stream=16, unit_gaps=False)
 def test_sample_graph_equals_per_pair_oracle(per_pair_sample_graph, spec, n, stream,
@@ -315,7 +323,7 @@ def test_a_pair_that_fills_a_batch_is_mapped_alone(per_pair_sample_graph, monkey
     map_and_thin = graph._map_and_thin
 
     def spy(weights, pairs, positions, uniforms):
-        batches.append([len(p) for p in positions])
+        batches.append([p.size for p in positions])
         return map_and_thin(weights, pairs, positions, uniforms)
 
     monkeypatch.setattr(graph, "_map_and_thin", spy)
@@ -327,35 +335,71 @@ def test_a_pair_that_fills_a_batch_is_mapped_alone(per_pair_sample_graph, monkey
     assert np.array_equal(got.edge_u, want.edge_u) and np.array_equal(got.edge_v, want.edge_v)
 
 
-def test_small_pairs_and_batches_run_in_scalars_at_small_n_only(per_pair_sample_graph,
-                                                                  monkeypatch):
-    # constant(2): the one bucket pair expects n - 1 candidates, 23 at n = 24,
-    # which are walked and thinned in Python scalars, and 499 at n = 500,
-    # which take the arrays
+def test_small_plans_run_in_scalars_only(per_pair_sample_graph, monkeypatch):
+    # gamma(2,1) and constant(2) at n = 24 expect some 40 and 23 candidates
+    # and are sampled in Python scalars; constant(2) at n = 500 expects 499
+    # and takes the arrays
     from sparselocal import graph
 
     entered = []
+    in_scalars = graph._sample_in_scalars
 
-    def spy(name):
-        fn = getattr(graph, name)
+    def spy(weights, gen):
+        entered.append(weights.n)
+        return in_scalars(weights, gen)
 
-        def spied(*args):
-            entered.append(name)
-            return fn(*args)
-        return spied
-
-    for name in ("_bernoulli_walk", "_map_and_thin_small", "_bernoulli_positions",
-                 "_map_and_thin"):
-        monkeypatch.setattr(graph, name, spy(name))
-    for n, paths in ((24, ["_bernoulli_walk", "_map_and_thin_small"]),
-                     (500, ["_bernoulli_positions", "_map_and_thin"])):
+    monkeypatch.setattr(graph, "_sample_in_scalars", spy)
+    for spec, n, scalar in ((_GAMMA, 24, True), (WeightSpec("constant", c=2.0), 24, True),
+                            (WeightSpec("constant", c=2.0), 500, False)):
         entered.clear()
-        w = sample_empirical_weights(WeightSpec("constant", c=2.0), n, SEED, stream=n)
+        w = sample_empirical_weights(spec, n, SEED, stream=n)
         got = sample_graph(w, SEED, 7)
-        assert entered == paths, n
+        assert entered == ([n] if scalar else []), (spec, n)
         want = per_pair_sample_graph(w, SEED, 7)
         assert np.array_equal(got.edge_u, want.edge_u)
         assert np.array_equal(got.edge_v, want.edge_v)
+
+
+class _Gaps:
+    """A generator whose first geometric block puts candidates at ``ranks``
+    and then runs past the pair, and whose thinning uniforms are all 0."""
+
+    def __init__(self, ranks):
+        self._ranks = ranks
+
+    def geometric(self, p, size):
+        gaps = np.diff([-1] + self._ranks + [2**62])
+        return np.concatenate((gaps, np.ones(size - gaps.size, dtype=np.int64)))
+
+    def random(self, size):
+        return np.zeros(size)
+
+
+def test_scalar_path_corrects_the_float_root_of_a_huge_bucket():
+    # one same-bucket pair of m = 2^27 + 5 slots, where b^2 = (2m - 1)^2 is
+    # past 2^53: at the last ranks of rows 284 and 955 the float root lands
+    # one row too high, and at the two other ranks one row too low; slot i
+    # is vertex i
+    from types import SimpleNamespace
+
+    from sparselocal import graph
+    from sparselocal.weights import BucketPlan
+
+    m = 2**27 + 5
+    ranks = [38252013149, 128311695301, 9007199273131025, 9007199339994833]
+    total = m * (m - 1) // 2
+    plan = BucketPlan(order=SimpleNamespace(item=lambda i: i),
+                      weight=SimpleNamespace(item=lambda i: 1.0),
+                      pairs=[(1e-15, total, 0, 0, m, True)], expected=1e-15 * total,
+                      buckets=[(0, m)], wmax=np.ones(1))
+    weights = SimpleNamespace(bucket_plan=plan, n=1, theta=1.0)
+    u, v = graph._sample_in_scalars(weights, _Gaps(ranks))
+    start = lambda i: i * (2 * m - 1 - i) // 2  # the rank of pair (i, i + 1)
+    rows = [284, 955, 134183510, 134185523]
+    assert all(start(i) <= L < start(i + 1) for i, L in zip(rows, ranks))
+    want = [(i, L - start(i) + i + 1) for i, L in zip(rows, ranks)]
+    assert list(zip(u.tolist(), v.tolist())) == want
+    assert [tuple(x) for x in np.transpose(graph._unrank_triangle(ranks, m)).tolist()] == want
 
 
 # ---- perturbation ---------------------------------------------------------------------

@@ -12,8 +12,8 @@ from scipy import special
 import sparselocal
 from conftest import wasserstein_1d, weighted_sample_w1, where_integer_gamma_block
 from sparselocal.weights import (_BLOCK, _GAMMA_SERIES, _MASKED_FROM, _W1_BLOCK, _W1_LEAF,
-                                 EmpiricalWeights, WeightSpec, _bucket_pairs,
-                                 _integer_gamma_quantile, moments, sample_empirical_weights)
+                                 EmpiricalWeights, WeightSpec, _integer_gamma_quantile, moments,
+                                 sample_empirical_weights)
 
 SEED = (2024, 7)
 
@@ -32,7 +32,8 @@ def test_edge_probability_er_embedding():
     w = np.sqrt(lam_n * lam)
     assert edge_probability(w, w, n, lam) == pytest.approx(lam_n / n, abs=0, rel=1e-15)
     plan = EmpiricalWeights(n=n, W=np.full(n, w), theta=lam).bucket_plan
-    assert plan.pmax.tolist() == [edge_probability(w, w, n, lam)]
+    assert [pmax for pmax, *_ in plan.pairs] == [edge_probability(w, w, n, lam)]
+    assert plan.expected == sum(total * pmax for pmax, total, *_ in plan.pairs)
 
 
 def test_bucket_plan_groups_by_the_exact_binary_exponent():
@@ -53,10 +54,23 @@ def test_bucket_plan_groups_by_the_exact_binary_exponent():
 
 @pytest.mark.parametrize("k", range(1, 65))
 def test_bucket_pairs_equal_triu_indices(k):
-    a, b = _bucket_pairs(k)
-    want_a, want_b = np.triu_indices(k)
-    assert a.dtype == want_a.dtype and b.dtype == want_b.dtype
-    assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+    # k buckets of 1, 2 or 3 vertices, at weights 1.5 * 2^e: the plan lists
+    # every pair a <= b in lexicographic order, as np.triu_indices(k) does,
+    # less the same-bucket pairs of one-vertex buckets
+    sizes = [1 + e % 3 for e in range(k)]
+    W = np.repeat(np.ldexp(1.5, np.arange(k)), sizes)[::-1].copy()
+    n, theta = W.size, 2.0
+    plan = EmpiricalWeights(n=n, W=W, theta=theta).bucket_plan
+    starts = np.cumsum(sizes) - sizes
+    want = []
+    for a in range(k):
+        for b in range(a, k):
+            total = sizes[a] * (sizes[a] - 1) // 2 if a == b else sizes[a] * sizes[b]
+            if total:
+                pmax = min(1.5 * 2.0 ** a * 1.5 * 2.0 ** b / (n * theta), 1.0)
+                want.append((pmax, total, starts[a], starts[b], sizes[b], a == b))
+    assert plan.pairs == want
+    assert all(type(x) in (float, int, bool) for pair in plan.pairs for x in pair)
 
 
 def test_edge_probability_cap_and_direct():
