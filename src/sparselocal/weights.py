@@ -463,9 +463,8 @@ class EmpiricalWeights:
         """
         lam = self.lambda_n
         upper = _capped_cdf(np.divide(self.ascending, lam))
-        cum = _capped_cdf(np.divide(self.W, lam))
-        return EmpiricalSizeBiased(W=self.W, scale=lam / (self.n * self.theta),
-                                   cum=cum, ascending=self.ascending, upper=upper)
+        return EmpiricalSizeBiased(W=self.W, lambda_n=lam, scale=lam / (self.n * self.theta),
+                                   ascending=self.ascending, upper=upper)
 
     @cached_property
     def bucket_plan(self) -> "BucketPlan":
@@ -485,15 +484,19 @@ class EmpiricalWeights:
         """
         # floor(log2 W) is frexp's exponent less one: exact for every positive
         # double, subnormals too, where np.log2's bits follow the SIMD dispatch.
-        # It lies in [-1074, 1023], so int16 holds it, and numpy's stable
-        # argsort of int16 is an O(n) radix sort
-        bucket = (np.frexp(self.W)[1] - 1).astype(np.int16)
-        # int32 vertex ids halve what the sampler keeps per edge until the
-        # graph sorts the edges into its list
+        # Offset to 0, it spans at most 2,098 binades.  numpy's stable argsort
+        # of an 8- or 16-bit key is a radix sort, one pass per byte, and the
+        # shipped laws' weights span fewer than 256 binades, one byte
         if self.n > np.iinfo(np.int32).max:
             raise ValueError("the graph sampler needs n below 2^31")
-        order = np.argsort(bucket, kind="stable").astype(np.int32)
-        sizes = np.bincount(bucket - bucket.min())
+        key = np.frexp(self.W)[1]
+        key -= key.min()
+        key = key.astype(np.uint8 if key.max() < 256 else np.uint16)
+        # int32 vertex ids halve what the sampler keeps per edge until the
+        # graph sorts the edges into its list
+        order = np.argsort(key, kind="stable").astype(np.int32)
+        sizes = np.bincount(key)
+        del key  # freed before the gather of the weights, which the plan keeps
         sizes = sizes[sizes > 0]
         starts = np.cumsum(sizes) - sizes
         weight = self.W[order]
@@ -544,14 +547,15 @@ class EmpiricalSizeBiased:
     """Vertex i with probability W_i / Lambda_n: the intermediate tree's type law.
 
     An individual of type W_i has Poi(W_i * scale) children, with
-    scale = Lambda_n / (n theta).  ``cum`` is the cumulative table in vertex
-    order, which label draws invert.  The quantile coupling to the limiting
-    size-biased law needs each vertex's CDF interval in weight order instead:
+    scale = Lambda_n / (n theta).  The quantile coupling to the limiting
+    size-biased law reads each vertex's CDF interval in weight order:
     ``ascending`` is W sorted (the copy :func:`moments` sorts too) and
     ``upper`` its cumulative table, so a vertex of stable rank r in weight
-    order has the interval (upper[r - 1], upper[r]].  Both tables cost one
-    O(n log n) sort and two O(n) sums, and an interval one binary search, or
-    two for a tied weight (:meth:`interval`).  They depend on the weights alone, so the law lives
+    order has the interval (upper[r - 1], upper[r]], found by one binary
+    search, or two for a tied weight (:meth:`interval`).  Label draws
+    invert :attr:`cum`, the cumulative table in vertex order; only a break
+    (stage 1's detached growth, stage 2's repair) draws a label, so that
+    table is built on the first draw.  They depend on the weights alone, so the law lives
     with the :class:`EmpiricalWeights` of one n
     (:attr:`EmpiricalWeights.size_biased`), not with one graph: every replica
     graph of that n shares it, at every depth and in stage 1's detached
@@ -559,11 +563,18 @@ class EmpiricalSizeBiased:
     """
 
     W: np.ndarray
+    lambda_n: float
     scale: float
-    cum: np.ndarray
     ascending: np.ndarray
     upper: np.ndarray
     ties: dict = field(default_factory=dict, repr=False)  # tied weight -> its labels
+
+    @cached_property
+    def cum(self) -> np.ndarray:
+        """The cumulative table of W_i / Lambda_n in vertex order, built on the
+        first label draw (``cached_property`` writes the instance dict, which
+        the frozen dataclass leaves alone)."""
+        return _capped_cdf(np.divide(self.W, self.lambda_n))
 
     def offspring(self, label: int, rng: np.random.Generator) -> np.ndarray:
         """Labels of a type-W_label individual's children: Poisson count, i.i.d. labels."""
@@ -640,7 +651,7 @@ def moments(weights: EmpiricalWeights, spec: WeightSpec | None = None) -> Moment
     alpha = 0.0
     if spec is not None:
         # the plain table is dropped before the size-biased law, built here on
-        # first use, adds its two
+        # first use, adds its ``upper``
         s = weights.ascending
         alpha = _wasserstein_steps(s, _capped_cdf(np.full(n, 1.0 / n)), spec)
         alpha = max(alpha, _wasserstein_steps(s, weights.size_biased.upper, spec.size_biased()))

@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,14 @@ def test_coupling_determinism_across_workers():
                            replicas=60, seed=SEED, depth=1)
     rows1 = coupling_experiment(cfg)
     rows2 = coupling_experiment(dataclasses.replace(cfg, workers=3))
+    assert rows1 == rows2
+    # gamma weights break stages 1 and 2, whose label draws build the
+    # size-biased law's label table in the processes that draw one only
+    from test_golden import COUPLE_GAMMA
+
+    cfg = ExperimentConfig.from_dict(COUPLE_GAMMA)
+    rows1 = coupling_experiment(cfg)
+    rows2 = coupling_experiment(dataclasses.replace(cfg, workers=2))
     assert rows1 == rows2
 
 
@@ -439,3 +448,28 @@ def test_coupling_pool_pickles_no_table_cached_by_moments(monkeypatch):
     assert built == []
     assert len(sizes) == 2 and all(after <= before for before, after in sizes)
     assert (rows, outcomes) == coupling_experiment(dataclasses.replace(cfg, workers=1))
+
+
+def test_couple_per_n_setup_peak_memory():
+    # what couple builds once per n before its replicas, traced from the
+    # weight draw on: gamma(2, 1) at n = 2e5 peaked at 39.3 bytes per vertex
+    # (in moments, its first W1 distance beside W, the ascending copy and the
+    # plain table), 37.0 in the bucket plan, which keeps 12.  With the
+    # size-biased law's label-order table built on every n and the plan's
+    # key sorted through int32 and int16 copies it was 48.0, in the plan
+    from sparselocal.bounds import VertexSetSummary
+    from sparselocal.weights import moments
+
+    n = 200_000
+    cfg = ExperimentConfig(weights=WeightSpec("gamma", shape=2.0, scale=1.0), n_grid=[n],
+                           replicas=1, seed=SEED, depth=1)
+    tracemalloc.start()
+    try:
+        weights = cfg.empirical_weights(n)
+        moments(weights, spec=cfg.weights)
+        VertexSetSummary.of(weights, range(2))
+        weights.bucket_plan
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 42

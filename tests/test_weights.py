@@ -50,6 +50,24 @@ def test_bucket_plan_groups_by_the_exact_binary_exponent():
     groups = [set(exponent[plan.order[a:b]].tolist()) for a, b in plan.buckets]
     assert all(len(g) == 1 for g in groups)
     assert [g.pop() for g in groups] == sorted(set(exponent.tolist()))
+    # the key sorts in one byte below 256 binades and in two from 256 on:
+    # every span, subnormals included, shuffled so that each bucket holds
+    # vertices out of label order, orders the vertices as a stable argsort of
+    # the exponent does
+    rng = np.random.default_rng(5)
+    spans = {"all": (-1073, 1024), "subnormal, 8-bit": (-1073, -818),
+             "subnormal, 16-bit": (-1073, -817), "8-bit": (-100, 155), "16-bit": (-100, 156)}
+    for name, (lo, hi) in spans.items():
+        k = rng.permutation(np.repeat([lo, (lo + hi) // 2, hi], [40, 3, 17]))
+        W = np.ldexp(rng.uniform(0.5, 0.75, k.size), k)  # no subnormal rounds up a binade
+        assert np.array_equal(np.frexp(W)[1], k), name
+        with np.errstate(over="ignore"):
+            plan = EmpiricalWeights(n=W.size, W=W, theta=1.0).bucket_plan
+        want = np.argsort(np.frexp(W)[1], kind="stable")
+        assert np.array_equal(plan.order, want), name
+        sizes = np.unique(k, return_counts=True)[1]
+        starts = np.cumsum(sizes) - sizes
+        assert plan.buckets == list(zip(starts.tolist(), (starts + sizes).tolist())), name
 
 
 @pytest.mark.parametrize("k", range(1, 65))
@@ -164,6 +182,25 @@ def test_empirical_size_biased_maps_the_top_uniform_to_the_last_label(W, last):
 
     assert law.draw(TopUniform()) == last
     assert law.offspring(0, TopUniform()).tolist() == [last] * 2
+
+
+def test_size_biased_label_table_is_built_on_the_first_draw():
+    # couple's per-n setup reads the law in weight order only; the label
+    # table waits for a draw, and is then the one it always was
+    spec = WeightSpec("gamma", shape=2.0, scale=1.0)
+    w = sample_empirical_weights(spec, 5_000, SEED)
+    moments(w, spec)
+    w.bucket_plan
+    law = w.size_biased
+    assert "cum" not in law.__dict__
+    label = law.draw(np.random.default_rng(1))
+    assert "cum" in law.__dict__
+    want = np.cumsum(w.W / w.lambda_n)
+    want = np.minimum(want, 1.0)
+    want[-1] = 1.0
+    assert law.cum.tobytes() == want.tobytes()
+    assert label == np.searchsorted(want, np.random.default_rng(1).random(), side="left")
+    assert law.cum is law.cum  # built once
 
 
 _INTERVAL_LAWS = st.one_of(
