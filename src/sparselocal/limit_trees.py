@@ -28,6 +28,9 @@ from .trees import RootedWeightedTree
 from .weights import EmpiricalSizeBiased, WeightSpec
 
 _RDE_TAG = 23
+# particles per block: rde_apply folds one block's terms at a time and
+# Population.to_csv formats one block per write
+_PARTICLE_BLOCK = 1 << 14
 
 DEFAULT_NODE_BUDGET = 1_000_000
 RDE_MIN_POP_SIZE = 1000
@@ -95,12 +98,12 @@ class Population:
         """One particle per line as %.17g: the bytes of ``np.savetxt``, a block per write.
 
         Blocks of 2^14 particles keep the formatted text from adding to the
-        peak memory of a large population.
+        peak memory of a large population; each block is one format call.
         """
         with open(path, "w") as fh:
-            for start in range(0, self.size, 1 << 14):
-                block = self.particles[start:start + (1 << 14)].tolist()
-                fh.write("".join(["%.17g\n" % x for x in block]))
+            for start in range(0, self.size, _PARTICLE_BLOCK):
+                block = self.particles[start:start + _PARTICLE_BLOCK].tolist()
+                fh.write(("%.17g\n" * len(block)) % tuple(block))
 
 
 def population_w1(a: Population, b: Population) -> float:
@@ -122,6 +125,14 @@ def rde_apply(pop: Population, spec: WeightSpec, rng: np.random.Generator) -> Po
     own gamma sampler, a constant or finite law by its quantile at one
     uniform per particle.  Both give the same law; the gamma sampler spares
     an inverse incomplete gamma function per particle.
+
+    All Exp(1) terms are drawn at once, since the draws of the source
+    indices start where they end.  The terms are then folded in blocks of
+    2^14 particles: a block draws the source indices of its own terms, so
+    beside the terms (E[N] per particle) only one block's indices, gathered
+    X_i and particle labels are held.  Chunked ``integers(0, m, .)`` calls
+    give the values and leave the state of one whole call, so the output
+    has the bits of a whole-array fold.
     """
     m = pop.size
     biased = spec.size_biased()
@@ -130,12 +141,23 @@ def rde_apply(pop: Population, spec: WeightSpec, rng: np.random.Generator) -> Po
     else:
         what = biased.quantile(rng.random(m))
     counts = rng.poisson(what)
+    del what
     total = int(counts.sum())
     out = np.zeros(m)
     if total:
         terms = rng.exponential(1.0, total)
-        terms -= pop.sorted()[rng.integers(0, m, total)]
-        np.maximum.at(out, np.repeat(np.arange(m), counts), terms)
+        ascending = pop.sorted()
+        local = np.arange(min(m, _PARTICLE_BLOCK))
+        lo = 0
+        for a in range(0, m, _PARTICLE_BLOCK):
+            b = min(a + _PARTICLE_BLOCK, m)
+            k = int(counts[a:b].sum())
+            if k:
+                hi = lo + k
+                terms[lo:hi] -= ascending.take(rng.integers(0, m, k))
+                np.maximum.at(out[a:b], np.repeat(local[:b - a], counts[a:b]),
+                              terms[lo:hi])
+                lo = hi
     return Population(out)
 
 
@@ -161,7 +183,8 @@ def rde_fixed_point(spec: WeightSpec, pop_size: int, iterations: int,
     gap W1(T^{2k} delta_0, T^{2k+1} delta_0) is taken as each odd iterate
     lands.  Each live iterate holds its particles and its sorted copy, so
     the memory held is a few times ``pop_size`` floats (plus the operator's
-    per-term arrays, E[N] per particle), whatever ``iterations`` is.
+    terms, E[N] per particle, and one block's indices), whatever
+    ``iterations`` is.
     """
     if pop_size < RDE_MIN_POP_SIZE:
         raise ValueError(f"population dynamics needs pop_size >= {RDE_MIN_POP_SIZE}")

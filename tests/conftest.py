@@ -12,7 +12,7 @@ from sparselocal.coupling import _COUPLE_TAG, poisson_icdf
 from sparselocal.explore import Neighbourhood
 from sparselocal.graph import _GEN_TAG, WeightedGraph, _unrank_triangle, sample_graph
 from sparselocal.limit_trees import _RDE_TAG as RDE_TAG
-from sparselocal.limit_trees import (DEFAULT_NODE_BUDGET, TreeBudgetExceeded,
+from sparselocal.limit_trees import (DEFAULT_NODE_BUDGET, Population, TreeBudgetExceeded,
                                      grow_intermediate)
 from sparselocal.matching import _edge_list, _exact_matching
 from sparselocal.rng import stream_rng
@@ -753,6 +753,32 @@ def where_integer_gamma_block(k, u):
         a = 0.5 / e if k == 2 else 1.0 - 0.5 * x * (1.0 + x) / e
         x = x - r * (1.0 + r / x * a)
         return np.fmax(x, L)
+
+
+# ---- the recursive distributional operator, whole-array --------------------------
+
+
+def rde_apply_whole(pop, spec, rng):
+    """One application of the rde operator with every per-term array whole.
+
+    The oracle of ``limit_trees.rde_apply``, which folds the same draws in
+    particle blocks: both must give the same bits and leave ``rng`` in the
+    same state.
+    """
+    m = pop.size
+    biased = spec.size_biased()
+    if biased.family == "gamma":
+        what = rng.gamma(biased.shape, biased.scale, m)
+    else:
+        what = biased.quantile(rng.random(m))
+    counts = rng.poisson(what)
+    total = int(counts.sum())
+    out = np.zeros(m)
+    if total:
+        terms = rng.exponential(1.0, total)
+        terms -= pop.sorted()[rng.integers(0, m, total)]
+        np.maximum.at(out, np.repeat(np.arange(m), counts), terms)
+    return Population(out)
 
 
 # ---- the limiting objects, drawn directly ------------------------------------------

@@ -6,8 +6,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import (INTERMEDIATE_TAG, LIMIT_TAG, RDE_TAG, sample_intermediate_tree,
-                      sample_limit_tree)
+from conftest import (INTERMEDIATE_TAG, LIMIT_TAG, RDE_TAG, rde_apply_whole,
+                      sample_intermediate_tree, sample_limit_tree)
 from sparselocal.limit_trees import (Population, TreeBudgetExceeded, population_w1,
                                      rde_apply, rde_fixed_point)
 from sparselocal.rng import stream_rng
@@ -202,6 +202,59 @@ def test_rde_fixed_point_memory_is_two_iterates(pop_size):
     finally:
         tracemalloc.stop()
     assert peak < 20 * 8 * pop_size
+
+
+def test_rde_fixed_point_peak_per_particle():
+    # rde_apply keeps a step's E[N] = 3 terms per particle whole and folds them
+    # in 2^14-particle blocks; measured 7.6 floats per particle at this size
+    # (12.1 MB), against 14.0 (22.4 MB) with the source indices, the gathered
+    # particles and the particle labels as whole E[N] pop_size arrays
+    pop_size = 200_000
+    tracemalloc.start()
+    try:
+        rde_fixed_point(GAMMA, pop_size, 4, SEED)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 8 * pop_size
+
+
+# rde_apply draws a step's source indices block by block, so it relies on
+# chunked integers(0, m, .) calls giving the values of one whole call and
+# leaving the generator where that call leaves it; a numpy upgrade that breaks
+# this fails here before it fails the rde digests
+@pytest.mark.parametrize("m", [2000, 200_000, 2**31 - 1])
+def test_chunked_integers_equal_one_call(m):
+    sizes = (1, 7, 16_383, 3, 16_385, 999)
+    whole, chunked = stream_rng(SEED, 0, RDE_TAG), stream_rng(SEED, 0, RDE_TAG)
+    expected = whole.integers(0, m, sum(sizes))
+    got = np.concatenate([chunked.integers(0, m, k) for k in sizes])
+    assert np.array_equal(got, expected)
+    assert chunked.random() == whole.random()
+    assert chunked.bit_generator.state == whole.bit_generator.state
+
+
+@pytest.mark.parametrize("spec", [WeightSpec("constant", c=0.5),
+                                  WeightSpec("constant", c=1e-6),
+                                  WeightSpec("constant", c=1e-4),
+                                  WeightSpec("finite", values=(0.5, 4.0), probs=(0.8, 0.2)),
+                                  GAMMA],
+                         ids=["constant", "constant-tiny", "constant-sparse", "finite",
+                              "gamma"])
+@pytest.mark.parametrize("pop_size", [1000, (1 << 14) - 1, 1 << 14, (1 << 14) + 1,
+                                      3 * (1 << 14) + 7])
+def test_rde_apply_blocks_match_whole_arrays(spec, pop_size):
+    # constant(1e-6) draws no term in these steps (total == 0); constant(1e-4)
+    # draws a term in blocks 0 and 2 of 3 * 2^14 + 7 particles and none between
+    pop = Population(np.zeros(pop_size))
+    for it in range(3):
+        pop = rde_apply_whole(pop, spec, stream_rng(SEED, it, RDE_TAG))
+    ours, theirs = stream_rng(SEED, 3, RDE_TAG), stream_rng(SEED, 3, RDE_TAG)
+    got = rde_apply(pop, spec, ours).particles
+    expected = rde_apply_whole(pop, spec, theirs).particles
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_rde_antitone_in_input():
